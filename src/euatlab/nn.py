@@ -182,16 +182,26 @@ class ForwardCache:
         return self.inputs[0].shape[0]
 
 
-def forward(
-    model: MlpModel, batch: np.ndarray, mask: DropoutMask | None = None
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a (rows, features) batch.
+@dataclass(frozen=True)
+class InputLayer:
+    """First-layer pre-activation and activation of one batch.
 
-    With ``mask`` present the post-activation output of every hidden layer is
-    multiplied by the layer's scaled keep mask; without it the pass is the
-    deterministic evaluation-mode function of (model, batch).
+    Dropout masks only the outputs of hidden layers, after their
+    activation, so every masked pass over the same batch and model version
+    computes the same ``z = x @ W.T + b`` and ``relu(z)``. :func:`input_layer`
+    computes them once; each :func:`forward` given the result runs the same
+    float operations from there on, so its logits are bit-identical.
+    Forward caches share these arrays and :func:`backward` only reads them.
     """
-    x = np.asarray(batch, dtype=np.float64)
+
+    batch: np.ndarray
+    pre_act: np.ndarray
+    act: np.ndarray
+    model: MlpModel = field(repr=False)
+    model_version: int
+
+
+def _check_batch(model: MlpModel, x: np.ndarray):
     if x.ndim != 2:
         raise EngineError(f"batch must be 2-d (rows, features), got shape {x.shape}")
     if x.shape[1] != model.input_width:
@@ -199,20 +209,58 @@ def forward(
             f"batch has {x.shape[1]} features, first layer expects "
             f"{model.input_width}"
         )
+
+
+def _input_layer(model: MlpModel, x: np.ndarray) -> InputLayer:
+    layer = model.layers[0]
+    z = x @ layer.weights.T + layer.bias
+    h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return InputLayer(x, z, h, model, model.version)
+
+
+def input_layer(model: MlpModel, batch: np.ndarray) -> InputLayer:
+    """The unmasked first layer of ``batch``, for reuse by every masked
+    :func:`forward` over the same batch until the model changes."""
+    x = np.asarray(batch, dtype=np.float64)
+    _check_batch(model, x)
+    return _input_layer(model, x)
+
+
+def forward(
+    model: MlpModel,
+    batch: np.ndarray,
+    mask: DropoutMask | None = None,
+    first: InputLayer | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the stack on a (rows, features) batch.
+
+    With ``mask`` present the post-activation output of every hidden layer is
+    multiplied by the layer's scaled keep mask; without it the pass is the
+    deterministic evaluation-mode function of (model, batch). ``first``, from
+    :func:`input_layer` on this very batch array, replaces the first layer's
+    computation.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    _check_batch(model, x)
     if mask is not None:
         _check_mask(model, mask)
+    if first is None:
+        first = _input_layer(model, x)
+    elif (first.batch is not x or first.model is not model
+          or first.model_version != model.version):
+        raise EngineError("input layer was computed for another batch or model state")
 
-    inputs, pre_acts = [], []
-    a = x
+    inputs, pre_acts = [x], [first.pre_act]
+    a = first.act
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z = a @ layer.weights.T + layer.bias
-        inputs.append(a)
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if i > 0:
+            z = a @ layer.weights.T + layer.bias
+            inputs.append(a)
+            pre_acts.append(z)
+            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         if mask is not None and i < last:
-            h = h * mask.scales[i]
-        a = h
+            a = a * mask.scales[i]
     logits = a
     if not np.all(np.isfinite(logits)):
         raise EngineError("non-finite logits produced by forward pass")

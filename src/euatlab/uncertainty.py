@@ -76,6 +76,40 @@ class PredictiveDistribution:
         return total, input_grad
 
 
+def _mc_mean(
+    model: nn.MlpModel,
+    x: np.ndarray,
+    n_samples: int,
+    seed: int,
+    passes: list | None = None,
+) -> np.ndarray:
+    """Mean softmax over the MC passes on the 2-d batch ``x``, appending each
+    pass's ``(probs, cache)`` to ``passes`` when given.
+
+    Pass ``i`` uses the mask seeded by ``derive_seed(seed, "mc-pass", i)``;
+    with dropout_rate == 0 there is a single unmasked pass. All passes share
+    one unmasked input layer.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    first = nn.input_layer(model, x)
+    if model.dropout_rate == 0.0:
+        masks = [None]
+    else:
+        masks = [
+            nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
+            for i in range(n_samples)
+        ]
+    acc = None
+    for mask in masks:
+        logits, cache = nn.forward(model, x, mask, first)
+        p = nn.softmax(logits)
+        if passes is not None:
+            passes.append((p, cache))
+        acc = p if acc is None else acc + p
+    return acc / len(masks)
+
+
 def mc_predict(
     model: nn.MlpModel,
     inputs: np.ndarray,
@@ -89,28 +123,12 @@ def mc_predict(
     With dropout_rate == 0 a single deterministic pass is returned, which
     collapses bit-exactly to the evaluation-mode prediction for any N.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     x = np.asarray(inputs, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-
     passes = []
-    if model.dropout_rate == 0.0:
-        logits, cache = nn.forward(model, x)
-        passes.append((nn.softmax(logits), cache))
-        mean = passes[0][0]
-    else:
-        acc = None
-        for i in range(n_samples):
-            mask = nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
-            logits, cache = nn.forward(model, x, mask)
-            p = nn.softmax(logits)
-            passes.append((p, cache))
-            acc = p.copy() if acc is None else acc + p
-        mean = acc / len(passes)
-
+    mean = _mc_mean(model, x, n_samples, seed, passes)
     per_sample = np.stack([p for p, _ in passes])
     if single:
         mean = mean[0]
@@ -130,19 +148,7 @@ def mc_predict_probs(
     seed: int = 0,
 ) -> np.ndarray:
     """Averaged probabilities only, without per-pass records."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    x = np.asarray(inputs, dtype=np.float64)
-    if model.dropout_rate == 0.0:
-        logits, _ = nn.forward(model, x)
-        return nn.softmax(logits)
-    acc = None
-    for i in range(n_samples):
-        mask = nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
-        logits, _ = nn.forward(model, x, mask)
-        p = nn.softmax(logits)
-        acc = p if acc is None else acc + p
-    return acc / n_samples
+    return _mc_mean(model, np.asarray(inputs, dtype=np.float64), n_samples, seed)
 
 
 def entropy(probs: np.ndarray):

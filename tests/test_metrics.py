@@ -283,6 +283,87 @@ class TestTuneThreshold:
         assert np.all(flipped_correct)
 
 
+def reference_tune_threshold(records, objective):
+    """The per-candidate sweep that tune_threshold replaced: one full
+    confusion matrix (or flip count) per candidate, first maximum wins."""
+    def flip_gain(t):
+        flipped_correct = np.where(
+            records.uncertainty > t, ~records.correct, records.correct
+        )
+        return float(np.mean(~records.correct) - np.mean(~flipped_correct))
+
+    def ua(t):
+        return metrics.uncertainty_accuracy(metrics.build_ucm(records, t))
+
+    score = ua if objective == "ua" else flip_gain
+    best_t, best_v = None, -np.inf
+    for t in metrics.threshold_candidates(records.uncertainty):
+        v = score(float(t))
+        if v > best_v:
+            best_t, best_v = float(t), v
+    return best_t
+
+
+OBJECTIVES = ("ua", "flip_gain")
+
+
+class TestTuneThresholdMatchesSweep:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_random_records(self, objective):
+        gen = np.random.default_rng(20)
+        for _ in range(300):
+            n = int(gen.integers(1, 60))
+            r = make_records(gen.random(n) < gen.random(), gen.random(n))
+            assert metrics.tune_threshold(r, objective) == reference_tune_threshold(
+                r, objective
+            )
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("levels", [1, 2, 4, 10])
+    def test_ties_and_quantised_uncertainties(self, objective, levels):
+        gen = np.random.default_rng(21 + levels)
+        for _ in range(100):
+            n = int(gen.integers(2, 40))
+            u = np.round(gen.random(n) * levels) / levels
+            r = make_records(gen.random(n) < 0.5, u)
+            assert metrics.tune_threshold(r, objective) == reference_tune_threshold(
+                r, objective
+            )
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("all_correct", [True, False])
+    def test_one_sided_sets(self, objective, all_correct):
+        u = np.random.default_rng(22).random(25)
+        r = make_records([all_correct] * 25, u)
+        assert metrics.tune_threshold(r, objective) == reference_tune_threshold(
+            r, objective
+        )
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("correct", [True, False])
+    @pytest.mark.parametrize("u", [0.0, 0.37, 1.0])
+    def test_single_row(self, objective, correct, u):
+        r = make_records([correct], [u])
+        assert metrics.tune_threshold(r, objective) == reference_tune_threshold(
+            r, objective
+        )
+
+    def test_nan_uncertainty_is_never_above_threshold(self):
+        r = make_records([True, True], [np.nan, 0.2])
+        assert metrics.tune_threshold(r, "flip_gain") == reference_tune_threshold(
+            r, "flip_gain"
+        )
+
+    def test_candidate_outside_unit_interval_rejected(self):
+        r = make_records([True, False], [-0.4, 0.3])
+        with pytest.raises(ValueError, match="threshold must be in"):
+            metrics.tune_threshold(r, "ua")
+
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError, match="unknown objective"):
+            metrics.tune_threshold(random_records(23, 5), "error")
+
+
 class TestHistograms:
     def test_counts_partition_the_records(self):
         r = random_records(10, 200)

@@ -75,6 +75,84 @@ class TestMcPredict:
         assert np.allclose(dist.probs, probs, atol=1e-15)
 
 
+def reference_passes(model, x, n_samples, seed):
+    """MC passes with a full nn.forward each, as before the shared layer."""
+    if model.dropout_rate == 0.0:
+        masks = [None]
+    else:
+        masks = [
+            nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
+            for i in range(n_samples)
+        ]
+    passes = []
+    for mask in masks:
+        logits, cache = nn.forward(model, np.atleast_2d(x), mask)
+        passes.append((nn.softmax(logits), cache))
+    return passes
+
+
+def reference_mean(passes):
+    acc = None
+    for p, _ in passes:
+        acc = p if acc is None else acc + p
+    return acc / len(passes)
+
+
+SHARED_LAYER_CASES = [
+    # (layer sizes, dropout, input shape)
+    ((784, 256, 256, 10), 0.2, (3, 784)),
+    ((2, 8, 2), 0.3, (20, 2)),
+    ((2, 8, 2), 0.3, (2,)),
+    ((3, 8, 4), 0.0, (5, 3)),
+    ((5, 3), 0.3, (4, 5)),
+]
+
+
+class TestSharedInputLayer:
+    """Every MC pass reuses one unmasked input layer; the outputs must be
+    bit-identical to a full forward per pass."""
+
+    @pytest.mark.parametrize("sizes,dropout,shape", SHARED_LAYER_CASES)
+    def test_matches_full_forward_per_pass(self, sizes, dropout, shape):
+        model = model_with(dropout=dropout, seed=12, sizes=sizes)
+        gen = np.random.default_rng(14)
+        x = gen.random(shape)
+        ref = reference_passes(model, x, 6, seed=15)
+        dist = uncertainty.mc_predict(model, x, 6, seed=15, keep_grad_records=True)
+        mean = reference_mean(ref)
+        per_sample = np.stack([p for p, _ in ref])
+        if x.ndim == 1:
+            mean, per_sample = mean[0], per_sample[:, 0, :]
+        else:
+            probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
+            assert np.array_equal(probs, mean)
+        assert np.array_equal(dist.probs, mean)
+        assert np.array_equal(dist.per_sample_probs, per_sample)
+        assert dist.sample_count == len(ref)
+
+        upstream = gen.normal(size=dist.probs.shape)
+        ref_dist = uncertainty.PredictiveDistribution(mean, len(ref), grad_passes=ref)
+        grads, input_grad = dist.backprop_mean_prob_grad(upstream)
+        ref_grads, ref_input_grad = ref_dist.backprop_mean_prob_grad(upstream)
+        assert np.array_equal(input_grad, ref_input_grad)
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(gw, rw)
+            assert np.array_equal(gb, rb)
+
+    @pytest.mark.parametrize("shape", [(2, 783), (2, 3, 784)])
+    def test_bad_batch_raises_engine_error(self, shape):
+        model = model_with(dropout=0.2, sizes=(784, 16, 10))
+        x = np.zeros(shape)
+        with pytest.raises(nn.EngineError):
+            uncertainty.mc_predict(model, x, 3, seed=0)
+        with pytest.raises(nn.EngineError):
+            uncertainty.mc_predict_probs(model, x, 3, seed=0)
+
+    def test_probs_only_path_rejects_single_row(self):
+        with pytest.raises(nn.EngineError, match="2-d"):
+            uncertainty.mc_predict_probs(model_with(), np.zeros(3), 3, seed=0)
+
+
 class TestEntropy:
     def test_uniform_four_classes(self):
         assert uncertainty.entropy(np.full(4, 0.25)) == pytest.approx(
