@@ -1,9 +1,11 @@
-"""Comparison methods: plain CE training, CE+PE training, isotonic
-post-hoc calibration of the top-label confidence, and deep ensembles.
+"""Comparison methods: isotonic post-hoc calibration of the top-label
+confidence, and deep ensembles.
 
-All baselines share the validation-based model selection used by the
-error-driven trainer, and the ensemble honors a fair total gradient-sample
-budget by default (total epochs divided across members).
+The CE and CE+PE baselines are ``training.ce_family_train`` with
+validation data (lambda = 0 for CE). Ensemble members train through the
+same call, so all baselines share the validation-based model selection;
+the ensemble honors a fair total gradient-sample budget by default (total
+epochs divided across members).
 """
 
 from __future__ import annotations
@@ -175,14 +177,11 @@ def ensemble_train(
             labels,
             schedule,
             epochs=epochs,
-            lr=schedule.pretrain_lr,
             seed=seed,
-            lam=0.0,
             attack=attack,
             val_inputs=val_inputs,
             val_labels=val_labels,
             n_mc_eval=n_mc_eval,
-            select=True,
         )
         members.append(outcome.model)
         outcomes.append(outcome)
@@ -206,7 +205,7 @@ def ensemble_predict(ensemble: Ensemble, inputs: np.ndarray) -> PredictiveDistri
     x = np.asarray(inputs, dtype=np.float64)
     single = x.ndim == 1
     per_member = np.stack(
-        [ensemble_probs(Ensemble([m], [0]), x) for m in ensemble.members]
+        [softmax(forward(m, np.atleast_2d(x))[0]) for m in ensemble.members]
     )
     mean = per_member.mean(axis=0)
     if single:
@@ -215,65 +214,3 @@ def ensemble_predict(ensemble: Ensemble, inputs: np.ndarray) -> PredictiveDistri
         probs=mean, sample_count=len(ensemble.members), per_sample_probs=per_member
     )
 
-
-def train_ce(
-    model: MlpModel,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    val_inputs: np.ndarray,
-    val_labels: np.ndarray,
-    schedule: TrainingSchedule,
-    seed: int,
-    n_mc_eval: int = 20,
-    attack=None,
-) -> TrainOutcome:
-    """Plain CE baseline over the full epoch budget with validation-based
-    model selection."""
-    return ce_family_train(
-        model,
-        inputs,
-        labels,
-        schedule,
-        epochs=schedule.pretrain_epochs + schedule.euat_epochs,
-        lr=schedule.pretrain_lr,
-        seed=seed,
-        lam=0.0,
-        attack=attack,
-        val_inputs=val_inputs,
-        val_labels=val_labels,
-        n_mc_eval=n_mc_eval,
-        select=True,
-    )
-
-
-def train_ce_pe(
-    model: MlpModel,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    val_inputs: np.ndarray,
-    val_labels: np.ndarray,
-    schedule: TrainingSchedule,
-    seed: int,
-    lam: float = 1.0,
-    n_mc_eval: int = 20,
-    attack=None,
-) -> TrainOutcome:
-    """CE plus lambda * PE baseline; lambda = 0 reproduces the CE
-    trajectory bit-exactly under equal seeds."""
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    return ce_family_train(
-        model,
-        inputs,
-        labels,
-        schedule,
-        epochs=schedule.pretrain_epochs + schedule.euat_epochs,
-        lr=schedule.pretrain_lr,
-        seed=seed,
-        lam=lam,
-        attack=attack,
-        val_inputs=val_inputs,
-        val_labels=val_labels,
-        n_mc_eval=n_mc_eval,
-        select=True,
-    )

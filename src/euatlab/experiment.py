@@ -28,15 +28,20 @@ from .baselines import (
     ensemble_train,
     isotonic_apply,
     isotonic_fit,
-    train_ce,
-    train_ce_pe,
 )
 from .data import Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, backward, checkpoint_json, forward, model_from_checkpoint_dict, softmax
-from .robustness import AttackConfig, CorruptionConfig, fgsm, gaussian_corrupt, make_attack
-from .training import TrainingSchedule, TrainOutcome, euat_train, pretrain
-from .uncertainty import mc_predict_probs
+from .nn import MlpModel, checkpoint_json, forward, model_from_checkpoint_dict, softmax
+from .robustness import (
+    AttackConfig,
+    CorruptionConfig,
+    fgsm,
+    gaussian_corrupt,
+    gradient_sign_step,
+    make_attack,
+)
+from .training import TrainingSchedule, TrainOutcome, ce_family_train, euat_train, pretrain
+from .uncertainty import PredictiveDistribution, mc_predict_probs
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
 
@@ -169,43 +174,23 @@ class Predictor:
         (mean over members for ensembles); used by the attack protocol."""
         labels = np.asarray(labels, dtype=np.int64)
         models = self.ensemble.members if self.ensemble is not None else [self.model]
-        rows = np.arange(len(labels))
-        per_model = []
+        passes = []
         for m in models:
             logits, cache = forward(m, inputs)
-            per_model.append((softmax(logits), cache))
-        mean = sum(p for p, _ in per_model) / len(per_model)
+            passes.append((softmax(logits), cache))
+        mean = sum(p for p, _ in passes) / len(passes)
+        rows = np.arange(len(labels))
         d_mean = np.zeros_like(mean)
         d_mean[rows, labels] = -1.0 / np.clip(mean[rows, labels], 1e-12, 1.0)
-        grad = None
-        for p, cache in per_model:
-            gp = d_mean / len(per_model)
-            gz = p * (gp - (gp * p).sum(axis=1, keepdims=True))
-            _, xg = backward(cache, gz)
-            grad = xg if grad is None else grad + xg
-        return grad
+        dist = PredictiveDistribution(mean, len(passes), grad_passes=passes)
+        return dist.backprop_mean_prob_grad(d_mean)[1]
 
     def attacked(self, inputs, labels, cfg: AttackConfig) -> np.ndarray:
         if self.ensemble is None and self.calibration is None:
             return fgsm(self.model, inputs, labels, cfg)
         # calibration never changes the predicted class, so attacking the
         # base predictive distribution is the faithful surrogate
-        x = np.asarray(inputs, dtype=np.float64)
-        if np.any(x < cfg.clip_min) or np.any(x > cfg.clip_max):
-            raise ValueError("inputs must lie within [clip_min, clip_max]")
-        if cfg.epsilon == 0.0:
-            return x.copy()
-        adv = np.clip(
-            x + cfg.epsilon * np.sign(self.input_grad_ce(x, labels)),
-            cfg.clip_min,
-            cfg.clip_max,
-        )
-        for _ in range(3):
-            over = np.abs(adv - x) > cfg.epsilon
-            if not over.any():
-                break
-            adv[over] = np.nextafter(adv[over], x[over])
-        return adv
+        return gradient_sign_step(inputs, labels, cfg, self.input_grad_ce)
 
 
 @dataclass
@@ -235,10 +220,13 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         out.diverged = out.diverged or pre.diverged
         return TrainedMethod(Predictor(model=out.model, n_mc=n_mc), out.report, out)
 
-    if config.method in ("ce", "calibrated_ce"):
-        out = train_ce(
-            model, x_train, y_train, x_val, y_val, config.schedule, seed,
-            n_mc_eval=n_mc, attack=attack,
+    if config.method in ("ce", "ce_pe", "calibrated_ce"):
+        schedule = config.schedule
+        out = ce_family_train(
+            model, x_train, y_train, schedule,
+            epochs=schedule.pretrain_epochs + schedule.euat_epochs, seed=seed,
+            lam=config.ce_pe_lambda if config.method == "ce_pe" else 0.0,
+            attack=attack, val_inputs=x_val, val_labels=y_val, n_mc_eval=n_mc,
         )
         predictor = Predictor(model=out.model, n_mc=n_mc)
         if config.method == "calibrated_ce":
@@ -249,13 +237,6 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
                 records.confidence, records.correct.astype(np.float64)
             )
         return TrainedMethod(predictor, out.report, out)
-
-    if config.method == "ce_pe":
-        out = train_ce_pe(
-            model, x_train, y_train, x_val, y_val, config.schedule, seed,
-            lam=config.ce_pe_lambda, n_mc_eval=n_mc, attack=attack,
-        )
-        return TrainedMethod(Predictor(model=out.model, n_mc=n_mc), out.report, out)
 
     # ensemble
     seeds = [
@@ -272,6 +253,25 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         outcomes[0].report,
         member_reports=[o.report for o in outcomes],
     )
+
+
+def adversarial_train(
+    method: str, config: ExperimentConfig, attack_cfg: AttackConfig | None = None
+):
+    """Train a method with every mini-batch replaced by its attacked version.
+
+    Returns (resolved config, dataset,
+    trained method). For the error-driven method the correct/wrong
+    partition is computed on attacked training rows as well.
+    """
+    doc = config.to_dict()
+    doc["method"] = method
+    doc["adversarial_training"] = True
+    if attack_cfg is not None:
+        doc["attack"] = asdict(attack_cfg)
+    resolved = ExperimentConfig.from_dict(doc)
+    dataset = build_dataset(resolved)
+    return resolved, dataset, train_method(resolved, dataset)
 
 
 def tune_on_validation(

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .uncertainty import normalized_entropy
+
 
 @dataclass
 class EvalRecords:
@@ -55,8 +57,6 @@ def records_from_probs(
     probs: np.ndarray, labels: np.ndarray
 ) -> EvalRecords:
     """Build records from averaged class probabilities and true labels."""
-    from .uncertainty import normalized_entropy
-
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     rows = np.arange(probs.shape[0])

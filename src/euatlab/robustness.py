@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
+from .data import Dataset
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, euat_loss
 from .nn import MlpModel, backward, forward, softmax
 from .training import predict_labels
@@ -64,21 +66,23 @@ def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
     return res.input_grad
 
 
-def fgsm(
-    model: MlpModel, inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig
+def gradient_sign_step(
+    inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig, input_grad
 ) -> np.ndarray:
-    """x' = clip(x + eps * sign(dL/dx)); exact L-inf bound, deterministic."""
+    """x' = clip(x + eps * sign(input_grad(x, y))); exact L-inf bound.
+
+    ``input_grad`` is any (x, y) -> dL/dx; it is not called when epsilon
+    is zero.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(x < cfg.clip_min) or np.any(x > cfg.clip_max):
         raise ValueError("inputs must lie within [clip_min, clip_max]")
     if cfg.epsilon == 0.0:
         return x.copy()
-    if cfg.loss == "ce":
-        grad = _ce_input_grad(model, x, labels)
-    else:
-        grad = _euat_input_grad(model, x, labels)
-    adv = np.clip(x + cfg.epsilon * np.sign(grad), cfg.clip_min, cfg.clip_max)
+    adv = np.clip(
+        x + cfg.epsilon * np.sign(input_grad(x, labels)), cfg.clip_min, cfg.clip_max
+    )
     # project away half-ulp overshoot so the measured distance never
     # exceeds epsilon
     for _ in range(3):
@@ -87,6 +91,14 @@ def fgsm(
             break
         adv[over] = np.nextafter(adv[over], x[over])
     return adv
+
+
+def fgsm(
+    model: MlpModel, inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig
+) -> np.ndarray:
+    """Gradient-sign step along the model's CE or two-branch loss gradient."""
+    grad = _ce_input_grad if cfg.loss == "ce" else _euat_input_grad
+    return gradient_sign_step(inputs, labels, cfg, lambda x, y: grad(model, x, y))
 
 
 def make_attack(cfg: AttackConfig):
@@ -103,20 +115,12 @@ def gaussian_corrupt(inputs: np.ndarray, cfg: CorruptionConfig) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if cfg.sigma == 0.0:
         return x.copy()
-    z = rng_normal(cfg.seed, x.shape)
+    z = rng.substream(cfg.seed, "gaussian-corrupt").standard_normal(x.shape)
     return np.clip(x + cfg.sigma * z, 0.0, 1.0)
-
-
-def rng_normal(seed, shape):
-    from . import rng
-
-    return rng.substream(seed, "gaussian-corrupt").standard_normal(shape)
 
 
 def corrupt_dataset(dataset, cfg: CorruptionConfig):
     """Corrupted copy of a dataset with provenance recording sigma and seed."""
-    from .data import Dataset
-
     provenance = dict(dataset.provenance)
     provenance["corruption"] = {"kind": "gaussian", "sigma": cfg.sigma, "seed": cfg.seed}
     return Dataset(
@@ -130,8 +134,6 @@ def corrupt_dataset(dataset, cfg: CorruptionConfig):
 def adversarial_dataset(model: MlpModel, dataset, cfg: AttackConfig):
     """Attacked copy of a dataset (cacheable via data.save_dataset); the
     provenance records the attack bound."""
-    from .data import Dataset
-
     provenance = dict(dataset.provenance)
     provenance["attack"] = {"kind": "fgsm", "epsilon": cfg.epsilon, "loss": cfg.loss}
     return Dataset(
@@ -140,31 +142,3 @@ def adversarial_dataset(model: MlpModel, dataset, cfg: AttackConfig):
         splits={k: v.copy() for k, v in dataset.splits.items()},
         provenance=provenance,
     )
-
-
-def adversarial_train(method: str, config, attack_cfg: AttackConfig | None = None):
-    """Train a method with every mini-batch replaced by its attacked version.
-
-    ``config`` is an experiment config; returns (resolved config, dataset,
-    trained method). For the error-driven method the correct/wrong
-    partition is computed on attacked training rows as well.
-    """
-    from .experiment import (  # runtime import: experiment depends on this module
-        ExperimentConfig,
-        build_dataset,
-        train_method,
-    )
-
-    doc = config.to_dict()
-    doc["method"] = method
-    doc["adversarial_training"] = True
-    if attack_cfg is not None:
-        doc["attack"] = {
-            "epsilon": attack_cfg.epsilon,
-            "clip_min": attack_cfg.clip_min,
-            "clip_max": attack_cfg.clip_max,
-            "loss": attack_cfg.loss,
-        }
-    resolved = ExperimentConfig.from_dict(doc)
-    dataset = build_dataset(resolved)
-    return resolved, dataset, train_method(resolved, dataset)

@@ -18,13 +18,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import metrics, rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, ce_pe_loss, euat_loss
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, OptimizerState, forward, sgd_step
+from .nn import MlpModel, OptimizerState, forward, save_checkpoint, sgd_step
 from .uncertainty import mc_predict, mc_predict_probs
 
 logger = logging.getLogger(__name__)
@@ -200,28 +201,14 @@ def evaluate_records(
     return records_from_probs(probs, labels)
 
 
-def selection_score(records: EvalRecords, metric: str) -> float:
-    """Higher-is-better score for validation model selection; undefined
-    metrics rank below every defined value."""
-    if metric == "error":
-        return -metrics.error_rate(records)
-    if metric == "ua":
-        t = metrics.tune_threshold(records, "ua")
-        return metrics.uncertainty_accuracy(metrics.build_ucm(records, t))
-    if metric == "uauc":
-        value = metrics.uauc(records)
-    elif metric == "corr":
-        value = metrics.residual_correlation(records)
-    elif metric == "wasserstein":
-        correct = records.correct
-        if correct.all() or not correct.any():
-            value = None
-        else:
-            value = metrics.wasserstein1(
-                records.uncertainty[correct], records.uncertainty[~correct]
-            )
-    else:
+def selection_score(row: dict, metric: str) -> float:
+    """Higher-is-better score of an epoch's report row for validation model
+    selection; undefined metrics rank below every defined value."""
+    if metric not in SELECTION_METRICS:
         raise ValueError(f"unknown selection metric {metric!r}")
+    if metric == "error":
+        return -row["val_error"]
+    value = row[metric]
     return -np.inf if value is None else float(value)
 
 
@@ -251,49 +238,44 @@ def ce_family_train(
     labels: np.ndarray,
     schedule: TrainingSchedule,
     epochs: int,
-    lr: float,
     seed: int,
     lam: float = 0.0,
     attack=None,
     val_inputs: np.ndarray | None = None,
     val_labels: np.ndarray | None = None,
     n_mc_eval: int = 20,
-    select: bool = False,
 ) -> TrainOutcome:
-    """Minibatch SGD on CE + lam * PE; optionally with per-epoch validation
-    scoring and best-checkpoint selection.
+    """Minibatch SGD on CE + lam * PE at ``schedule.pretrain_lr``.
 
-    ``attack`` is an optional hook (model, x, y) -> x' applied to every
-    mini-batch before the update. Divergence aborts with the last finite
-    end-of-epoch checkpoint.
+    With validation data every epoch is scored and the best checkpoint is
+    returned; without it, the last one. ``attack`` is an optional hook
+    (model, x, y) -> x' applied to every mini-batch before the update.
+    Divergence aborts with the last finite end-of-epoch checkpoint.
     """
+    if lam < 0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
     work = model.copy()
     state = OptimizerState.for_model(
-        work, lr, schedule.momentum, schedule.weight_decay
+        work, schedule.pretrain_lr, schedule.momentum, schedule.weight_decay
     )
     n = len(labels)
     outcome = TrainOutcome(model=work)
     snapshot = work.copy()
+    select = val_inputs is not None
 
-    def log_epoch(epoch, start):
-        if val_inputs is None:
-            return None
+    def epoch_score(epoch, start):
         records = evaluate_records(
             work, val_inputs, val_labels, n_mc_eval, rng.derive_seed(seed, "val-eval", epoch)
         )
         train_error = float(
             np.mean(predict_labels(work, inputs) != labels)
         )
-        outcome.report.append(
-            _report_row(epoch, train_error, records, time.perf_counter() - start)
-        )
-        return records
+        row = _report_row(epoch, train_error, records, time.perf_counter() - start)
+        outcome.report.append(row)
+        return selection_score(row, schedule.selection_metric)
 
-    best_score = -np.inf
     if select:
-        start = time.perf_counter()
-        records = log_epoch(0, start)
-        best_score = selection_score(records, schedule.selection_metric)
+        best_score = epoch_score(0, time.perf_counter())
         outcome.best_epoch = 0
         best_model = work.copy()
 
@@ -324,8 +306,7 @@ def ce_family_train(
         outcome.loss_trajectory.append(total / rows)
         snapshot = work.copy()
         if select:
-            records = log_epoch(epoch, start)
-            score = selection_score(records, schedule.selection_metric)
+            score = epoch_score(epoch, start)
             if score > best_score:
                 best_score, best_model = score, work.copy()
                 outcome.best_epoch = epoch
@@ -349,9 +330,7 @@ def pretrain(
         labels,
         schedule,
         epochs=schedule.pretrain_epochs,
-        lr=schedule.pretrain_lr,
         seed=seed,
-        lam=0.0,
         attack=attack,
     )
 
@@ -393,10 +372,9 @@ def euat_train(
     start = time.perf_counter()
     records = val_records(0)
     part0 = partition(work, inputs, labels, epoch=0)
-    outcome.report.append(
-        _report_row(0, len(part0.wrong) / n, records, time.perf_counter() - start)
-    )
-    best_score = selection_score(records, schedule.selection_metric)
+    row = _report_row(0, len(part0.wrong) / n, records, time.perf_counter() - start)
+    outcome.report.append(row)
+    best_score = selection_score(row, schedule.selection_metric)
     best_model = work.copy()
     outcome.best_epoch = 0
 
@@ -462,19 +440,15 @@ def euat_train(
                 return outcome
         snapshot = work.copy()
         if checkpoint_dir is not None:
-            from pathlib import Path
-
-            from .nn import save_checkpoint
-
             out = Path(checkpoint_dir)
             out.mkdir(parents=True, exist_ok=True)
             save_checkpoint(work, out / f"epoch-{epoch:03d}.json", seed=seed)
 
-        records = val_records(epoch)
-        outcome.report.append(
-            _report_row(epoch, train_error, records, time.perf_counter() - start)
+        row = _report_row(
+            epoch, train_error, val_records(epoch), time.perf_counter() - start
         )
-        score = selection_score(records, schedule.selection_metric)
+        outcome.report.append(row)
+        score = selection_score(row, schedule.selection_metric)
         if score > best_score:
             best_score, best_model = score, work.copy()
             outcome.best_epoch = epoch

@@ -103,6 +103,15 @@ def small_schedule(**kw):
     return training.TrainingSchedule(**defaults)
 
 
+def train_ce_family(model, x, y, x_val, y_val, schedule, seed, lam=0.0):
+    """The CE (lam = 0) and CE+PE baselines as ``experiment.train_method``
+    runs them: the full epoch budget with validation selection."""
+    return training.ce_family_train(
+        model, x, y, schedule, epochs=schedule.pretrain_epochs + schedule.euat_epochs,
+        seed=seed, lam=lam, val_inputs=x_val, val_labels=y_val,
+    )
+
+
 class TestEnsemble:
     def setup_data(self, seed=0):
         ds = data.generate_dataset("gaussian_blobs", 240, 0.08, seed=seed)
@@ -116,7 +125,7 @@ class TestEnsemble:
         ens, _ = baselines.ensemble_train(
             template, *ds.train, *ds.validation, schedule, n_members=1, seeds=[seed]
         )
-        ce = baselines.train_ce(
+        ce = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=seed),
             *ds.train, *ds.validation, schedule, seed=seed,
         )
@@ -148,6 +157,20 @@ class TestEnsemble:
         dist = baselines.ensemble_predict(ens, x)
         assert np.max(np.abs(dist.probs - expected)) < 1e-12
         assert dist.sample_count == 3
+
+    @pytest.mark.parametrize("n_members", [1, 3, 5])
+    def test_prediction_equals_ensemble_probs_exactly(self, n_members):
+        members = [nn.MlpModel.init([4, 16, 3], 0.3, seed=s) for s in range(n_members)]
+        ens = baselines.Ensemble(members, list(range(n_members)))
+        x = np.random.default_rng(9).random((25, 4))
+        dist = baselines.ensemble_predict(ens, x)
+        assert (dist.probs == baselines.ensemble_probs(ens, x)).all()
+        for member, probs in zip(members, dist.per_sample_probs):
+            single = baselines.ensemble_probs(baselines.Ensemble([member], [0]), x)
+            assert (probs == single).all()
+        one = baselines.ensemble_predict(ens, x[0])
+        assert (one.probs == baselines.ensemble_probs(ens, x[0])[0]).all()
+        assert one.per_sample_probs.shape == (n_members, 3)
 
     def test_two_opposed_members_give_uniform(self):
         a = nn.MlpModel([nn.DenseLayer(np.zeros((2, 1)), np.array([40.0, 0.0]), "identity")], 0.0)
@@ -185,11 +208,11 @@ class TestCeFamily:
     def test_lambda_zero_reproduces_ce_bit_exactly(self):
         ds = data.generate_dataset("gaussian_blobs", 200, 0.08, seed=3)
         schedule = small_schedule()
-        a = baselines.train_ce(
+        a = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.train, *ds.validation,
             schedule, seed=11,
         )
-        b = baselines.train_ce_pe(
+        b = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.train, *ds.validation,
             schedule, seed=11, lam=0.0,
         )
@@ -200,11 +223,11 @@ class TestCeFamily:
     def test_both_paths_emit_identical_report_schema(self):
         ds = data.generate_dataset("gaussian_blobs", 200, 0.08, seed=4)
         schedule = small_schedule()
-        a = baselines.train_ce(
+        a = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
             schedule, seed=1,
         )
-        b = baselines.train_ce_pe(
+        b = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
             schedule, seed=1, lam=1.0,
         )
@@ -213,7 +236,7 @@ class TestCeFamily:
     def test_negative_lambda_rejected(self):
         ds = data.generate_dataset("gaussian_blobs", 100, 0.08, seed=5)
         with pytest.raises(ValueError):
-            baselines.train_ce_pe(
+            train_ce_family(
                 nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
                 small_schedule(), seed=1, lam=-1.0,
             )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from euatlab import data, nn, robustness, training
+from euatlab import data, experiment, nn, robustness, training
 
 
 def linear_model(k=3, d=4, seed=0):
@@ -186,9 +186,7 @@ class TestAdversarialDataset:
 
 class TestAdversarialTrainDispatch:
     def test_trains_each_method_with_attack(self):
-        from euatlab.experiment import ExperimentConfig
-
-        base = ExperimentConfig.from_dict(
+        base = experiment.ExperimentConfig.from_dict(
             {
                 "seed": 31,
                 "dataset": {"kind": "gaussian_blobs", "n": 160, "noise": 0.08},
@@ -202,7 +200,7 @@ class TestAdversarialTrainDispatch:
             }
         )
         for method in ("euat", "ce", "ce_pe", "ensemble"):
-            resolved, dataset, trained = robustness.adversarial_train(
+            resolved, dataset, trained = experiment.adversarial_train(
                 method, base, robustness.AttackConfig(epsilon=0.01)
             )
             assert resolved.adversarial_training

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from euatlab import data, nn, rng, training
+from euatlab import data, metrics, nn, rng, training
 from euatlab.losses import CORRECT_SET, WRONG_SET
 from oracles import apportion_largest_remainder, naive_forward
 
@@ -193,6 +193,57 @@ class TestStopCondition:
         assert not training.stop_condition(9, s, 2)
 
 
+def reference_selection_score(records, metric):
+    """Selection score computed from the records, as before it read the
+    epoch's report row."""
+    if metric == "error":
+        return -metrics.error_rate(records)
+    if metric == "ua":
+        t = metrics.tune_threshold(records, "ua")
+        return metrics.uncertainty_accuracy(metrics.build_ucm(records, t))
+    if metric == "uauc":
+        value = metrics.uauc(records)
+    elif metric == "corr":
+        value = metrics.residual_correlation(records)
+    elif metric == "wasserstein":
+        correct = records.correct
+        if correct.all() or not correct.any():
+            value = None
+        else:
+            value = metrics.wasserstein1(
+                records.uncertainty[correct], records.uncertainty[~correct]
+            )
+    return -np.inf if value is None else float(value)
+
+
+class TestSelectionScore:
+    @pytest.mark.parametrize("metric", training.SELECTION_METRICS)
+    @pytest.mark.parametrize("case", ["mixed", "tied", "all_correct", "all_wrong"])
+    def test_row_score_equals_record_score(self, metric, case):
+        gen = np.random.default_rng(len(case))
+        probs = gen.dirichlet(np.ones(3), size=50)
+        if case == "tied":
+            probs = np.round(probs, 1) + 1e-3
+            probs /= probs.sum(axis=1, keepdims=True)
+        labels = gen.integers(0, 3, size=50)
+        if case == "all_correct":
+            labels = probs.argmax(axis=1)
+        elif case == "all_wrong":
+            labels = (probs.argmax(axis=1) + 1) % 3
+        records = metrics.records_from_probs(probs, labels)
+        row = training._report_row(1, 0.25, records, wall_time=0.0)
+        assert training.selection_score(row, metric) == reference_selection_score(
+            records, metric
+        )
+
+    def test_undefined_metric_ranks_lowest(self):
+        assert training.selection_score({"uauc": None}, "uauc") == -np.inf
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError):
+            training.selection_score({"ece": 0.1}, "ece")
+
+
 class TestPretrain:
     def test_zero_epochs_leaves_model_unchanged(self):
         ds = blob_data()
@@ -275,7 +326,7 @@ class TestEuatTrain:
         records = training.evaluate_records(
             out.model, *ds.validation, 8, rng.derive_seed(2, "val-eval", out.best_epoch)
         )
-        assert training.selection_score(records, "uauc") == pytest.approx(
+        assert metrics.uauc(records) == pytest.approx(
             best["uauc"], abs=1e-12
         )
 
