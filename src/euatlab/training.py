@@ -353,7 +353,9 @@ def euat_train(
     Epochs where either partition side is empty are skipped (nothing to
     balance); three consecutive skips end training early. When ``attack``
     is given, partitioning is computed on attacked versions of the training
-    rows and every mini-batch is attacked before its update. Checkpointing
+    rows, and every mini-batch of clean rows is attacked once before its
+    update, so trained rows stay within the attack's bound of the clean
+    rows. Checkpointing
     is in-memory; ``checkpoint_dir`` additionally spills every end-of-epoch
     model to disk.
     """
@@ -384,10 +386,8 @@ def euat_train(
     while not stop_condition(epoch, schedule, skip_counter):
         epoch += 1
         start = time.perf_counter()
-        epoch_inputs = inputs
-        if attack is not None:
-            epoch_inputs = attack(work, inputs, labels)
-        part = partition(work, epoch_inputs, labels, epoch=epoch)
+        part_inputs = inputs if attack is None else attack(work, inputs, labels)
+        part = partition(work, part_inputs, labels, epoch=epoch)
         assert part.epoch == epoch
         train_error = len(part.wrong) / n
 
@@ -414,7 +414,7 @@ def euat_train(
             w_ids = stratified_subsample(part.wrong, target, labels, sub_seed)
 
         batches = balanced_batches(
-            epoch_inputs,
+            inputs,
             labels,
             c_ids,
             w_ids,
@@ -426,9 +426,8 @@ def euat_train(
             if len(batch) == schedule.batch_size:
                 assert int(np.sum(batch.membership == CORRECT_SET)) == half
                 assert int(np.sum(batch.membership == WRONG_SET)) == half
-            xb = batch.inputs
             if attack is not None:
-                xb = attack(work, xb, batch.labels)
+                xb = attack(work, batch.inputs, batch.labels)
                 batch = LabeledBatch(xb, batch.labels, batch.membership)
             res = euat_loss(
                 batch, work, n_mc, seed=rng.derive_seed(seed, "euat-mask", epoch, b)

@@ -127,6 +127,41 @@ class TestAdversarialTraining:
         )
         assert plain.model.parameters_equal(attacked.model)
 
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_trained_rows_stay_within_epsilon_of_clean_rows(self, monkeypatch, dim):
+        # every row the two-branch loss trains on is one attack away from
+        # its clean row, not an attack of an already attacked row
+        eps = 0.05
+        ds = data.generate_dataset("gaussian_blobs", 240, 0.1, seed=11, dim=dim)
+        schedule = training.TrainingSchedule(pretrain_epochs=6, euat_epochs=4,
+                                             pretrain_lr=0.1, euat_lr=0.01,
+                                             batch_size=32)
+        x, y = ds.train
+        pre = training.pretrain(
+            nn.MlpModel.init([dim, 16, 2], 0.3, seed=12), x, y,
+            schedule=schedule, seed=13,
+        ).model
+        trained = []
+        real_loss = training.euat_loss
+
+        def spy(batch, *args, **kwargs):
+            trained.append((batch.inputs.copy(), batch.labels.copy()))
+            return real_loss(batch, *args, **kwargs)
+
+        monkeypatch.setattr(training, "euat_loss", spy)
+        attack = robustness.make_attack(robustness.AttackConfig(epsilon=eps))
+        training.euat_train(
+            pre, x, y, *ds.validation, schedule=schedule, n_mc=4, seed=14,
+            attack=attack,
+        )
+        assert trained
+        worst = 0.0
+        for xb, yb in trained:
+            for row, label in zip(xb, yb):
+                clean = x[y == label]
+                worst = max(worst, np.abs(clean - row).max(axis=1).min())
+        assert worst <= eps
+
 
 class TestGaussianCorruption:
     def test_zero_sigma_is_identity(self):
