@@ -203,14 +203,11 @@ def ensemble_predict(ensemble: Ensemble, inputs: np.ndarray) -> PredictiveDistri
     """Aggregate member outputs; entropy of the mean is the ensemble
     uncertainty."""
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    per_member = np.stack(
-        [softmax(forward(m, np.atleast_2d(x))[0]) for m in ensemble.members]
-    )
+    batch = np.atleast_2d(x)
+    per_member = np.stack([softmax(forward(m, batch)[0]) for m in ensemble.members])
     mean = per_member.mean(axis=0)
-    if single:
+    if x.ndim == 1:
         mean, per_member = mean[0], per_member[:, 0, :]
     return PredictiveDistribution(
         probs=mean, sample_count=len(ensemble.members), per_sample_probs=per_member
     )
-
