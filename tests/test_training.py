@@ -236,9 +236,6 @@ class TestSelectionScore:
             records, metric
         )
 
-    def test_undefined_metric_ranks_lowest(self):
-        assert training.selection_score({"uauc": None}, "uauc") == -np.inf
-
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             training.selection_score({"ece": 0.1}, "ece")
