@@ -188,17 +188,6 @@ def ensemble_train(
     return Ensemble(members, list(seeds)), outcomes
 
 
-def ensemble_probs(ensemble: Ensemble, inputs: np.ndarray) -> np.ndarray:
-    """Mean of member softmax outputs under deterministic forward passes."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    acc = None
-    for member in ensemble.members:
-        logits, _ = forward(member, x)
-        p = softmax(logits)
-        acc = p if acc is None else acc + p
-    return acc / len(ensemble.members)
-
-
 def ensemble_predict(ensemble: Ensemble, inputs: np.ndarray) -> PredictiveDistribution:
     """Aggregate member outputs; entropy of the mean is the ensemble
     uncertainty."""

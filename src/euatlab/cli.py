@@ -4,7 +4,10 @@ Subcommands: train, evaluate, flip-eval, ood-eval, attack-eval, compare,
 replay. Configs come from a JSON file (--config) and/or flag overrides;
 the resolved config is written verbatim into the run manifest.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 training failure
+(an ``nn.EngineError``, such as a non-finite forward pass). A run whose
+training diverged keeps its selected model, exits 0 and records
+``"diverged": true`` in the manifest.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from . import experiment, metrics, rng
 from .data import DataError
 from .experiment import ConfigError, ExperimentConfig
 from .nn import EngineError
-from .training import TrainingDivergence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -263,7 +265,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergence, EngineError) as exc:
+    except EngineError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

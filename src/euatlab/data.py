@@ -10,6 +10,7 @@ class overlap (for Gaussian blobs the Bayes error floor).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -213,6 +214,17 @@ def _read_exact(fh, count, path):
     return blob
 
 
+def _read_body(fh, header_size, count, path):
+    # checked before reading, so a forged header never drives an allocation
+    size = os.fstat(fh.fileno()).st_size
+    if size != header_size + count:
+        raise DataError(
+            f"{path}: {size} bytes, header declares {header_size + count}",
+            code="truncated" if size < header_size + count else "trailing_bytes",
+        )
+    return _read_exact(fh, count, path)
+
+
 def load_idx(
     images_path,
     labels_path,
@@ -223,7 +235,8 @@ def load_idx(
     """Load an IDX image/label file pair (big-endian, magic 0x803/0x801).
 
     Pixels are scaled to [0, 1] and flattened row-major to one feature
-    vector per image.
+    vector per image. A file shorter or longer than its header declares
+    raises ``DataError`` code ``truncated`` or ``trailing_bytes``.
     """
     with open(images_path, "rb") as fh:
         magic, n_images, n_rows, n_cols = struct.unpack(
@@ -233,7 +246,7 @@ def load_idx(
             raise DataError(
                 f"{images_path}: bad image magic 0x{magic:08x}", code="bad_magic"
             )
-        raw = _read_exact(fh, n_images * n_rows * n_cols, images_path)
+        raw = _read_body(fh, 16, n_images * n_rows * n_cols, images_path)
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     inputs = pixels.reshape(n_images, n_rows * n_cols)
 
@@ -243,7 +256,7 @@ def load_idx(
             raise DataError(
                 f"{labels_path}: bad label magic 0x{magic:08x}", code="bad_magic"
             )
-        labels = np.frombuffer(_read_exact(fh, n_labels, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(_read_body(fh, 8, n_labels, labels_path), dtype=np.uint8)
 
     if n_labels != n_images:
         raise DataError(

@@ -24,7 +24,7 @@ from . import __version__, metrics, rng
 from .baselines import (
     Ensemble,
     IsotonicMap,
-    ensemble_probs,
+    ensemble_predict,
     ensemble_train,
     isotonic_apply,
     isotonic_fit,
@@ -100,6 +100,10 @@ class ExperimentConfig:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {p!r}")
+        surrogate = self.method in ("calibrated_ce", "ensemble")
+        if surrogate and "attack" in self.protocols and self.attack.loss == "euat":
+            # Predictor.attacked attacks these through the CE gradient only
+            raise ConfigError(f"{self.method} supports only the 'ce' attack loss")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -159,7 +163,7 @@ class Predictor:
 
     def probs(self, inputs: np.ndarray, seed: int) -> np.ndarray:
         if self.ensemble is not None:
-            p = ensemble_probs(self.ensemble, inputs)
+            p = ensemble_predict(self.ensemble, inputs).probs
         else:
             p = mc_predict_probs(self.model, inputs, self.n_mc, seed)
         if self.calibration is not None:
@@ -196,9 +200,8 @@ class Predictor:
 @dataclass
 class TrainedMethod:
     predictor: Predictor
-    report: list[dict]
     outcome: TrainOutcome | None = None
-    member_reports: list[list[dict]] | None = None
+    member_outcomes: list[TrainOutcome] | None = None  # ensembles only
 
 
 def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
@@ -218,7 +221,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         )
         out.loss_trajectory = pre.loss_trajectory + out.loss_trajectory
         out.diverged = out.diverged or pre.diverged
-        return TrainedMethod(Predictor(model=out.model, n_mc=n_mc), out.report, out)
+        return TrainedMethod(Predictor(model=out.model, n_mc=n_mc), out)
 
     if config.method in ("ce", "ce_pe", "calibrated_ce"):
         schedule = config.schedule
@@ -236,7 +239,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
             predictor.calibration = isotonic_fit(
                 records.confidence, records.correct.astype(np.float64)
             )
-        return TrainedMethod(predictor, out.report, out)
+        return TrainedMethod(predictor, out)
 
     # ensemble
     seeds = [
@@ -248,11 +251,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         n_members=config.ensemble_members, seeds=seeds, n_mc_eval=n_mc,
         full_budget_per_member=config.ensemble_full_budget, attack=attack,
     )
-    return TrainedMethod(
-        Predictor(ensemble=ens, n_mc=n_mc),
-        outcomes[0].report,
-        member_reports=[o.report for o in outcomes],
-    )
+    return TrainedMethod(Predictor(ensemble=ens, n_mc=n_mc), member_outcomes=outcomes)
 
 
 def adversarial_train(
@@ -492,6 +491,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
 
     dataset = stage("dataset", lambda: build_dataset(config))
     trained = stage("train", lambda: train_method(config, dataset))
+    outcomes = trained.member_outcomes or [trained.outcome]
+    manifest["diverged"] = any(o.diverged for o in outcomes)
     threshold = stage(
         "tune-threshold", lambda: tune_on_validation(trained.predictor, dataset, config)
     )
@@ -527,12 +528,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     def persist():
         metrics_bytes = _json_bytes(reports)
         (out_dir / "metrics.json").write_bytes(metrics_bytes)
-        member_reports = (
-            {i: rep for i, rep in enumerate(trained.member_reports)}
-            if trained.member_reports
-            else {0: trained.report}
+        write_epoch_csv(
+            out_dir / "per_epoch.csv", {i: o.report for i, o in enumerate(outcomes)}
         )
-        write_epoch_csv(out_dir / "per_epoch.csv", member_reports)
         write_histogram_csv(out_dir / "histogram.csv", records, config.histogram_bins)
         write_predictions_csv(out_dir / "predictions.csv", records, probs)
         checkpoint_bytes = _json_bytes(predictor_checkpoint(trained.predictor))

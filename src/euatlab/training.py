@@ -11,6 +11,13 @@ selection metric is retained.
 The plain SGD loop used for pretraining also backs the CE and CE+PE
 baselines (CE is the lambda = 0 case of the same code path, which makes
 the two trajectories bit-identical under equal seeds).
+
+Both loops step and select through one private ``_Run``. A non-finite loss
+or a step ``sgd_step`` refuses (a non-finite gradient) is a divergence, and
+it is not fatal: training stops, the outcome keeps the validation-selected
+model (without validation data, the model after the last accepted step)
+and sets ``TrainOutcome.diverged``. A non-finite forward pass is fatal: it
+raises ``nn.EngineError``.
 """
 
 from __future__ import annotations
@@ -18,14 +25,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics, rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, ce_pe_loss, euat_loss
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, OptimizerState, forward, save_checkpoint, sgd_step
+from .nn import MlpModel, OptimizerState, forward, sgd_step
 from .uncertainty import mc_predict, mc_predict_probs
 
 logger = logging.getLogger(__name__)
@@ -45,10 +51,6 @@ REPORT_COLUMNS = (
     "corr",
     "wall_time",
 )
-
-
-class TrainingDivergence(RuntimeError):
-    """Raised when training cannot produce any finite checkpoint."""
 
 
 @dataclass
@@ -232,6 +234,48 @@ def _report_row(epoch, train_error, records, wall_time, skipped=False) -> dict:
     }
 
 
+class _Run:
+    """The work copy, optimizer state and outcome of one training loop, with
+    the step, validation-selection and divergence policy both loops share."""
+
+    def __init__(self, model, lr, schedule, seed, val_inputs, val_labels, n_mc):
+        self.work = model.copy()
+        self.state = OptimizerState.for_model(
+            self.work, lr, schedule.momentum, schedule.weight_decay
+        )
+        # the live work copy until an epoch is scored, then the best copy
+        self.outcome = TrainOutcome(model=self.work)
+        self.metric = schedule.selection_metric
+        self.seed = seed
+        self.val = (val_inputs, val_labels)
+        self.n_mc = n_mc
+        self.best_score = -np.inf
+
+    def step(self, value, grads, epoch: int, b: int) -> bool:
+        """One SGD update; False, with ``diverged`` set, ends training."""
+        if np.isfinite(value) and sgd_step(self.work, grads, self.state):
+            return True
+        logger.warning("divergence at epoch %d batch %d; stopping", epoch, b)
+        self.outcome.diverged = True
+        return False
+
+    def record(self, epoch: int, train_error, start: float, skipped=False):
+        """Append the epoch's validation report row; a trained epoch scoring
+        above every earlier one becomes the returned model."""
+        seed = rng.derive_seed(self.seed, "val-eval", epoch)
+        records = evaluate_records(self.work, *self.val, self.n_mc, seed)
+        wall_time = time.perf_counter() - start
+        row = _report_row(epoch, train_error, records, wall_time, skipped)
+        self.outcome.report.append(row)
+        if skipped:
+            return
+        score = selection_score(row, self.metric)
+        if self.outcome.best_epoch is None or score > self.best_score:
+            self.best_score = score
+            self.outcome.model = self.work.copy()
+            self.outcome.best_epoch = epoch
+
+
 def ce_family_train(
     model: MlpModel,
     inputs: np.ndarray,
@@ -250,35 +294,22 @@ def ce_family_train(
     With validation data every epoch is scored and the best checkpoint is
     returned; without it, the last one. ``attack`` is an optional hook
     (model, x, y) -> x' applied to every mini-batch before the update.
-    Divergence aborts with the last finite end-of-epoch checkpoint.
+    A divergence ends training (see the module docstring).
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    work = model.copy()
-    state = OptimizerState.for_model(
-        work, schedule.pretrain_lr, schedule.momentum, schedule.weight_decay
+    run = _Run(
+        model, schedule.pretrain_lr, schedule, seed, val_inputs, val_labels, n_mc_eval
     )
+    work = run.work
     n = len(labels)
-    outcome = TrainOutcome(model=work)
-    snapshot = work.copy()
     select = val_inputs is not None
 
-    def epoch_score(epoch, start):
-        records = evaluate_records(
-            work, val_inputs, val_labels, n_mc_eval, rng.derive_seed(seed, "val-eval", epoch)
-        )
-        train_error = float(
-            np.mean(predict_labels(work, inputs) != labels)
-        )
-        row = _report_row(epoch, train_error, records, time.perf_counter() - start)
-        outcome.report.append(row)
-        return selection_score(row, schedule.selection_metric)
+    def record(epoch, start):
+        run.record(epoch, np.mean(predict_labels(work, inputs) != labels), start)
 
     if select:
-        best_score = epoch_score(0, time.perf_counter())
-        outcome.best_epoch = 0
-        best_model = work.copy()
-
+        record(0, time.perf_counter())
     for epoch in range(1, epochs + 1):
         start = time.perf_counter()
         order = rng.substream(seed, "sgd-shuffle", epoch).permutation(n)
@@ -296,23 +327,14 @@ def ce_family_train(
                 keep_grad_records=True,
             )
             value, grads = ce_pe_loss(dist, yb, lam)
-            if not np.isfinite(value) or not sgd_step(work, grads, state):
-                logger.warning("divergence at epoch %d batch %d; reverting", epoch, b)
-                outcome.diverged = True
-                outcome.model = snapshot
-                return outcome
+            if not run.step(value, grads, epoch, b):
+                return run.outcome
             total += value * len(ids)
             rows += len(ids)
-        outcome.loss_trajectory.append(total / rows)
-        snapshot = work.copy()
+        run.outcome.loss_trajectory.append(total / rows)
         if select:
-            score = epoch_score(epoch, start)
-            if score > best_score:
-                best_score, best_model = score, work.copy()
-                outcome.best_epoch = epoch
-
-    outcome.model = best_model if select else work
-    return outcome
+            record(epoch, start)
+    return run.outcome
 
 
 def pretrain(
@@ -345,7 +367,6 @@ def euat_train(
     n_mc: int,
     seed: int,
     attack=None,
-    checkpoint_dir=None,
 ) -> TrainOutcome:
     """Error-driven training of a pre-trained model with validation-based
     checkpoint selection.
@@ -355,32 +376,14 @@ def euat_train(
     is given, partitioning is computed on attacked versions of the training
     rows, and every mini-batch of clean rows is attacked once before its
     update, so trained rows stay within the attack's bound of the clean
-    rows. Checkpointing
-    is in-memory; ``checkpoint_dir`` additionally spills every end-of-epoch
-    model to disk.
+    rows. A divergence ends training (see the module docstring).
     """
-    work = model.copy()
-    state = OptimizerState.for_model(
-        work, schedule.euat_lr, schedule.momentum, schedule.weight_decay
-    )
-    outcome = TrainOutcome(model=work)
+    run = _Run(model, schedule.euat_lr, schedule, seed, val_inputs, val_labels, n_mc)
+    work = run.work
     n = len(labels)
-
-    def val_records(epoch):
-        return evaluate_records(
-            work, val_inputs, val_labels, n_mc, rng.derive_seed(seed, "val-eval", epoch)
-        )
-
     start = time.perf_counter()
-    records = val_records(0)
-    part0 = partition(work, inputs, labels, epoch=0)
-    row = _report_row(0, len(part0.wrong) / n, records, time.perf_counter() - start)
-    outcome.report.append(row)
-    best_score = selection_score(row, schedule.selection_metric)
-    best_model = work.copy()
-    outcome.best_epoch = 0
+    run.record(0, len(partition(work, inputs, labels, epoch=0).wrong) / n, start)
 
-    snapshot = work.copy()
     skip_counter = 0
     epoch = 0
     while not stop_condition(epoch, schedule, skip_counter):
@@ -394,12 +397,7 @@ def euat_train(
         if len(part.wrong) == 0 or len(part.correct) == 0:
             skip_counter += 1
             logger.info("epoch %d skipped (one partition side empty)", epoch)
-            outcome.report.append(
-                _report_row(
-                    epoch, train_error, val_records(epoch),
-                    time.perf_counter() - start, skipped=True,
-                )
-            )
+            run.record(epoch, train_error, start, skipped=True)
             continue
         skip_counter = 0
 
@@ -432,25 +430,7 @@ def euat_train(
             res = euat_loss(
                 batch, work, n_mc, seed=rng.derive_seed(seed, "euat-mask", epoch, b)
             )
-            if not np.isfinite(res.value) or not sgd_step(work, res.grads, state):
-                logger.warning("divergence at epoch %d batch %d; reverting", epoch, b)
-                outcome.diverged = True
-                outcome.model = snapshot
-                return outcome
-        snapshot = work.copy()
-        if checkpoint_dir is not None:
-            out = Path(checkpoint_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(work, out / f"epoch-{epoch:03d}.json", seed=seed)
-
-        row = _report_row(
-            epoch, train_error, val_records(epoch), time.perf_counter() - start
-        )
-        outcome.report.append(row)
-        score = selection_score(row, schedule.selection_metric)
-        if score > best_score:
-            best_score, best_model = score, work.copy()
-            outcome.best_epoch = epoch
-
-    outcome.model = best_model
-    return outcome
+            if not run.step(res.value, res.grads, epoch, b):
+                return run.outcome
+        run.record(epoch, train_error, start)
+    return run.outcome

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from euatlab import baselines, data, nn, training, uncertainty
+from euatlab.experiment import Predictor
 from oracles import isotonic_nnls
 
 
@@ -112,6 +113,18 @@ def train_ce_family(model, x, y, x_val, y_val, schedule, seed, lam=0.0):
     )
 
 
+def reference_ensemble_probs(ensemble, inputs):
+    """The former ``baselines.ensemble_probs``: a running sum of member
+    softmax outputs divided by the member count."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    acc = None
+    for member in ensemble.members:
+        logits, _ = nn.forward(member, x)
+        p = nn.softmax(logits)
+        acc = p if acc is None else acc + p
+    return acc / len(ensemble.members)
+
+
 class TestEnsemble:
     def setup_data(self, seed=0):
         ds = data.generate_dataset("gaussian_blobs", 240, 0.08, seed=seed)
@@ -141,8 +154,10 @@ class TestEnsemble:
         assert ens.members[0].parameters_equal(ens.members[1])
         assert ens.members[0].parameters_equal(ens.members[2])
         x = ds.test[0][:5]
-        single = baselines.ensemble_probs(baselines.Ensemble([ens.members[0]], [7]), x)
-        combined = baselines.ensemble_probs(ens, x)
+        single = baselines.ensemble_predict(
+            baselines.Ensemble([ens.members[0]], [7]), x
+        ).probs
+        combined = baselines.ensemble_predict(ens, x).probs
         assert np.allclose(combined, single, atol=1e-15)
 
     def test_prediction_is_hand_averaged_member_mean(self):
@@ -164,12 +179,13 @@ class TestEnsemble:
         ens = baselines.Ensemble(members, list(range(n_members)))
         x = np.random.default_rng(9).random((25, 4))
         dist = baselines.ensemble_predict(ens, x)
-        assert (dist.probs == baselines.ensemble_probs(ens, x)).all()
+        assert (dist.probs == reference_ensemble_probs(ens, x)).all()
+        assert (Predictor(ensemble=ens).probs(x, seed=0) == dist.probs).all()
         for member, probs in zip(members, dist.per_sample_probs):
-            single = baselines.ensemble_probs(baselines.Ensemble([member], [0]), x)
+            single = reference_ensemble_probs(baselines.Ensemble([member], [0]), x)
             assert (probs == single).all()
         one = baselines.ensemble_predict(ens, x[0])
-        assert (one.probs == baselines.ensemble_probs(ens, x[0])[0]).all()
+        assert (one.probs == reference_ensemble_probs(ens, x[0])[0]).all()
         assert one.per_sample_probs.shape == (n_members, 3)
 
     def test_two_opposed_members_give_uniform(self):

@@ -138,3 +138,24 @@ def test_config_file_with_flag_overrides(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["method"] == "ce_pe"
     assert manifest["config"]["ce_pe_lambda"] == 0.5
+
+
+def test_attack_loss_unsupported_by_method_exit_code(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"attack": {"loss": "euat"}}))
+    code = cli.main(
+        ["train", "--config", str(path), "--method", "ensemble",
+         "--protocols", "clean,attack", "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+
+
+def test_training_failure_exit_code(tmp_path):
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--method", "ce", "--n", "200", "--pretrain-epochs", "2",
+         "--euat-epochs", "1", "--lr", "1e300", "--out", str(out)]
+    )
+    assert code == 4
+    last = json.loads((out / "manifest.json").read_text())["stages"][-1]
+    assert (last["stage"], last["status"]) == ("train", "failed")

@@ -116,6 +116,40 @@ class TestIdxLoader:
             data.load_idx(ipath, lpath)
         assert exc.value.code == "truncated"
 
+    def test_trailing_image_bytes(self, tmp_path):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        ipath.write_bytes(ipath.read_bytes() + b"\x00" * 11)
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "trailing_bytes"
+
+    def test_trailing_label_bytes(self, tmp_path):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        lpath.write_bytes(lpath.read_bytes() + b"\x00" * 4)
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "trailing_bytes"
+
+    def test_truncated_labels(self, tmp_path):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        lpath.write_bytes(lpath.read_bytes()[:-1])
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "truncated"
+
+    def test_forged_huge_header_fails_before_reading(self, tmp_path):
+        # 2^32 - 1 images of 65535 x 65535 pixels, backed by one byte
+        ipath = tmp_path / "images.idx"
+        ipath.write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2**32 - 1, 65535, 65535)
+            + b"\x00"
+        )
+        lpath = tmp_path / "labels.idx"
+        lpath.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, 1) + b"\x00")
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "truncated"
+
     def test_bad_magic(self, tmp_path):
         ipath = tmp_path / "images.idx"
         ipath.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 1, 1) + b"\x00")

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from euatlab import experiment, metrics, nn
+from euatlab import experiment, metrics, nn, training
 from euatlab.experiment import ConfigError, ExperimentConfig, Predictor
 
 
@@ -53,6 +53,20 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"methods": "euat"})
+
+    @pytest.mark.parametrize("method", ["calibrated_ce", "ensemble"])
+    def test_euat_attack_loss_rejected_where_only_ce_attack_runs(self, method):
+        with pytest.raises(ConfigError):
+            smoke_config(method, protocols=["clean", "attack"], attack={"loss": "euat"})
+        smoke_config(method, protocols=["clean", "attack"], attack={"loss": "ce"})
+        smoke_config(method, attack={"loss": "euat"})  # no attack protocol
+
+    @pytest.mark.parametrize("method", ["euat", "ce"])
+    def test_euat_attack_loss_accepted_for_single_models(self, method):
+        config = smoke_config(
+            method, protocols=["clean", "attack"], attack={"loss": "euat"}
+        )
+        assert config.attack.loss == "euat"
 
     def test_every_field_has_a_recorded_default(self):
         doc = ExperimentConfig().to_dict()
@@ -110,6 +124,36 @@ class TestRunExperiment:
         manifest = experiment.run_experiment(config, tmp_path)
         assert set(manifest["reports"]) == {"clean", "flip", "ood", "attack"}
         assert manifest["reports"]["attack"]["linf"] <= config.attack.epsilon
+
+
+class TestDivergenceInManifest:
+    @pytest.mark.parametrize(
+        "method, refused_call",
+        # euat: a pretraining step; ensemble: a step of the second member
+        [("euat", 3), ("ce", 3), ("ensemble", 11)],
+    )
+    def test_refused_step_recorded_only_in_manifest(
+        self, tmp_path, monkeypatch, method, refused_call
+    ):
+        calls = []
+
+        def sgd_step_refusing_once(model, grads, state):
+            calls.append(1)
+            return len(calls) != refused_call and nn.sgd_step(model, grads, state)
+
+        monkeypatch.setattr(training, "sgd_step", sgd_step_refusing_once)
+        manifest = experiment.run_experiment(smoke_config(method), tmp_path / "bad")
+        assert len(calls) >= refused_call
+        assert manifest["diverged"] is True
+        assert all(s["status"] == "ok" for s in manifest["stages"])
+        on_disk = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+        assert on_disk["diverged"] is True
+        for name in manifest["files"].values():
+            assert b"diverged" not in (tmp_path / "bad" / name).read_bytes()
+
+    def test_healthy_run_records_no_divergence(self, tmp_path):
+        manifest = experiment.run_experiment(smoke_config("ensemble"), tmp_path)
+        assert manifest["diverged"] is False
 
 
 class TestReplay:

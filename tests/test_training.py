@@ -308,6 +308,23 @@ class TestEuatTrain:
         skipped = [row for row in out.report if row.get("skipped")]
         assert len(skipped) == training.MAX_CONSECUTIVE_SKIPS
 
+    def test_skipped_epochs_are_never_selected(self):
+        # the training rows are fit exactly, so every error-driven epoch is
+        # skipped; on noisier validation rows a skipped epoch's MC
+        # evaluation outscores epoch 0, yet epoch 0 stays selected
+        ds = blob_data(seed=0, noise=0.0)
+        val = blob_data(seed=0, noise=0.3)
+        model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=0)
+        schedule = training.TrainingSchedule(pretrain_epochs=20, euat_epochs=5)
+        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=0)
+        out = training.euat_train(
+            pre.model, *ds.train, *val.validation, schedule=schedule, n_mc=8, seed=1
+        )
+        assert all(row["skipped"] for row in out.report[1:])
+        assert max(row["uauc"] for row in out.report[1:]) > out.report[0]["uauc"]
+        assert out.best_epoch == 0
+        assert out.model.parameters_equal(pre.model)
+
     def test_returned_model_attains_best_epoch_score(self):
         ds, pre, schedule = self.small_setup(seed=5)
         out = training.euat_train(
@@ -356,16 +373,104 @@ class TestEuatTrain:
         assert a.model.parameters_equal(b.model)
         assert a.best_epoch == b.best_epoch
 
-    def test_optional_disk_spill(self, tmp_path):
-        ds, pre, schedule = self.small_setup(seed=9)
-        out = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=6,
-            checkpoint_dir=tmp_path,
+
+def refuse_steps_from(monkeypatch, epoch):
+    """Make ``sgd_step`` refuse every step of training epoch ``epoch`` and
+    later. Each epoch's validation evaluation follows its steps, so the
+    number of evaluations run so far is the epoch being trained."""
+    evaluations = []
+    evaluate_records = training.evaluate_records
+
+    def counting_evaluate_records(*args):
+        evaluations.append(args)
+        return evaluate_records(*args)
+
+    def refusing_sgd_step(model, grads, state):
+        return len(evaluations) < epoch and nn.sgd_step(model, grads, state)
+
+    monkeypatch.setattr(training, "evaluate_records", counting_evaluate_records)
+    monkeypatch.setattr(training, "sgd_step", refusing_sgd_step)
+
+
+class TestDivergence:
+    """A refused step ends training but keeps the validation-selected model."""
+
+    def make(self, seed=5):
+        ds = blob_data(seed=seed, n=240, noise=0.1)
+        model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=seed)
+        schedule = training.TrainingSchedule(
+            pretrain_epochs=8, euat_epochs=8, pretrain_lr=0.1, euat_lr=0.01,
+            selection_metric="uauc",
         )
-        spilled = sorted(tmp_path.glob("epoch-*.json"))
-        trained_epochs = [
-            r["epoch"] for r in out.report if r["epoch"] > 0 and not r["skipped"]
-        ]
-        assert len(spilled) == len(trained_epochs)
-        best = nn.load_checkpoint(tmp_path / f"epoch-{out.best_epoch:03d}.json")
-        assert best.parameters_equal(out.model)
+        return ds, model, schedule
+
+    def assert_selected_model_kept(self, out, ds, n_mc, seed, diverge_epoch):
+        assert out.diverged
+        assert [row["epoch"] for row in out.report] == list(range(diverge_epoch))
+        best = out.report[out.best_epoch]
+        assert best["uauc"] == max(row["uauc"] for row in out.report)
+        val_seed = rng.derive_seed(seed, "val-eval", out.best_epoch)
+        records = training.evaluate_records(out.model, *ds.validation, n_mc, val_seed)
+        assert metrics.uauc(records) == best["uauc"]
+
+    def test_euat_keeps_best_model(self, monkeypatch):
+        ds, model, schedule = self.make()
+        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        refuse_steps_from(monkeypatch, 4)
+        out = training.euat_train(
+            pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
+        )
+        assert out.best_epoch < 3
+        self.assert_selected_model_kept(out, ds, 8, 2, diverge_epoch=4)
+
+    def test_ce_family_keeps_best_model(self, monkeypatch):
+        ds, model, schedule = self.make()
+        refuse_steps_from(monkeypatch, 7)
+        out = training.ce_family_train(
+            model, *ds.train, schedule, epochs=8, seed=5,
+            val_inputs=ds.validation[0], val_labels=ds.validation[1], n_mc_eval=8,
+        )
+        assert out.best_epoch < 6
+        assert len(out.loss_trajectory) == 6
+        self.assert_selected_model_kept(out, ds, 8, 5, diverge_epoch=7)
+
+    def test_non_finite_loss_ends_training(self, monkeypatch):
+        ds, model, schedule = self.make()
+        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        euat_loss = training.euat_loss
+        calls = []
+
+        def poisoned_euat_loss(*args, **kwargs):
+            res = euat_loss(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 9:
+                res.value = np.nan
+            return res
+
+        monkeypatch.setattr(training, "euat_loss", poisoned_euat_loss)
+        out = training.euat_train(
+            pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
+        )
+        assert out.diverged
+        assert len(calls) == 9
+        records = training.evaluate_records(
+            out.model, *ds.validation, 8, rng.derive_seed(2, "val-eval", out.best_epoch)
+        )
+        assert metrics.uauc(records) == out.report[out.best_epoch]["uauc"]
+
+    def test_unscored_run_keeps_last_accepted_step(self, monkeypatch):
+        ds, model, schedule = self.make()
+        accepted, at_refusal = [], []
+
+        def sgd_step_refusing_the_eleventh(model, grads, state):
+            if len(accepted) == 10:
+                at_refusal.append(model.copy())
+                return False
+            accepted.append(1)
+            return nn.sgd_step(model, grads, state)
+
+        monkeypatch.setattr(training, "sgd_step", sgd_step_refusing_the_eleventh)
+        out = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        assert out.diverged
+        assert out.report == [] and out.best_epoch is None
+        assert out.model.parameters_equal(at_refusal[0])
