@@ -15,7 +15,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .losses import ce_loss, ce_pe_loss, entropy_term, euat_loss
 from .metrics import EvalRecords, build_ucm, ece, tune_threshold, uauc, wasserstein1
 from .nn import MlpModel
-from .training import TrainingSchedule, euat_train, pretrain
+from .training import TrainingSchedule, euat_train
 from .uncertainty import mc_predict, normalized_entropy, predictive_entropy
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "nn",
     "normalized_entropy",
     "predictive_entropy",
-    "pretrain",
     "rng",
     "robustness",
     "run_experiment",

@@ -111,12 +111,7 @@ def _resolve_config(args) -> ExperimentConfig:
     put(doc["corruption"], "sigma", args.sigma)
     if args.protocols is not None:
         doc["protocols"] = [p for p in args.protocols.split(",") if p]
-    try:
-        return ExperimentConfig.from_dict(doc)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig.from_dict(doc)
 
 
 def _print_report(report: dict, title: str):
@@ -136,8 +131,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _loaded_run(args):
+def _loaded_run(args, protocol=None, **overrides):
+    """Reload a finished run. For a protocol subcommand the config is rebuilt
+    with ``protocol`` listed and the given ``{section: {field: value}}`` flag
+    overrides (None keeps the stored value), so it is checked like a
+    ``train`` config."""
     config, predictor, manifest = experiment.load_run(args.run_dir)
+    if protocol is not None:
+        doc = config.to_dict()
+        if protocol not in doc["protocols"]:
+            doc["protocols"].append(protocol)
+        for section, fields in overrides.items():
+            doc[section].update((k, v) for k, v in fields.items() if v is not None)
+        config = ExperimentConfig.from_dict(doc)
     dataset = experiment.build_dataset(config)
     threshold = manifest["tuned_threshold"]
     return config, predictor, dataset, threshold
@@ -154,7 +160,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_flip_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(args)
+    config, predictor, dataset, threshold = _loaded_run(args, "flip")
     report = experiment.flip_eval(
         predictor, *dataset.test, threshold,
         rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
@@ -164,18 +170,18 @@ def cmd_flip_eval(args) -> int:
 
 
 def cmd_ood_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(args)
-    if args.sigma is not None:
-        config.corruption.sigma = args.sigma
+    config, predictor, dataset, threshold = _loaded_run(
+        args, "ood", corruption={"sigma": args.sigma}
+    )
     report = experiment.ood_eval(predictor, dataset, threshold, config)
     _print_report(report, f"{config.method}: noise OOD protocol")
     return EXIT_OK
 
 
 def cmd_attack_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(args)
-    if args.epsilon is not None:
-        config.attack.epsilon = args.epsilon
+    config, predictor, dataset, threshold = _loaded_run(
+        args, "attack", attack={"epsilon": args.epsilon}
+    )
     report = experiment.attack_eval(predictor, dataset, threshold, config)
     _print_report(report, f"{config.method}: attack protocol")
     return EXIT_OK

@@ -31,17 +31,18 @@ from .baselines import (
 )
 from .data import Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, checkpoint_json, forward, model_from_checkpoint_dict, softmax
+from .nn import MlpModel, checkpoint_json, model_from_checkpoint_dict
 from .robustness import (
     AttackConfig,
     CorruptionConfig,
+    ce_input_grad,
     fgsm,
     gaussian_corrupt,
     gradient_sign_step,
     make_attack,
 )
-from .training import TrainingSchedule, TrainOutcome, ce_family_train, euat_train, pretrain
-from .uncertainty import PredictiveDistribution, mc_predict_probs
+from .training import TrainingSchedule, TrainOutcome, ce_family_train, euat_train
+from .uncertainty import mc_predict_probs
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
 
@@ -110,6 +111,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Build a config from its ``to_dict`` form; every invalid or
+        unknown field raises ``ConfigError``."""
         doc = dict(doc)
         try:
             for key, sub in (
@@ -122,7 +125,9 @@ class ExperimentConfig:
                 if key in doc and isinstance(doc[key], dict):
                     doc[key] = sub(**doc[key])
             return cls(**doc)
-        except TypeError as exc:
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -173,28 +178,16 @@ class Predictor:
     def records(self, inputs, labels, seed) -> EvalRecords:
         return records_from_probs(self.probs(inputs, seed), labels)
 
-    def input_grad_ce(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Evaluation-mode CE input gradient of the predicted distribution
-        (mean over members for ensembles); used by the attack protocol."""
-        labels = np.asarray(labels, dtype=np.int64)
-        models = self.ensemble.members if self.ensemble is not None else [self.model]
-        passes = []
-        for m in models:
-            logits, cache = forward(m, inputs)
-            passes.append((softmax(logits), cache))
-        mean = sum(p for p, _ in passes) / len(passes)
-        rows = np.arange(len(labels))
-        d_mean = np.zeros_like(mean)
-        d_mean[rows, labels] = -1.0 / np.clip(mean[rows, labels], 1e-12, 1.0)
-        dist = PredictiveDistribution(mean, len(passes), grad_passes=passes)
-        return dist.backprop_mean_prob_grad(d_mean)[1]
-
     def attacked(self, inputs, labels, cfg: AttackConfig) -> np.ndarray:
         if self.ensemble is None and self.calibration is None:
             return fgsm(self.model, inputs, labels, cfg)
         # calibration never changes the predicted class, so attacking the
-        # base predictive distribution is the faithful surrogate
-        return gradient_sign_step(inputs, labels, cfg, self.input_grad_ce)
+        # base predictive distribution (the members' mean for ensembles)
+        # through the CE gradient is the faithful surrogate
+        models = self.ensemble.members if self.ensemble is not None else [self.model]
+        return gradient_sign_step(
+            inputs, labels, cfg, lambda x, y: ce_input_grad(models, x, y)
+        )
 
 
 @dataclass
@@ -214,7 +207,10 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     n_mc = config.mc_samples
 
     if config.method == "euat":
-        pre = pretrain(model, x_train, y_train, config.schedule, seed, attack=attack)
+        pre = ce_family_train(
+            model, x_train, y_train, config.schedule,
+            epochs=config.schedule.pretrain_epochs, seed=seed, attack=attack,
+        )
         out = euat_train(
             pre.model, x_train, y_train, x_val, y_val, config.schedule,
             n_mc, seed, attack=attack,
@@ -252,25 +248,6 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         full_budget_per_member=config.ensemble_full_budget, attack=attack,
     )
     return TrainedMethod(Predictor(ensemble=ens, n_mc=n_mc), member_outcomes=outcomes)
-
-
-def adversarial_train(
-    method: str, config: ExperimentConfig, attack_cfg: AttackConfig | None = None
-):
-    """Train a method with every mini-batch replaced by its attacked version.
-
-    Returns (resolved config, dataset,
-    trained method). For the error-driven method the correct/wrong
-    partition is computed on attacked training rows as well.
-    """
-    doc = config.to_dict()
-    doc["method"] = method
-    doc["adversarial_training"] = True
-    if attack_cfg is not None:
-        doc["attack"] = asdict(attack_cfg)
-    resolved = ExperimentConfig.from_dict(doc)
-    dataset = build_dataset(resolved)
-    return resolved, dataset, train_method(resolved, dataset)
 
 
 def tune_on_validation(

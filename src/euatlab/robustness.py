@@ -16,8 +16,9 @@ import numpy as np
 from . import rng
 from .data import Dataset
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, euat_loss
-from .nn import MlpModel, backward, forward, softmax
+from .nn import MlpModel, forward, softmax
 from .training import predict_labels
+from .uncertainty import PredictiveDistribution
 
 
 @dataclass
@@ -46,13 +47,22 @@ class CorruptionConfig:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 
-def _ce_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
-    logits, cache = forward(model, inputs)
-    probs = softmax(logits)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    _, input_grad = backward(cache, probs - onehot)
-    return input_grad
+def ce_input_grad(
+    models: list[MlpModel], inputs: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Evaluation-mode CE input gradient of the mean softmax of ``models``
+    (one model, or every ensemble member), through the shared softmax VJP."""
+    labels = np.asarray(labels, dtype=np.int64)
+    passes = []
+    for m in models:
+        logits, cache = forward(m, inputs)
+        passes.append((softmax(logits), cache))
+    mean = sum(p for p, _ in passes) / len(passes)
+    rows = np.arange(len(labels))
+    d_mean = np.zeros_like(mean)
+    d_mean[rows, labels] = -1.0 / np.clip(mean[rows, labels], 1e-12, 1.0)
+    dist = PredictiveDistribution(mean, len(passes), grad_passes=passes)
+    return dist.backprop_mean_prob_grad(d_mean)[1]
 
 
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
@@ -97,8 +107,13 @@ def fgsm(
     model: MlpModel, inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig
 ) -> np.ndarray:
     """Gradient-sign step along the model's CE or two-branch loss gradient."""
-    grad = _ce_input_grad if cfg.loss == "ce" else _euat_input_grad
-    return gradient_sign_step(inputs, labels, cfg, lambda x, y: grad(model, x, y))
+    if cfg.loss == "ce":
+        return gradient_sign_step(
+            inputs, labels, cfg, lambda x, y: ce_input_grad([model], x, y)
+        )
+    return gradient_sign_step(
+        inputs, labels, cfg, lambda x, y: _euat_input_grad(model, x, y)
+    )
 
 
 def make_attack(cfg: AttackConfig):

@@ -8,9 +8,11 @@ set), and applies the two-branch loss. After each epoch the model is
 evaluated on a disjoint validation set and the checkpoint maximizing the
 selection metric is retained.
 
-The plain SGD loop used for pretraining also backs the CE and CE+PE
-baselines (CE is the lambda = 0 case of the same code path, which makes
-the two trajectories bit-identical under equal seeds).
+``ce_family_train`` is the one CE-family entry point: the plain SGD loop
+that pretrains the error-driven method (``epochs=schedule.pretrain_epochs``,
+no validation data) also trains the CE and CE+PE baselines (CE is the
+lambda = 0 case of the same code path, which makes the two trajectories
+bit-identical under equal seeds).
 
 Both loops step and select through one private ``_Run``. A non-finite loss
 or a step ``sgd_step`` refuses (a non-finite gradient) is a divergence, and
@@ -335,26 +337,6 @@ def ce_family_train(
         if select:
             record(epoch, start)
     return run.outcome
-
-
-def pretrain(
-    model: MlpModel,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    schedule: TrainingSchedule,
-    seed: int,
-    attack=None,
-) -> TrainOutcome:
-    """Standard CE minibatch SGD for ``schedule.pretrain_epochs`` epochs."""
-    return ce_family_train(
-        model,
-        inputs,
-        labels,
-        schedule,
-        epochs=schedule.pretrain_epochs,
-        seed=seed,
-        attack=attack,
-    )
 
 
 def euat_train(

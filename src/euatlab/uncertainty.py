@@ -66,8 +66,8 @@ class PredictiveDistribution:
             gz = pass_probs * (gp - (gp * pass_probs).sum(axis=1, keepdims=True))
             grads, xg = nn.backward(cache, gz)
             if total is None:
-                total = [(gw.copy(), gb.copy()) for gw, gb in grads]
-                input_grad = xg.copy()
+                # nn.backward allocates fresh arrays: accumulate in place
+                total, input_grad = grads, xg
             else:
                 for (tw, tb), (gw, gb) in zip(total, grads):
                     tw += gw

@@ -185,8 +185,9 @@ def test_criterion_4_algorithm_structure():
     schedule = training.TrainingSchedule(
         pretrain_epochs=5, euat_epochs=4, pretrain_lr=0.1, euat_lr=0.0, batch_size=32
     )
-    pre = training.pretrain(
-        nn.MlpModel.init([2, 8, 2], 0.2, seed=6), *ds.train, schedule=schedule, seed=7
+    pre = training.ce_family_train(
+        nn.MlpModel.init([2, 8, 2], 0.2, seed=6), *ds.train, schedule,
+        epochs=schedule.pretrain_epochs, seed=7,
     )
     out = training.euat_train(
         pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=8

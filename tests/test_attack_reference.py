@@ -1,9 +1,13 @@
-"""The shared gradient-sign step reproduces the attacks it replaced, bit for bit.
+"""The shared attack path reproduces the attacks it replaced, bit for bit.
 
-The reference functions below are the attack code as it stood before the
-step was shared: ``fgsm`` with its own range check, clip and projection,
-and ``Predictor.attacked`` / ``Predictor.input_grad_ce`` with a second copy
-of that step and a hand-written softmax VJP.
+Every attack now takes the one gradient-sign step
+(``robustness.gradient_sign_step``), and every CE attack takes the one CE
+input gradient (``robustness.ce_input_grad``, through the shared softmax
+VJP). The reference functions below are the attack code as it stood before
+both were shared: ``fgsm`` with its own range check, clip and projection
+and the ``probs - onehot`` CE input gradient of a plain model, and
+``Predictor.attacked`` / ``Predictor.input_grad_ce`` with a second copy of
+that step and a hand-written softmax VJP.
 """
 
 import numpy as np
@@ -11,6 +15,15 @@ import pytest
 
 from euatlab import baselines, nn, robustness
 from euatlab.experiment import Predictor
+
+
+def reference_ce_input_grad(model, inputs, labels):
+    logits, cache = nn.forward(model, inputs)
+    probs = nn.softmax(logits)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    _, input_grad = nn.backward(cache, probs - onehot)
+    return input_grad
 
 
 def reference_fgsm(model, inputs, labels, cfg):
@@ -21,7 +34,7 @@ def reference_fgsm(model, inputs, labels, cfg):
     if cfg.epsilon == 0.0:
         return x.copy()
     if cfg.loss == "ce":
-        grad = robustness._ce_input_grad(model, x, labels)
+        grad = reference_ce_input_grad(model, x, labels)
     else:
         grad = robustness._euat_input_grad(model, x, labels)
     adv = np.clip(x + cfg.epsilon * np.sign(grad), cfg.clip_min, cfg.clip_max)
@@ -106,12 +119,20 @@ class TestAttackMatchesReference:
     def test_calibrated_predictor(self, sizes, seed):
         predictor = calibrated(sizes, seed)
         x, y = batch(sizes, 40, seed)
-        assert np.array_equal(
-            predictor.input_grad_ce(x, y), reference_input_grad_ce(predictor, x, y)
-        )
+        grad = robustness.ce_input_grad([predictor.model], x, y)
+        assert np.array_equal(grad, reference_input_grad_ce(predictor, x, y))
         assert np.array_equal(
             predictor.attacked(x, y, CFG), reference_attacked(predictor, x, y, CFG)
         )
+        # a calibrated predictor attacks exactly like its base model
+        assert np.array_equal(
+            predictor.attacked(x, y, CFG), robustness.fgsm(predictor.model, x, y, CFG)
+        )
+        # the shared softmax VJP of -log p_y rounds differently from
+        # probs - onehot: the gradients agree to rounding, the signs exactly
+        reference = reference_ce_input_grad(predictor.model, x, y)
+        assert np.array_equal(np.sign(grad), np.sign(reference))
+        assert np.allclose(grad, reference, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("members", [3, 5])
     @pytest.mark.parametrize("sizes", [[20, 32, 32, 4], [2, 8, 2]])
@@ -124,12 +145,13 @@ class TestAttackMatchesReference:
         # the shared softmax VJP scales by 1/N where the old loop divided
         # by N: the gradients agree to rounding, the signs exactly
         assert np.allclose(
-            predictor.input_grad_ce(x, y), reference_input_grad_ce(predictor, x, y),
+            robustness.ce_input_grad(predictor.ensemble.members, x, y),
+            reference_input_grad_ce(predictor, x, y),
             rtol=1e-12, atol=1e-14,
         )
 
     @pytest.mark.parametrize("loss", ["ce", "euat"])
-    @pytest.mark.parametrize("sizes", [[20, 32, 32, 4], [2, 8, 2]])
+    @pytest.mark.parametrize("sizes", [[20, 32, 32, 4], [2, 8, 2], [784, 256, 256, 10]])
     def test_plain_fgsm(self, sizes, loss):
         model = nn.MlpModel.init(sizes, 0.3, seed=3)
         x, y = batch(sizes, 40, 4)

@@ -159,3 +159,27 @@ def test_training_failure_exit_code(tmp_path):
     assert code == 4
     last = json.loads((out / "manifest.json").read_text())["stages"][-1]
     assert (last["stage"], last["status"]) == ("train", "failed")
+
+
+def test_attack_eval_rejects_loss_unsupported_by_method(tmp_path):
+    # the stored config is valid (no attack protocol at training time);
+    # attack-eval adds the protocol and is checked like train
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"attack": {"loss": "euat"}}))
+    out = tmp_path / "run"
+    code = cli.main(
+        ["train", "--config", str(path), "--method", "ensemble",
+         "--ensemble-members", "2", "--n", "160", "--hidden", "8",
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--mc-samples", "4",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert cli.main(["attack-eval", "--run-dir", str(out)]) == 2
+
+
+def test_attack_eval_rejects_negative_epsilon(run_dir):
+    assert cli.main(["attack-eval", "--run-dir", str(run_dir), "--epsilon", "-0.1"]) == 2
+
+
+def test_ood_eval_rejects_negative_sigma(run_dir):
+    assert cli.main(["ood-eval", "--run-dir", str(run_dir), "--sigma", "-0.5"]) == 2

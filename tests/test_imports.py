@@ -1,8 +1,13 @@
-"""Package modules import each other at module top only.
+"""Structural rules of the package source, checked on its syntax tree.
 
-An import of ``euatlab`` (or a relative import) inside a function body
-hides a dependency from the module header and usually papers over an
-import cycle. Lazy third-party imports are not covered here.
+Package modules import each other at module top only: an import of
+``euatlab`` (or a relative import) inside a function body hides a
+dependency from the module header and usually papers over an import cycle.
+Lazy third-party imports are not covered here.
+
+Only ``nn`` (which defines it) and ``uncertainty`` (the softmax VJP in
+``backprop_mean_prob_grad``) name ``backward``, so every gradient through
+the softmax takes that one VJP.
 """
 
 import ast
@@ -49,3 +54,44 @@ def test_detector_flags_relative_and_absolute_imports():
     )
     # nested functions are walked by both enclosing defs
     assert sorted(set(call_time_package_imports(source))) == [("f", 3), ("f", 7), ("g", 7)]
+
+
+BACKWARD_MODULES = {"nn.py", "uncertainty.py"}
+
+
+def backward_references(source: str) -> list[int]:
+    """Lines that name ``backward``: as a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named = node.id == "backward"
+        elif isinstance(node, ast.Attribute):
+            named = node.attr == "backward"
+        elif isinstance(node, ast.ImportFrom):
+            named = any(a.name == "backward" for a in node.names)
+        else:
+            continue
+        if named:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in BACKWARD_MODULES),
+    ids=lambda p: p.name,
+)
+def test_only_nn_and_uncertainty_name_backward(path):
+    assert backward_references(path.read_text()) == []
+
+
+def test_backward_detector_flags_names_attributes_and_imports():
+    source = (
+        "from .nn import backward, forward\n"
+        "from . import nn\n"
+        "def f(cache, g):\n"
+        "    nn.backward(cache, g)\n"
+        "    return backward(cache, g), forward\n"
+        "backward_pass = 1\n"
+    )
+    assert backward_references(source) == [1, 4, 5]

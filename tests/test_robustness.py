@@ -101,9 +101,12 @@ class TestAdversarialTraining:
                                              pretrain_lr=0.1, batch_size=32)
         model = nn.MlpModel.init([2, 8, 2], 0.3, seed=13)
         attack = robustness.make_attack(robustness.AttackConfig(epsilon=0.0))
-        plain = training.pretrain(model, *ds.train, schedule=schedule, seed=14)
-        attacked = training.pretrain(
-            model, *ds.train, schedule=schedule, seed=14, attack=attack
+        plain = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14
+        )
+        attacked = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14,
+            attack=attack,
         )
         assert plain.model.parameters_equal(attacked.model)
         assert plain.loss_trajectory == attacked.loss_trajectory
@@ -113,9 +116,9 @@ class TestAdversarialTraining:
         schedule = training.TrainingSchedule(pretrain_epochs=4, euat_epochs=3,
                                              pretrain_lr=0.1, euat_lr=0.01,
                                              batch_size=32)
-        pre = training.pretrain(
+        pre = training.ce_family_train(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=16), *ds.train,
-            schedule=schedule, seed=17,
+            schedule, epochs=schedule.pretrain_epochs, seed=17,
         ).model
         attack = robustness.make_attack(robustness.AttackConfig(epsilon=0.0))
         plain = training.euat_train(
@@ -137,9 +140,9 @@ class TestAdversarialTraining:
                                              pretrain_lr=0.1, euat_lr=0.01,
                                              batch_size=32)
         x, y = ds.train
-        pre = training.pretrain(
+        pre = training.ce_family_train(
             nn.MlpModel.init([dim, 16, 2], 0.3, seed=12), x, y,
-            schedule=schedule, seed=13,
+            schedule, epochs=schedule.pretrain_epochs, seed=13,
         ).model
         trained = []
         real_loss = training.euat_loss
@@ -235,9 +238,13 @@ class TestAdversarialTrainDispatch:
             }
         )
         for method in ("euat", "ce", "ce_pe", "ensemble"):
-            resolved, dataset, trained = experiment.adversarial_train(
-                method, base, robustness.AttackConfig(epsilon=0.01)
-            )
+            doc = base.to_dict()
+            doc["method"] = method
+            doc["adversarial_training"] = True
+            doc["attack"] = {"epsilon": 0.01}
+            resolved = experiment.ExperimentConfig.from_dict(doc)
+            dataset = experiment.build_dataset(resolved)
+            trained = experiment.train_method(resolved, dataset)
             assert resolved.adversarial_training
             assert resolved.attack.epsilon == 0.01
             probs = trained.predictor.probs(dataset.test[0][:3], seed=0)

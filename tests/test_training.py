@@ -246,7 +246,9 @@ class TestPretrain:
         ds = blob_data()
         model = nn.MlpModel.init([2, 8, 2], dropout_rate=0.3, seed=1)
         schedule = training.TrainingSchedule(pretrain_epochs=0)
-        out = training.pretrain(model, *ds.train, schedule=schedule, seed=0)
+        out = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=0
+        )
         assert out.model.parameters_equal(model)
         assert out.loss_trajectory == []
 
@@ -254,7 +256,9 @@ class TestPretrain:
         ds = blob_data(seed=1, n=300, noise=0.02)
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=2)
         schedule = training.TrainingSchedule(pretrain_epochs=30, pretrain_lr=0.1)
-        out = training.pretrain(model, *ds.train, schedule=schedule, seed=3)
+        out = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=3
+        )
         x, y = ds.train
         err = float(np.mean(training.predict_labels(out.model, x) != y))
         assert err < 0.05
@@ -265,7 +269,9 @@ class TestPretrain:
         ds = blob_data(seed=2, n=300, noise=0.02)
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.0, seed=4)
         schedule = training.TrainingSchedule(pretrain_epochs=30, pretrain_lr=0.1)
-        out = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        out = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+        )
         traj = np.array(out.loss_trajectory)
         smooth = np.convolve(traj, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smooth) <= 0.0)
@@ -274,8 +280,12 @@ class TestPretrain:
         ds = blob_data(seed=3, n=200)
         model = nn.MlpModel.init([2, 8, 2], dropout_rate=0.3, seed=6)
         schedule = training.TrainingSchedule(pretrain_epochs=5)
-        a = training.pretrain(model, *ds.train, schedule=schedule, seed=7)
-        b = training.pretrain(model, *ds.train, schedule=schedule, seed=7)
+        a = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=7
+        )
+        b = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=7
+        )
         assert a.model.parameters_equal(b.model)
         assert a.loss_trajectory == b.loss_trajectory
 
@@ -288,7 +298,9 @@ class TestEuatTrain:
             pretrain_epochs=8, euat_epochs=5, pretrain_lr=0.1, euat_lr=0.01,
             selection_metric="uauc",
         )
-        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=seed)
+        pre = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=seed
+        )
         return ds, pre.model, schedule
 
     def test_perfect_model_returns_input_after_skips(self):
@@ -316,7 +328,9 @@ class TestEuatTrain:
         val = blob_data(seed=0, noise=0.3)
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=0)
         schedule = training.TrainingSchedule(pretrain_epochs=20, euat_epochs=5)
-        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=0)
+        pre = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=0
+        )
         out = training.euat_train(
             pre.model, *ds.train, *val.validation, schedule=schedule, n_mc=8, seed=1
         )
@@ -415,7 +429,9 @@ class TestDivergence:
 
     def test_euat_keeps_best_model(self, monkeypatch):
         ds, model, schedule = self.make()
-        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        pre = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+        )
         refuse_steps_from(monkeypatch, 4)
         out = training.euat_train(
             pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
@@ -436,7 +452,9 @@ class TestDivergence:
 
     def test_non_finite_loss_ends_training(self, monkeypatch):
         ds, model, schedule = self.make()
-        pre = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        pre = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+        )
         euat_loss = training.euat_loss
         calls = []
 
@@ -470,7 +488,9 @@ class TestDivergence:
             return nn.sgd_step(model, grads, state)
 
         monkeypatch.setattr(training, "sgd_step", sgd_step_refusing_the_eleventh)
-        out = training.pretrain(model, *ds.train, schedule=schedule, seed=5)
+        out = training.ce_family_train(
+            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+        )
         assert out.diverged
         assert out.report == [] and out.best_epoch is None
         assert out.model.parameters_equal(at_refusal[0])
