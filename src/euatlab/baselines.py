@@ -4,8 +4,8 @@ confidence, and deep ensembles.
 The CE and CE+PE baselines are ``training.ce_family_train`` with
 validation data (lambda = 0 for CE). Ensemble members train through the
 same call, so all baselines share the validation-based model selection;
-the ensemble honors a fair total gradient-sample budget by default (total
-epochs divided across members).
+the ensemble honors a fair total gradient-sample budget (total epochs
+divided across members).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .nn import MlpModel, forward, softmax
 from .training import TrainingSchedule, TrainOutcome, ce_family_train
 from .uncertainty import PredictiveDistribution
@@ -142,26 +141,20 @@ def ensemble_train(
     val_inputs: np.ndarray,
     val_labels: np.ndarray,
     schedule: TrainingSchedule,
-    n_members: int = 5,
-    seeds: list[int] | None = None,
+    seeds: list[int],
     n_mc_eval: int = 20,
-    full_budget_per_member: bool = False,
     attack=None,
 ) -> tuple[Ensemble, list[TrainOutcome]]:
-    """Train ``n_members`` independent CE learners with distinct seeds.
+    """Train one independent CE learner per seed.
 
     The total epoch budget (pretrain + error-driven epochs) is divided
     across members so every compared method consumes the same number of
-    gradient samples; ``full_budget_per_member`` lifts that cap.
+    gradient samples.
     """
-    if n_members < 1:
+    if not seeds:
         raise ValueError("ensemble needs at least one member")
-    if seeds is None:
-        seeds = [rng.derive_seed(0, "ensemble-member", i) for i in range(n_members)]
-    if len(seeds) != n_members:
-        raise ValueError(f"need {n_members} seeds, got {len(seeds)}")
     total = schedule.pretrain_epochs + schedule.euat_epochs
-    epochs = total if full_budget_per_member else max(total // n_members, 1)
+    epochs = max(total // len(seeds), 1)
 
     members, outcomes = [], []
     for seed in seeds:

@@ -4,10 +4,11 @@ Subcommands: train, evaluate, flip-eval, ood-eval, attack-eval, compare,
 replay. Configs come from a JSON file (--config) and/or flag overrides;
 the resolved config is written verbatim into the run manifest.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training failure
-(an ``nn.EngineError``, such as a non-finite forward pass). A run whose
-training diverged keeps its selected model, exits 0 and records
-``"diverged": true`` in the manifest.
+Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
+missing or unreadable run manifest), 3 data error, 4 training failure (an
+``nn.EngineError``, such as a non-finite forward pass or a bad checkpoint).
+A run whose training diverged keeps its selected model, exits 0 and
+records ``"diverged": true`` in the manifest.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .experiment import ConfigError, ExperimentConfig
 from .nn import EngineError
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
@@ -212,7 +214,7 @@ def cmd_replay(args) -> int:
         print(f"  {name}: {'identical' if same else 'MISMATCH'}")
     if not result["identical"]:
         print("replay FAILED to reproduce the original reports")
-        return 1
+        return EXIT_MISMATCH
     print("replay reproduced all reports byte-exactly")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
-"""Datasets: synthetic 2-D generators, an IDX image loader, binary
-one-vs-rest reduction, and a cacheable on-disk format.
+"""Datasets: synthetic 2-D generators, an IDX image loader, and binary
+one-vs-rest reduction.
 
 Inputs are always float64 matrices scaled to [0, 1]; splits are disjoint
 index arrays tagged train / validation / test. The synthetic generators
@@ -9,7 +9,6 @@ class overlap (for Gaussian blobs the Bayes error floor).
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -294,26 +293,3 @@ def make_binary_task(dataset: Dataset, positive_class: int) -> Dataset:
         provenance=provenance,
     )
 
-
-def save_dataset(path, dataset: Dataset):
-    """Cache a dataset (e.g. a corrupted or adversarial variant) to disk."""
-    np.savez(
-        path,
-        inputs=dataset.inputs,
-        labels=dataset.labels,
-        provenance=json.dumps(dataset.provenance, sort_keys=True),
-        **{f"split_{k}": v for k, v in dataset.splits.items()},
-    )
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path, allow_pickle=False) as blob:
-        splits = {
-            k[len("split_") :]: blob[k] for k in blob.files if k.startswith("split_")
-        }
-        return Dataset(
-            inputs=blob["inputs"],
-            labels=blob["labels"],
-            splits=splits,
-            provenance=json.loads(str(blob["provenance"])),
-        )

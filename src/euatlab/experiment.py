@@ -16,6 +16,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .baselines import (
 )
 from .data import Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, checkpoint_json, model_from_checkpoint_dict
+from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_dict
 from .robustness import (
     AttackConfig,
     CorruptionConfig,
@@ -39,9 +40,9 @@ from .robustness import (
     fgsm,
     gaussian_corrupt,
     gradient_sign_step,
-    make_attack,
 )
-from .training import TrainingSchedule, TrainOutcome, ce_family_train, euat_train
+from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
+from .training import ce_family_train, euat_train
 from .uncertainty import mc_predict_probs
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
@@ -83,7 +84,6 @@ class ExperimentConfig:
     mc_samples: int = 20
     ce_pe_lambda: float = 1.0
     ensemble_members: int = 5
-    ensemble_full_budget: bool = False
     threshold_objective: str = "ua"
     ece_bins: int = 15
     histogram_bins: int = 50
@@ -112,8 +112,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its ``to_dict`` form; every invalid or
-        unknown field raises ``ConfigError``."""
+        unknown field raises ``ConfigError``. Legacy manifests: a
+        ``corruption.seed`` (never read) and ``ensemble_full_budget: false``
+        (the only value any run used) are dropped; ``true`` is rejected."""
         doc = dict(doc)
+        if doc.pop("ensemble_full_budget", False):
+            raise ConfigError("ensemble_full_budget is no longer supported")
+        if isinstance(doc.get("corruption"), dict):
+            doc["corruption"] = dict(doc["corruption"])
+            doc["corruption"].pop("seed", None)
         try:
             for key, sub in (
                 ("dataset", DatasetConfig),
@@ -201,7 +208,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     """Train the configured method on the dataset's train/validation splits."""
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
-    attack = make_attack(config.attack) if config.adversarial_training else None
+    attack = partial(fgsm, cfg=config.attack) if config.adversarial_training else None
     seed = rng.derive_seed(config.seed, "train")
     model = build_model(config, dataset)
     n_mc = config.mc_samples
@@ -244,8 +251,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     ]
     ens, outcomes = ensemble_train(
         model, x_train, y_train, x_val, y_val, config.schedule,
-        n_members=config.ensemble_members, seeds=seeds, n_mc_eval=n_mc,
-        full_budget_per_member=config.ensemble_full_budget, attack=attack,
+        seeds=seeds, n_mc_eval=n_mc, attack=attack,
     )
     return TrainedMethod(Predictor(ensemble=ens, n_mc=n_mc), member_outcomes=outcomes)
 
@@ -308,15 +314,15 @@ def ood_eval(
 ) -> dict:
     """Evaluate on a Gaussian-corrupted copy of the test split."""
     x_test, y_test = dataset.test
-    cfg = CorruptionConfig(
-        config.corruption.sigma, rng.derive_seed(config.seed, "ood-noise")
+    sigma = config.corruption.sigma
+    corrupted = gaussian_corrupt(
+        x_test, sigma, rng.derive_seed(config.seed, "ood-noise")
     )
-    corrupted = gaussian_corrupt(x_test, cfg)
     records = predictor.records(
         corrupted, y_test, rng.derive_seed(config.seed, "ood-eval")
     )
     report = metrics.summarize(records, threshold, config.ece_bins)
-    report["sigma"] = cfg.sigma
+    report["sigma"] = sigma
     return report
 
 
@@ -354,15 +360,13 @@ def _fmt(value) -> str:
 
 def write_epoch_csv(path, reports: dict[int, list[dict]]):
     """Per-epoch rows for every member (member 0 = the single model)."""
-    columns = ["member", "epoch", "train_error", "val_error", "ua", "uauc",
-               "ece", "wasserstein", "corr", "wall_time", "skipped"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(["member", *REPORT_COLUMNS])
         for member, rows in reports.items():
             for row in rows:
                 writer.writerow(
-                    [member] + [_fmt(row.get(c, "")) for c in columns[1:]]
+                    [member] + [_fmt(row.get(c, "")) for c in REPORT_COLUMNS]
                 )
 
 
@@ -430,6 +434,8 @@ def predictor_from_checkpoint(doc: dict, n_mc: int) -> Predictor:
             ),
             n_mc=n_mc,
         )
+    if kind != "mlp":
+        raise EngineError(f"unknown checkpoint kind {kind!r}")
     return Predictor(model=model_from_checkpoint_dict(doc), n_mc=n_mc)
 
 
@@ -531,13 +537,29 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     return manifest
 
 
+def _load_manifest(path) -> tuple[dict, ExperimentConfig]:
+    """A run manifest and its config; an unreadable one is a ``ConfigError``."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+        doc = manifest["config"]
+    # ValueError includes json.JSONDecodeError
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load manifest {path}: {exc}") from exc
+    return manifest, ExperimentConfig.from_dict(doc)
+
+
 def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
-    """Reload the config, trained predictor, and manifest of a finished run."""
+    """Reload the config, trained predictor, and manifest of a finished run;
+    a bad manifest raises ``ConfigError``, a bad checkpoint ``EngineError``."""
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    config = ExperimentConfig.from_dict(manifest["config"])
-    checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
-    predictor = predictor_from_checkpoint(checkpoint, config.mc_samples)
+    manifest, config = _load_manifest(run_dir / "manifest.json")
+    path = run_dir / "checkpoint.json"
+    try:
+        checkpoint = json.loads(path.read_text())
+        predictor = predictor_from_checkpoint(checkpoint, config.mc_samples)
+    # ValueError includes json.JSONDecodeError; a non-object fails .get()
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise EngineError(f"bad checkpoint {path}: {exc}") from exc
     return config, predictor, manifest
 
 
@@ -547,10 +569,8 @@ def replay(manifest_path, output_dir) -> dict:
     Wall-time columns are excluded from the per-epoch comparison; every
     other reported number must match exactly.
     """
-    manifest_path = Path(manifest_path)
-    original_dir = manifest_path.parent
-    manifest = json.loads(manifest_path.read_text())
-    config = ExperimentConfig.from_dict(manifest["config"])
+    original_dir = Path(manifest_path).parent
+    _, config = _load_manifest(manifest_path)
     run_experiment(config, output_dir)
 
     identical = {}

@@ -372,18 +372,13 @@ def sgd_step(
     return True
 
 
-def save_checkpoint(model: MlpModel, path, seed: int | None = None):
-    """Write a versioned JSON checkpoint with bit-exact float round-trip."""
-    with open(path, "w") as fh:
-        fh.write(checkpoint_json(model, seed))
-
-
-def checkpoint_json(model: MlpModel, seed: int | None = None) -> str:
+def checkpoint_json(model: MlpModel) -> str:
+    """Versioned JSON checkpoint; floats round-trip bit-exactly."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "mlp",
         "dropout_rate": model.dropout_rate,
-        "seed": seed,
+        "seed": None,  # kept so existing checkpoint bytes stay identical
         "layers": [
             {
                 "activation": l.activation,
@@ -407,10 +402,3 @@ def model_from_checkpoint_dict(doc: dict) -> MlpModel:
         layers.append(DenseLayer(w, np.array(spec["bias"]), spec["activation"]))
     return MlpModel(layers, doc["dropout_rate"])
 
-
-def load_checkpoint(path) -> MlpModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "mlp":
-        raise EngineError(f"checkpoint kind {doc.get('kind')!r} is not 'mlp'")
-    return model_from_checkpoint_dict(doc)

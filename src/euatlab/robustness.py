@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .data import Dataset
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, euat_loss
 from .nn import MlpModel, forward, softmax
 from .training import predict_labels
@@ -40,7 +39,6 @@ class AttackConfig:
 @dataclass
 class CorruptionConfig:
     sigma: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -116,44 +114,11 @@ def fgsm(
     )
 
 
-def make_attack(cfg: AttackConfig):
-    """Per-batch training hook: (model, inputs, labels) -> attacked inputs."""
-
-    def attack(model, inputs, labels):
-        return fgsm(model, inputs, labels, cfg)
-
-    return attack
-
-
-def gaussian_corrupt(inputs: np.ndarray, cfg: CorruptionConfig) -> np.ndarray:
+def gaussian_corrupt(inputs: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """x' = clip(x + sigma * z) with per-coordinate standard normal z."""
     x = np.asarray(inputs, dtype=np.float64)
-    if cfg.sigma == 0.0:
+    if sigma == 0.0:
         return x.copy()
-    z = rng.substream(cfg.seed, "gaussian-corrupt").standard_normal(x.shape)
-    return np.clip(x + cfg.sigma * z, 0.0, 1.0)
+    z = rng.substream(seed, "gaussian-corrupt").standard_normal(x.shape)
+    return np.clip(x + sigma * z, 0.0, 1.0)
 
-
-def corrupt_dataset(dataset, cfg: CorruptionConfig):
-    """Corrupted copy of a dataset with provenance recording sigma and seed."""
-    provenance = dict(dataset.provenance)
-    provenance["corruption"] = {"kind": "gaussian", "sigma": cfg.sigma, "seed": cfg.seed}
-    return Dataset(
-        inputs=gaussian_corrupt(dataset.inputs, cfg),
-        labels=dataset.labels.copy(),
-        splits={k: v.copy() for k, v in dataset.splits.items()},
-        provenance=provenance,
-    )
-
-
-def adversarial_dataset(model: MlpModel, dataset, cfg: AttackConfig):
-    """Attacked copy of a dataset (cacheable via data.save_dataset); the
-    provenance records the attack bound."""
-    provenance = dict(dataset.provenance)
-    provenance["attack"] = {"kind": "fgsm", "epsilon": cfg.epsilon, "loss": cfg.loss}
-    return Dataset(
-        inputs=fgsm(model, dataset.inputs, dataset.labels, cfg),
-        labels=dataset.labels.copy(),
-        splits={k: v.copy() for k, v in dataset.splits.items()},
-        provenance=provenance,
-    )

@@ -33,7 +33,7 @@ import numpy as np
 from . import metrics, rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, ce_pe_loss, euat_loss
 from .metrics import EvalRecords, records_from_probs
-from .nn import MlpModel, OptimizerState, forward, sgd_step
+from .nn import EngineError, MlpModel, OptimizerState, forward, sgd_step
 from .uncertainty import mc_predict, mc_predict_probs
 
 logger = logging.getLogger(__name__)
@@ -52,6 +52,7 @@ REPORT_COLUMNS = (
     "wasserstein",
     "corr",
     "wall_time",
+    "skipped",
 )
 
 
@@ -358,7 +359,8 @@ def euat_train(
     is given, partitioning is computed on attacked versions of the training
     rows, and every mini-batch of clean rows is attacked once before its
     update, so trained rows stay within the attack's bound of the clean
-    rows. A divergence ends training (see the module docstring).
+    rows. A divergence ends training (see the module docstring); a full
+    batch without balanced halves raises ``nn.EngineError``.
     """
     run = _Run(model, schedule.euat_lr, schedule, seed, val_inputs, val_labels, n_mc)
     work = run.work
@@ -373,7 +375,8 @@ def euat_train(
         start = time.perf_counter()
         part_inputs = inputs if attack is None else attack(work, inputs, labels)
         part = partition(work, part_inputs, labels, epoch=epoch)
-        assert part.epoch == epoch
+        if part.epoch != epoch:
+            raise EngineError(f"partition of epoch {part.epoch} used in epoch {epoch}")
         train_error = len(part.wrong) / n
 
         if len(part.wrong) == 0 or len(part.correct) == 0:
@@ -404,8 +407,10 @@ def euat_train(
         half = schedule.batch_size // 2
         for b, batch in enumerate(batches):
             if len(batch) == schedule.batch_size:
-                assert int(np.sum(batch.membership == CORRECT_SET)) == half
-                assert int(np.sum(batch.membership == WRONG_SET)) == half
+                n_correct = int(np.sum(batch.membership == CORRECT_SET))
+                if n_correct != half or np.sum(batch.membership == WRONG_SET) != half:
+                    raise EngineError(f"epoch {epoch} batch {b}: {n_correct} "
+                                      f"correct rows, expected {half} of each side")
             if attack is not None:
                 xb = attack(work, batch.inputs, batch.labels)
                 batch = LabeledBatch(xb, batch.labels, batch.membership)

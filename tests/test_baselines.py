@@ -136,7 +136,7 @@ class TestEnsemble:
         seed = 42
         template = nn.MlpModel.init([2, 8, 2], 0.3, seed=seed)
         ens, _ = baselines.ensemble_train(
-            template, *ds.train, *ds.validation, schedule, n_members=1, seeds=[seed]
+            template, *ds.train, *ds.validation, schedule, seeds=[seed]
         )
         ce = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=seed),
@@ -149,7 +149,7 @@ class TestEnsemble:
         template = nn.MlpModel.init([2, 8, 2], 0.3, seed=0)
         ens, _ = baselines.ensemble_train(
             template, *ds.train, *ds.validation, small_schedule(),
-            n_members=3, seeds=[7, 7, 7],
+            seeds=[7, 7, 7],
         )
         assert ens.members[0].parameters_equal(ens.members[1])
         assert ens.members[0].parameters_equal(ens.members[2])
@@ -213,8 +213,7 @@ class TestEnsemble:
         schedule = small_schedule(pretrain_epochs=6, euat_epochs=6)
         template = nn.MlpModel.init([2, 8, 2], 0.3, seed=0)
         _, outcomes = baselines.ensemble_train(
-            template, *ds.train, *ds.validation, schedule, n_members=3,
-            seeds=[1, 2, 3],
+            template, *ds.train, *ds.validation, schedule, seeds=[1, 2, 3],
         )
         for out in outcomes:
             assert len(out.loss_trajectory) == 4  # 12 total epochs / 3 members

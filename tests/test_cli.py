@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from euatlab import cli
+from euatlab import cli, experiment
 from euatlab.data import IDX_LABEL_MAGIC
 
 
@@ -183,3 +183,57 @@ def test_attack_eval_rejects_negative_epsilon(run_dir):
 
 def test_ood_eval_rejects_negative_sigma(run_dir):
     assert cli.main(["ood-eval", "--run-dir", str(run_dir), "--sigma", "-0.5"]) == 2
+
+
+def test_missing_run_dir_is_a_config_error(tmp_path):
+    missing = str(tmp_path / "nowhere")
+    assert cli.main(["evaluate", "--run-dir", missing]) == 2
+    assert cli.main(["ood-eval", "--run-dir", missing]) == 2
+    assert cli.main(
+        ["replay", "--manifest", missing + "/manifest.json",
+         "--out", str(tmp_path / "re")]
+    ) == 2
+
+
+def test_non_json_checkpoint_is_a_bad_checkpoint(run_dir):
+    (run_dir / "checkpoint.json").write_text("{not json")
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
+def test_truncated_checkpoint_is_a_bad_checkpoint(run_dir):
+    (run_dir / "checkpoint.json").write_text('{"kind": "calibrated"}')
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
+def test_unknown_checkpoint_kind_is_a_bad_checkpoint(run_dir):
+    path = run_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["kind"] = "weird"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
+def write_legacy_config(run_dir, full_budget):
+    """Put the two settings earlier versions wrote into a run's manifest."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["corruption"] = {"sigma": 0.1, "seed": 5}
+    manifest["config"]["ensemble_full_budget"] = full_budget
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def test_legacy_manifest_loads_and_replays(run_dir, tmp_path):
+    write_legacy_config(run_dir, full_budget=False)
+    config, _, _ = experiment.load_run(run_dir)
+    assert config.corruption.sigma == 0.1
+    result = experiment.replay(run_dir / "manifest.json", tmp_path / "re")
+    assert result["identical"], result["files"]
+
+
+def test_legacy_full_budget_manifest_is_a_config_error(run_dir, tmp_path):
+    write_legacy_config(run_dir, full_budget=True)
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 2
+    assert cli.main(
+        ["replay", "--manifest", str(run_dir / "manifest.json"),
+         "--out", str(tmp_path / "re")]
+    ) == 2

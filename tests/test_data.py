@@ -189,17 +189,6 @@ class TestBinaryTask:
 
 
 class TestDiskFormat:
-    def test_round_trip(self, tmp_path):
-        ds = data.generate_dataset("two_moons", 120, 0.08, seed=5)
-        path = tmp_path / "cached.npz"
-        data.save_dataset(path, ds)
-        loaded = data.load_dataset(path)
-        assert np.array_equal(loaded.inputs, ds.inputs)
-        assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.provenance == ds.provenance
-        for key in ds.splits:
-            assert np.array_equal(loaded.splits[key], ds.splits[key])
-
     def test_overlapping_splits_rejected(self):
         with pytest.raises(data.DataError, match="disjoint"):
             data.Dataset(

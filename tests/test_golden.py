@@ -73,7 +73,7 @@ def test_ensemble_member_checksums():
     seeds = [rng.derive_seed(config.seed, "ensemble-member", i) for i in range(3)]
     ens, _ = ensemble_train(
         template, *dataset.train, *dataset.validation, schedule,
-        n_members=3, seeds=seeds, n_mc_eval=4,
+        seeds=seeds, n_mc_eval=4,
     )
     checksums = [
         hashlib.sha256(checkpoint_json(m).encode()).hexdigest() for m in ens.members

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -300,22 +302,20 @@ def test_mask_average_converges_to_plain_pass_on_linear_net():
 
 
 class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    def test_round_trip_is_bit_exact(self):
         model = tiny_model(seed=20, dropout=0.3)
-        path = tmp_path / "model.json"
-        nn.save_checkpoint(model, path, seed=123)
-        loaded = nn.load_checkpoint(path)
+        loaded = nn.model_from_checkpoint_dict(json.loads(nn.checkpoint_json(model)))
         assert loaded.parameters_equal(model)
         assert loaded.dropout_rate == model.dropout_rate
         assert [l.activation for l in loaded.layers] == [
             l.activation for l in model.layers
         ]
 
-    def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format_version": 99, "kind": "mlp"}')
+    def test_rejects_unknown_version(self):
+        doc = json.loads(nn.checkpoint_json(tiny_model(seed=21)))
+        doc["format_version"] = 99
         with pytest.raises(nn.EngineError):
-            nn.load_checkpoint(path)
+            nn.model_from_checkpoint_dict(doc)
 
 
 class TestValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from euatlab import data, metrics, nn, rng, training
-from euatlab.losses import CORRECT_SET, WRONG_SET
+from euatlab.losses import CORRECT_SET, WRONG_SET, LabeledBatch
 from oracles import apportion_largest_remainder, naive_forward
 
 
@@ -386,6 +386,23 @@ class TestEuatTrain:
         )
         assert a.model.parameters_equal(b.model)
         assert a.best_epoch == b.best_epoch
+
+    def test_unbalanced_full_batch_raises(self, monkeypatch):
+        # the balanced-halves check is explicit, so it also holds under -O
+        ds, pre, schedule = self.small_setup(seed=9)
+
+        def unbalanced(inputs, labels, correct_ids, wrong_ids, batch_size, seed):
+            ids = np.arange(batch_size)
+            membership = np.full(batch_size, CORRECT_SET, dtype=np.int8)
+            membership[0] = WRONG_SET
+            return [LabeledBatch(inputs[ids], labels[ids], membership)]
+
+        monkeypatch.setattr(training, "balanced_batches", unbalanced)
+        half = schedule.batch_size // 2
+        with pytest.raises(nn.EngineError, match=f"expected {half} of each side"):
+            training.euat_train(
+                pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=6
+            )
 
 
 def refuse_steps_from(monkeypatch, epoch):
