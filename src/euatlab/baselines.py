@@ -96,27 +96,31 @@ def isotonic_apply(
     probs = np.asarray(probs, dtype=np.float64)
     single = probs.ndim == 1
     batch = np.atleast_2d(probs).copy()
-    for row in batch:
-        top = int(np.argmax(row))
-        p_top = row[top]
-        rest = 1.0 - p_top
-        others_sorted = np.sort(np.delete(row, top))
-        p_second = others_sorted[-1] if len(others_sorted) else 0.0
-        q = float(mapping(p_top))
-        tie = p_second / (rest + p_second) if rest + p_second > 0 else 0.0
-        q = max(q, tie)
-        if rest > 0:
-            scale = (1.0 - q) / rest
-            row *= scale
-        else:
-            row[:] = (1.0 - q) / max(len(row) - 1, 1)
-        row[top] = q
-        total = row.sum()
-        if abs(total - 1.0) > 1e-12:  # leave float dust alone
-            row /= total
-        if int(np.argmax(row)) != top:  # knife-edge tie from the floor
-            row[top] = np.nextafter(row.max(), np.inf)
-            row /= row.sum()
+    rows = np.arange(len(batch))
+    top = np.argmax(batch, axis=1)
+    p_top = batch[rows, top]
+    rest = 1.0 - p_top
+    others = batch.copy()
+    others[rows, top] = -np.inf
+    p_second = others.max(axis=1)  # -inf for one class: no tie point
+    q = mapping(p_top)
+    denom = rest + p_second
+    positive = denom > 0
+    tie = np.zeros(len(batch))
+    tie[positive] = p_second[positive] / denom[positive]
+    q = np.where(tie > q, tie, q)  # max(q, tie), keeping q on equality
+    rescaled = rest > 0
+    batch[rescaled] *= ((1.0 - q[rescaled]) / rest[rescaled])[:, None]
+    batch[~rescaled] = ((1.0 - q[~rescaled]) / max(batch.shape[1] - 1, 1))[:, None]
+    batch[rows, top] = q
+    total = batch.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-12  # leave float dust alone
+    batch[off] /= total[off, None]
+    # knife-edge ties from the floor
+    for i in np.flatnonzero(np.argmax(batch, axis=1) != top):
+        row = batch[i]
+        row[top[i]] = np.nextafter(row.max(), np.inf)
+        row /= row.sum()
     return batch[0] if single else batch
 
 

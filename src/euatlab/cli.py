@@ -5,8 +5,10 @@ replay. Configs come from a JSON file (--config) and/or flag overrides;
 the resolved config is written verbatim into the run manifest.
 
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
-missing or unreadable run manifest), 3 data error, 4 training failure (an
-``nn.EngineError``, such as a non-finite forward pass or a bad checkpoint).
+missing or unreadable run manifest, one without a numeric tuned threshold,
+or a run directory that lacks an original ``replay`` compares), 3 data
+error, 4 engine error (an ``nn.EngineError``: a training failure such as a
+non-finite forward pass, or a bad checkpoint).
 A run whose training diverged keeps its selected model, exits 0 and
 records ``"diverged": true`` in the manifest.
 """
@@ -26,7 +28,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_TRAINING = 4
+EXIT_ENGINE = 4
 
 
 def _add_config_flags(parser):
@@ -274,8 +276,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except EngineError as exc:
-        print(f"training failure: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+        print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

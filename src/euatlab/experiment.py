@@ -550,9 +550,15 @@ def _load_manifest(path) -> tuple[dict, ExperimentConfig]:
 
 def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     """Reload the config, trained predictor, and manifest of a finished run;
-    a bad manifest raises ``ConfigError``, a bad checkpoint ``EngineError``."""
+    a bad manifest (also one without a numeric ``tuned_threshold``) raises
+    ``ConfigError``, a bad checkpoint ``EngineError``."""
     run_dir = Path(run_dir)
     manifest, config = _load_manifest(run_dir / "manifest.json")
+    threshold = manifest.get("tuned_threshold")
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise ConfigError(
+            f"manifest {run_dir / 'manifest.json'} has no numeric tuned_threshold"
+        )
     path = run_dir / "checkpoint.json"
     try:
         checkpoint = json.loads(path.read_text())
@@ -567,14 +573,23 @@ def replay(manifest_path, output_dir) -> dict:
     """Re-execute a manifest's config and byte-compare the metric artifacts.
 
     Wall-time columns are excluded from the per-epoch comparison; every
-    other reported number must match exactly.
+    other reported number must match exactly. A missing original raises
+    ``ConfigError`` before anything is re-run.
     """
     original_dir = Path(manifest_path).parent
     _, config = _load_manifest(manifest_path)
+    byte_compared = (
+        "metrics.json", "histogram.csv", "predictions.csv", "checkpoint.json"
+    )
+    for name in byte_compared + ("per_epoch.csv",):
+        if not (original_dir / name).is_file():
+            raise ConfigError(
+                f"cannot replay {manifest_path}: original {name} is missing"
+            )
     run_experiment(config, output_dir)
 
     identical = {}
-    for name in ("metrics.json", "histogram.csv", "predictions.csv", "checkpoint.json"):
+    for name in byte_compared:
         identical[name] = (
             (original_dir / name).read_bytes() == (Path(output_dir) / name).read_bytes()
         )

@@ -10,6 +10,7 @@ no mask and no rescaling (inverted dropout scales at sampling time).
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,27 +141,43 @@ class DropoutMask:
     seed: int
 
 
+# one mask generator per thread, re-keyed by every sample_mask call
+_mask_generators = threading.local()
+
+
 def sample_mask(model: MlpModel, seed: int) -> DropoutMask:
     """Sample Bernoulli(1-p) keep decisions per hidden unit, pre-scaled.
 
-    The same seed always reproduces the same mask bit-exactly.
+    The same seed always reproduces the same mask bit-exactly: the draws
+    are those of ``rng.substream(seed, "dropout-mask")``, one
+    ``random(width)`` per hidden layer in layer order.
+
+    Building a Philox generator costs several times more than the draws of
+    a small net, so each thread keeps one generator and every call re-keys
+    it with ``rng.philox_state`` of the derived key, the full state of a
+    fresh generator. That is safe because the generator is never live for
+    two streams at once: it is re-keyed before the first draw, all draws
+    are made before the function returns, nothing in between can call
+    ``sample_mask`` again, other threads have their own generator, and no
+    other stream uses it.
     """
     p = model.dropout_rate
-    gen = rng.substream(seed, "dropout-mask")
-    scales = []
-    for width in model.hidden_widths:
-        keep = gen.random(width) >= p
-        scales.append(keep.astype(np.float64) / (1.0 - p))
+    gen = getattr(_mask_generators, "gen", None)
+    if gen is None:
+        gen = _mask_generators.gen = rng.generator(0)
+    gen.bit_generator.state = rng.philox_state(rng.derive_seed(seed, "dropout-mask"))
+    scales = [(gen.random(width) >= p) / (1.0 - p) for width in model.hidden_widths]
     return DropoutMask(scales, seed)
 
 
 def _check_mask(model: MlpModel, mask: DropoutMask):
-    widths = model.hidden_widths
-    if len(mask.scales) != len(widths):
+    scales, layers = mask.scales, model.layers
+    if len(scales) != len(layers) - 1:
         raise EngineError(
-            f"mask has {len(mask.scales)} layers, model has {len(widths)} hidden"
+            f"mask has {len(scales)} layers, model has {len(layers) - 1} hidden"
         )
-    for i, (scale, width) in enumerate(zip(mask.scales, widths)):
+    for i, (scale, layer) in enumerate(zip(scales, layers)):
+        width = layer.weights.shape[0]
         if scale.shape != (width,):
             raise EngineError(f"mask layer {i}: shape {scale.shape} != ({width},)")
 
@@ -250,25 +267,27 @@ def forward(
           or first.model_version != model.version):
         raise EngineError("input layer was computed for another batch or model state")
 
+    layers = model.layers
+    scales = mask.scales if mask is not None else None
     inputs, pre_acts = [x], [first.pre_act]
     a = first.act
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        if i > 0:
-            z = a @ layer.weights.T + layer.bias
-            inputs.append(a)
-            pre_acts.append(z)
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        if mask is not None and i < last:
-            a = a * mask.scales[i]
+    for i in range(1, len(layers)):
+        if scales is not None:
+            a = a * scales[i - 1]
+        layer = layers[i]
+        z = a @ layer.weights.T
+        z += layer.bias
+        inputs.append(a)
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
     logits = a
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise EngineError("non-finite logits produced by forward pass")
     cache = ForwardCache(
         inputs=inputs,
         pre_acts=pre_acts,
-        weights=[l.weights for l in model.layers],
-        activations=[l.activation for l in model.layers],
+        weights=[l.weights for l in layers],
+        activations=[l.activation for l in layers],
         mask=mask,
         model=model,
         model_version=model.version,
@@ -279,9 +298,15 @@ def forward(
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction; rows sum to 1."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # a running maximum over the columns is exact and, for the few classes
+    # of a batch, much faster than a reduction over the short last axis
+    m = z[..., :1]
+    for j in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., j:j + 1])
+    e = z - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def backward(
@@ -356,7 +381,7 @@ def sgd_step(
                 f"gradient shapes {gw.shape}/{gb.shape} do not mirror parameter "
                 f"shapes {layer.weights.shape}/{layer.bias.shape}"
             )
-    if not all(np.all(np.isfinite(gw)) and np.all(np.isfinite(gb)) for gw, gb in grads):
+    if not all(np.isfinite(gw).all() and np.isfinite(gb).all() for gw, gb in grads):
         return False
 
     for (gw, gb), (vw, vb), layer in zip(grads, state.velocities, model.layers):

@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator", "substream"]
+__all__ = ["derive_seed", "generator", "philox_state", "substream"]
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -35,6 +35,24 @@ def derive_seed(root_seed: int, *names) -> int:
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
+
+
+def philox_state(seed: int) -> dict:
+    """The ``bit_generator.state`` of a fresh ``Philox(key=seed)``: counter
+    zero, key ``[seed, 0]``, empty buffer.
+
+    Assigning it to any Philox-backed generator restarts that generator on
+    the stream ``generator(seed)`` draws, at a fraction of the cost of
+    building a new one.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _SEED_MASK, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def substream(root_seed: int, *names) -> np.random.Generator:

@@ -153,3 +153,50 @@ def isotonic_nnls(y):
     for i in range(1, n):
         x[i] = x[i - 1] + sol[1 + i]
     return x
+
+
+def isotonic_apply_rows(mapping, probs):
+    """The per-row loop of the former ``baselines.isotonic_apply``: map the
+    top probability, floor it at the tie with the runner-up, rescale the
+    other classes, renormalise, and lift the top class by one ulp where the
+    floor left a knife-edge tie."""
+    probs = np.asarray(probs, dtype=np.float64)
+    single = probs.ndim == 1
+    batch = np.atleast_2d(probs).copy()
+    for row in batch:
+        top = int(np.argmax(row))
+        p_top = row[top]
+        rest = 1.0 - p_top
+        others_sorted = np.sort(np.delete(row, top))
+        p_second = others_sorted[-1] if len(others_sorted) else 0.0
+        q = float(mapping(p_top))
+        tie = p_second / (rest + p_second) if rest + p_second > 0 else 0.0
+        q = max(q, tie)
+        if rest > 0:
+            row *= (1.0 - q) / rest
+        else:
+            row[:] = (1.0 - q) / max(len(row) - 1, 1)
+        row[top] = q
+        total = row.sum()
+        if abs(total - 1.0) > 1e-12:
+            row /= total
+        if int(np.argmax(row)) != top:
+            row[top] = np.nextafter(row.max(), np.inf)
+            row /= row.sum()
+    return batch[0] if single else batch
+
+
+def reference_mask(model, seed):
+    """Dropout scales from a freshly built Philox generator keyed by
+    ``derive_seed(seed, "dropout-mask")``: one ``random(width)`` draw per
+    hidden layer, kept where ``>= p`` and scaled by ``1 / (1 - p)``."""
+    from euatlab import rng
+
+    p = model.dropout_rate
+    gen = np.random.Generator(
+        np.random.Philox(key=rng.derive_seed(seed, "dropout-mask"))
+    )
+    return [
+        (gen.random(layer.weights.shape[0]) >= p) / (1.0 - p)
+        for layer in model.layers[:-1]
+    ]

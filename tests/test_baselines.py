@@ -5,7 +5,7 @@ import pytest
 
 from euatlab import baselines, data, nn, training, uncertainty
 from euatlab.experiment import Predictor
-from oracles import isotonic_nnls
+from oracles import isotonic_apply_rows, isotonic_nnls
 
 
 class TestIsotonicFit:
@@ -96,6 +96,36 @@ class TestIsotonicApply:
         probs = np.random.default_rng(3).dirichlet(np.ones(3), size=8)
         out = baselines.isotonic_apply(self.identity_map(), probs)
         assert out.shape == probs.shape
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_matches_per_row_oracle(self, k):
+        gen = np.random.default_rng(40 + k)
+        probs = gen.dirichlet(np.full(k, 0.5), size=300)
+        probs[:5] = np.eye(k)[np.arange(5) % k]  # one-hot rows
+        probs[5:10] = 0.0  # exact ties between the top two classes
+        probs[5:10, 0] = probs[5:10, k - 1] = 0.5
+        probs[10] = 1.0 / k  # a uniform row
+        maps = [
+            self.identity_map(),
+            # flat maps: the floor at the tie point decides every row
+            baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 0.0])),
+            baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+        ]
+        for _ in range(20):
+            xs = np.sort(gen.uniform(0.0, 1.0, size=gen.integers(2, 8)))
+            maps.append(baselines.IsotonicMap(xs, np.sort(gen.uniform(size=len(xs)))))
+        for mapping in maps:
+            out = baselines.isotonic_apply(mapping, probs)
+            assert np.array_equal(out, isotonic_apply_rows(mapping, probs))
+            assert np.array_equal(np.argmax(out, axis=1), np.argmax(probs, axis=1))
+
+    def test_single_row_matches_per_row_oracle(self):
+        mapping = baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.1, 0.4]))
+        for row in (np.array([0.6, 0.3, 0.1]), np.array([1.0, 0.0]),
+                    np.array([0.5, 0.5])):
+            out = baselines.isotonic_apply(mapping, row)
+            assert out.shape == row.shape
+            assert np.array_equal(out, isotonic_apply_rows(mapping, row))
 
 
 def small_schedule(**kw):

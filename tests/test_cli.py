@@ -65,6 +65,18 @@ def test_replay_detects_mismatch(run_dir, tmp_path):
     ) == 1
 
 
+def test_replay_checks_originals_before_re_running(run_dir, tmp_path, monkeypatch):
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("replay re-ran the experiment")
+
+    monkeypatch.setattr(experiment, "run_experiment", no_rerun)
+    (run_dir / "predictions.csv").unlink()
+    assert cli.main(
+        ["replay", "--manifest", str(run_dir / "manifest.json"),
+         "--out", str(tmp_path / "re")]
+    ) == 2
+
+
 def test_compare_command(tmp_path):
     code = cli.main(
         [
@@ -211,6 +223,27 @@ def test_unknown_checkpoint_kind_is_a_bad_checkpoint(run_dir):
     doc["kind"] = "weird"
     path.write_text(json.dumps(doc))
     assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
+@pytest.mark.parametrize("threshold", [None, "0.5", [0.5], True])
+def test_manifest_without_numeric_threshold_is_a_config_error(run_dir, threshold):
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if threshold is None:
+        del manifest["tuned_threshold"]
+    else:
+        manifest["tuned_threshold"] = threshold
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 2
+    assert cli.main(["flip-eval", "--run-dir", str(run_dir)]) == 2
+
+
+def test_bad_checkpoint_is_reported_as_an_engine_error(run_dir, capsys):
+    (run_dir / "checkpoint.json").write_text('{"kind": "calibrated"}')
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: bad checkpoint")
+    assert "training failure" not in err
 
 
 def write_legacy_config(run_dir, full_budget):

@@ -1,10 +1,14 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from euatlab import nn, rng
-from oracles import fd_param_grads, flatten_grads, max_rel_error, naive_forward
+from oracles import (
+    fd_param_grads, flatten_grads, max_rel_error, naive_forward, reference_mask,
+)
 
 
 def tiny_model(seed=0, sizes=(3, 5, 4, 2), dropout=0.0):
@@ -278,6 +282,84 @@ class TestDropoutMask:
         bad = nn.DropoutMask([np.ones(2)], seed=0)
         with pytest.raises(nn.EngineError):
             nn.forward(model, np.zeros((1, 3)), bad)
+
+
+class TestMaskStream:
+    """``sample_mask`` draws what a fresh generator on the mask's own
+    substream draws, whatever ran before it and on whichever thread."""
+
+    MODELS = [([3, 1, 2], 0.5), ([2, 8, 2], 0.1), ([4, 64, 64, 2], 0.15),
+              ([5, 256, 8, 1, 3], 0.3), ([2, 8, 2], 0.0), ([2, 64, 2], 0.9)]
+
+    @staticmethod
+    def assert_reference(model, seed):
+        mask = nn.sample_mask(model, seed)
+        expected = reference_mask(model, seed)
+        assert mask.seed == seed
+        assert len(mask.scales) == len(expected)
+        for got, want in zip(mask.scales, expected):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes, rate", MODELS)
+    def test_matches_fresh_generator(self, sizes, rate):
+        model = nn.MlpModel.init(sizes, dropout_rate=rate, seed=1)
+        for seed in [0, 1, 2**63, 2**64 - 1] + list(range(100, 160)):
+            self.assert_reference(model, seed)
+
+    def test_interleaved_with_other_substreams(self):
+        model = nn.MlpModel.init([4, 64, 64, 2], dropout_rate=0.2, seed=2)
+        held = rng.substream(7, "held")
+        fresh = rng.substream(7, "held")
+        expected = fresh.random(40 * 8)
+        got = []
+        for i in range(40):
+            got.append(held.random(5))
+            self.assert_reference(model, rng.derive_seed(3, "mc-pass", i))
+            rng.substream(i, "other").random(3)
+            got.append(held.random(3))
+        assert np.array_equal(np.concatenate(got), expected)
+
+    def test_concurrent_threads(self):
+        models = [nn.MlpModel.init([4, 64, 8, 2], dropout_rate=0.3, seed=3),
+                  nn.MlpModel.init([2, 256, 2], dropout_rate=0.1, seed=4)]
+        start, failures = threading.Barrier(2), []
+
+        def sample(model, offset):
+            start.wait()
+            try:
+                for seed in range(offset, offset + 300):
+                    self.assert_reference(model, seed)
+            except AssertionError as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=sample, args=(m, 1000 * k))
+                   for k, m in enumerate(models)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_philox_state_is_a_fresh_generator(self):
+        for seed in (0, 5, 2**64 - 1, -1):
+            fresh = rng.generator(seed).bit_generator.state
+            gen = np.random.Generator(np.random.Philox(key=99))
+            gen.random(3)
+            gen.bit_generator.state = rng.philox_state(seed)
+            state = gen.bit_generator.state
+            assert state["bit_generator"] == fresh["bit_generator"]
+            for key in ("counter", "key"):
+                assert np.array_equal(state["state"][key], fresh["state"][key])
+            assert np.array_equal(state["buffer"], fresh["buffer"])
+            for key in ("buffer_pos", "has_uint32", "uinteger"):
+                assert state[key] == fresh[key]
+            assert np.array_equal(gen.random(10), rng.generator(seed).random(10))
 
 
 def test_mask_average_converges_to_plain_pass_on_linear_net():
