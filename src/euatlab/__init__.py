@@ -12,11 +12,12 @@ __version__ = "0.1.0"
 from . import baselines, data, experiment, losses, metrics, nn, rng, robustness
 from . import training, uncertainty
 from .experiment import ExperimentConfig, run_experiment
-from .losses import ce_loss, ce_pe_loss, entropy_term, euat_loss
+from .losses import ce_pe_loss, euat_loss
 from .metrics import EvalRecords, build_ucm, ece, tune_threshold, uauc, wasserstein1
 from .nn import MlpModel
 from .training import TrainingSchedule, euat_train
-from .uncertainty import mc_predict, normalized_entropy, predictive_entropy
+from .uncertainty import eval_predict, mc_predict
+from .uncertainty import normalized_entropy, predictive_entropy
 
 __all__ = [
     "ExperimentConfig",
@@ -25,13 +26,12 @@ __all__ = [
     "TrainingSchedule",
     "baselines",
     "build_ucm",
-    "ce_loss",
     "ce_pe_loss",
     "data",
     "ece",
-    "entropy_term",
     "euat_loss",
     "euat_train",
+    "eval_predict",
     "experiment",
     "losses",
     "mc_predict",

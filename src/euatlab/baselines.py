@@ -5,7 +5,8 @@ The CE and CE+PE baselines are ``training.ce_family_train`` with
 validation data (lambda = 0 for CE). Ensemble members train through the
 same call, so all baselines share the validation-based model selection;
 the ensemble honors a fair total gradient-sample budget (total epochs
-divided across members).
+divided across members). An ensemble predicts through
+``uncertainty.eval_predict`` over its members.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, forward, softmax
+from .nn import MlpModel
 from .training import TrainingSchedule, TrainOutcome, ce_family_train
-from .uncertainty import PredictiveDistribution
 
 
 @dataclass
@@ -81,9 +81,7 @@ def isotonic_fit(confidences: np.ndarray, correctness: np.ndarray) -> IsotonicMa
     return IsotonicMap(xs, np.clip(levels, 0.0, 1.0))
 
 
-def isotonic_apply(
-    mapping: IsotonicMap, dist: PredictiveDistribution | np.ndarray
-) -> np.ndarray:
+def isotonic_apply(mapping: IsotonicMap, probs: np.ndarray) -> np.ndarray:
     """Recalibrate the top-class probability and rescale the remaining mass
     proportionally over the other classes.
 
@@ -92,10 +90,7 @@ def isotonic_apply(
     contract for post-hoc calibration: confidences move, predictions do
     not).
     """
-    probs = dist.probs if isinstance(dist, PredictiveDistribution) else dist
-    probs = np.asarray(probs, dtype=np.float64)
-    single = probs.ndim == 1
-    batch = np.atleast_2d(probs).copy()
+    batch = np.array(probs, dtype=np.float64)
     rows = np.arange(len(batch))
     top = np.argmax(batch, axis=1)
     p_top = batch[rows, top]
@@ -121,7 +116,7 @@ def isotonic_apply(
         row = batch[i]
         row[top[i]] = np.nextafter(row.max(), np.inf)
         row /= row.sum()
-    return batch[0] if single else batch
+    return batch
 
 
 @dataclass
@@ -183,17 +178,3 @@ def ensemble_train(
         members.append(outcome.model)
         outcomes.append(outcome)
     return Ensemble(members, list(seeds)), outcomes
-
-
-def ensemble_predict(ensemble: Ensemble, inputs: np.ndarray) -> PredictiveDistribution:
-    """Aggregate member outputs; entropy of the mean is the ensemble
-    uncertainty."""
-    x = np.asarray(inputs, dtype=np.float64)
-    batch = np.atleast_2d(x)
-    per_member = np.stack([softmax(forward(m, batch)[0]) for m in ensemble.members])
-    mean = per_member.mean(axis=0)
-    if x.ndim == 1:
-        mean, per_member = mean[0], per_member[:, 0, :]
-    return PredictiveDistribution(
-        probs=mean, sample_count=len(ensemble.members), per_sample_probs=per_member
-    )

@@ -6,8 +6,12 @@ the resolved config is written verbatim into the run manifest.
 
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned threshold,
-or a run directory that lacks an original ``replay`` compares), 3 data
-error, 4 engine error (an ``nn.EngineError``: a training failure such as a
+or a run directory that lacks an original ``replay`` compares; an
+out-of-range setting: ``mc_samples``, ``ensemble_members``, ``ece_bins``,
+``histogram_bins`` or ``train_mc_samples`` below 1, a negative
+``ce_pe_lambda`` or epoch count, a hidden width below 1, a dropout rate
+outside [0, 1); an empty train, validation or test split), 3 data error,
+4 engine error (an ``nn.EngineError``: a training failure such as a
 non-finite forward pass, or a bad checkpoint).
 A run whose training diverged keeps its selected model, exits 0 and
 records ``"diverged": true`` in the manifest.

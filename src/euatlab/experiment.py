@@ -25,7 +25,6 @@ from . import __version__, metrics, rng
 from .baselines import (
     Ensemble,
     IsotonicMap,
-    ensemble_predict,
     ensemble_train,
     isotonic_apply,
     isotonic_fit,
@@ -43,7 +42,7 @@ from .robustness import (
 )
 from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
 from .training import ce_family_train, euat_train
-from .uncertainty import mc_predict_probs
+from .uncertainty import eval_predict, mc_predict_probs
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
 
@@ -73,6 +72,12 @@ class ModelConfig:
     hidden: list[int] = field(default_factory=lambda: [32, 32])
     dropout_rate: float = 0.3
 
+    def __post_init__(self):
+        if any(w < 1 for w in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate {self.dropout_rate} is outside [0, 1)")
+
 
 @dataclass
 class ExperimentConfig:
@@ -101,6 +106,11 @@ class ExperimentConfig:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {p!r}")
+        for name in ("mc_samples", "ensemble_members", "ece_bins", "histogram_bins"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.ce_pe_lambda < 0:
+            raise ConfigError(f"ce_pe_lambda must be >= 0, got {self.ce_pe_lambda}")
         surrogate = self.method in ("calibrated_ce", "ensemble")
         if surrogate and "attack" in self.protocols and self.attack.loss == "euat":
             # Predictor.attacked attacks these through the CE gradient only
@@ -152,6 +162,9 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
             dc.kind, dc.n, dc.noise, data_seed, dc.class_count,
             dc.val_fraction, dc.test_fraction, dc.dim,
         )
+    for name, ids in ds.splits.items():
+        if len(ids) == 0:
+            raise ConfigError(f"the {name} split is empty; raise n or its fraction")
     if dc.binary_positive_class is not None:
         ds = make_binary_task(ds, dc.binary_positive_class)
     return ds
@@ -175,7 +188,7 @@ class Predictor:
 
     def probs(self, inputs: np.ndarray, seed: int) -> np.ndarray:
         if self.ensemble is not None:
-            p = ensemble_predict(self.ensemble, inputs).probs
+            p = eval_predict(self.ensemble.members, inputs).probs
         else:
             p = mc_predict_probs(self.model, inputs, self.n_mc, seed)
         if self.calibration is not None:

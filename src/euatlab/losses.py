@@ -6,10 +6,11 @@ every retained stochastic pass. Probabilities are clamped to
 the clamped region contributes a constant slope so finite differences and
 analytic gradients agree everywhere the engine can land.
 
-The error-driven composite treats the two halves of a batch differently:
-rows flagged as current mispredictions are trained with CE minus predictive
-entropy (pushing their uncertainty up), correctly predicted rows with CE
-plus predictive entropy (pushing it down).
+Both losses are the batch mean of per-row CE + w * H, where H is the
+predictive entropy. CE+PE weighs every row by w = lambda. The error-driven
+composite treats the two halves of a batch differently: rows flagged as
+current mispredictions take w = -1 (pushing their uncertainty up),
+correctly predicted rows w = +1 (pushing it down).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel
-from .uncertainty import PredictiveDistribution, mc_predict
+from .uncertainty import PredictiveDistribution
 
 CLAMP_MIN = 1e-12
 
@@ -58,10 +58,6 @@ class EuatLossResult:
     input_grad: np.ndarray
 
 
-def _as_batch_probs(dist: PredictiveDistribution) -> np.ndarray:
-    return np.atleast_2d(dist.probs)
-
-
 def _ce_rows(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row -ln(p_label) and the gradient of their *sum* w.r.t. probs."""
     rows = np.arange(probs.shape[0])
@@ -86,79 +82,54 @@ def _entropy_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, grad
 
 
-def _require_grad_records(dist: PredictiveDistribution):
+def _weighted_ce_entropy(
+    dist: PredictiveDistribution, labels: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The one loss core: per-row CE + w * H of the averaged distribution,
+    with the gradients of their batch mean through every retained pass.
+
+    Returns the row values, the per-layer gradients and the input gradient.
+    """
     if dist.grad_passes is None:
         raise ValueError(
-            "loss gradients need per-sample records; call mc_predict with "
+            "loss gradients need per-sample records; predict with "
             "keep_grad_records=True"
         )
-
-
-def ce_loss(
-    dist: PredictiveDistribution, labels: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Cross-entropy -ln p_label of the averaged distribution, batch mean."""
-    _require_grad_records(dist)
-    probs = _as_batch_probs(dist)
-    labels = np.atleast_1d(labels)
-    values, grad = _ce_rows(probs, labels)
-    grads, _ = dist.backprop_mean_prob_grad(grad / len(values))
-    return float(values.mean()), grads
-
-
-def entropy_term(
-    dist: PredictiveDistribution,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Predictive entropy of the averaged distribution (nats), batch mean."""
-    _require_grad_records(dist)
-    probs = _as_batch_probs(dist)
-    values, grad = _entropy_rows(probs)
-    grads, _ = dist.backprop_mean_prob_grad(grad / len(values))
-    return float(values.mean()), grads
+    ce_vals, ce_grad = _ce_rows(dist.probs, labels)
+    h_vals, h_grad = _entropy_rows(dist.probs)
+    values = ce_vals + w * h_vals
+    d_probs = (ce_grad + w[:, None] * h_grad) / len(values)
+    grads, input_grad = dist.backprop_mean_prob_grad(d_probs)
+    return values, grads, input_grad
 
 
 def ce_pe_loss(
     dist: PredictiveDistribution, labels: np.ndarray, lam: float
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Cross-entropy plus ``lam`` times predictive entropy, batch mean."""
+    """Cross-entropy plus ``lam`` times predictive entropy, batch mean;
+    ``lam = 0`` is plain cross-entropy."""
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    _require_grad_records(dist)
-    probs = _as_batch_probs(dist)
-    labels = np.atleast_1d(labels)
-    ce_vals, ce_grad = _ce_rows(probs, labels)
-    h_vals, h_grad = _entropy_rows(probs)
-    b = len(ce_vals)
-    grads, _ = dist.backprop_mean_prob_grad((ce_grad + lam * h_grad) / b)
-    return float((ce_vals + lam * h_vals).mean()), grads
+    w = np.full(dist.probs.shape[0], float(lam))
+    values, grads, _ = _weighted_ce_entropy(dist, labels, w)
+    return float(values.mean()), grads
 
 
-def euat_loss(
-    batch: LabeledBatch,
-    model: MlpModel,
-    n_samples: int,
-    seed: int,
-) -> EuatLossResult:
-    """Error-driven composite: mean over rows of CE - H on WRONG_SET rows
-    and CE + H on CORRECT_SET rows, with gradients through all MC passes.
+def euat_loss(batch: LabeledBatch, dist: PredictiveDistribution) -> EuatLossResult:
+    """Error-driven composite over ``dist``, the MC prediction of
+    ``batch.inputs``: mean over rows of CE - H on WRONG_SET rows and CE + H
+    on CORRECT_SET rows, with gradients through all retained passes.
 
     The two partial sums are reported separately alongside the mean.
     """
     if batch.membership is None:
         raise ValueError("error-driven loss needs per-row membership flags")
-    dist = mc_predict(model, batch.inputs, n_samples, seed, keep_grad_records=True)
-    probs = _as_batch_probs(dist)
-    ce_vals, ce_grad = _ce_rows(probs, batch.labels)
-    h_vals, h_grad = _entropy_rows(probs)
-
-    sign = np.where(batch.membership == CORRECT_SET, 1.0, -1.0)
-    values = ce_vals + sign * h_vals
-    b = len(values)
-    d_probs = (ce_grad + sign[:, None] * h_grad) / b
-    grads, input_grad = dist.backprop_mean_prob_grad(d_probs)
+    correct = batch.membership == CORRECT_SET
+    w = np.where(correct, 1.0, -1.0)
+    values, grads, input_grad = _weighted_ce_entropy(dist, batch.labels, w)
     return EuatLossResult(
         value=float(values.mean()),
-        correct_sum=float(values[batch.membership == CORRECT_SET].sum()),
+        correct_sum=float(values[correct].sum()),
         wrong_sum=float(values[batch.membership == WRONG_SET].sum()),
         grads=grads,
         input_grad=input_grad,

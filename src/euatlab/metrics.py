@@ -57,13 +57,13 @@ def records_from_probs(
     probs: np.ndarray, labels: np.ndarray
 ) -> EvalRecords:
     """Build records from averaged class probabilities and true labels."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     rows = np.arange(probs.shape[0])
     return EvalRecords(
         true_label=labels,
         pred_label=probs.argmax(axis=1),
-        uncertainty=np.atleast_1d(normalized_entropy(probs)),
+        uncertainty=normalized_entropy(probs),
         confidence=probs.max(axis=1),
         residual=1.0 - probs[rows, labels],
     )

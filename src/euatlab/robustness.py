@@ -15,9 +15,9 @@ import numpy as np
 
 from . import rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, euat_loss
-from .nn import MlpModel, forward, softmax
+from .nn import MlpModel
 from .training import predict_labels
-from .uncertainty import PredictiveDistribution
+from .uncertainty import eval_predict
 
 
 @dataclass
@@ -51,27 +51,21 @@ def ce_input_grad(
     """Evaluation-mode CE input gradient of the mean softmax of ``models``
     (one model, or every ensemble member), through the shared softmax VJP."""
     labels = np.asarray(labels, dtype=np.int64)
-    passes = []
-    for m in models:
-        logits, cache = forward(m, inputs)
-        passes.append((softmax(logits), cache))
-    mean = sum(p for p, _ in passes) / len(passes)
+    dist = eval_predict(models, inputs, keep_grad_records=True)
+    mean = dist.probs
     rows = np.arange(len(labels))
     d_mean = np.zeros_like(mean)
     d_mean[rows, labels] = -1.0 / np.clip(mean[rows, labels], 1e-12, 1.0)
-    dist = PredictiveDistribution(mean, len(passes), grad_passes=passes)
     return dist.backprop_mean_prob_grad(d_mean)[1]
 
 
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
-    # deterministic variant: dropout disabled, membership from the current
+    # deterministic variant: one unmasked pass, membership from the current
     # evaluation-mode predictions
-    frozen = model.copy()
-    frozen.dropout_rate = 0.0
-    correct = predict_labels(frozen, inputs) == labels
+    correct = predict_labels(model, inputs) == labels
     membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)
-    res = euat_loss(LabeledBatch(inputs, labels, membership), frozen, 1, seed=0)
-    return res.input_grad
+    dist = eval_predict([model], inputs, keep_grad_records=True)
+    return euat_loss(LabeledBatch(inputs, labels, membership), dist).input_grad
 
 
 def gradient_sign_step(

@@ -71,6 +71,13 @@ class TrainingSchedule:
     def __post_init__(self):
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ValueError(f"batch_size must be even and >= 2, got {self.batch_size}")
+        for name in ("pretrain_epochs", "euat_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.train_mc_samples < 1:
+            raise ValueError(
+                f"train_mc_samples must be >= 1, got {self.train_mc_samples}"
+            )
         if self.euat_lr is None:
             self.euat_lr = self.pretrain_lr / 1000.0
         if self.selection_metric not in SELECTION_METRICS:
@@ -414,9 +421,11 @@ def euat_train(
             if attack is not None:
                 xb = attack(work, batch.inputs, batch.labels)
                 batch = LabeledBatch(xb, batch.labels, batch.membership)
-            res = euat_loss(
-                batch, work, n_mc, seed=rng.derive_seed(seed, "euat-mask", epoch, b)
+            dist = mc_predict(
+                work, batch.inputs, n_mc, rng.derive_seed(seed, "euat-mask", epoch, b),
+                keep_grad_records=True,
             )
+            res = euat_loss(batch, dist)
             if not run.step(res.value, res.grads, epoch, b):
                 return run.outcome
         run.record(epoch, train_error, start)

@@ -1,9 +1,11 @@
 """Monte-Carlo-dropout predictive distributions and entropy scores.
 
 A prediction is the average of N softmaxed stochastic forward passes, each
-under a fresh dropout mask. The uncertainty score used throughout the
-package is the predictive entropy of that averaged distribution, normalized
-by ln(class_count) so it lives in [0, 1] regardless of the label space.
+under a fresh dropout mask, or of one unmasked pass per model (evaluation
+mode, or a deep ensemble); both run the one pass loop of this module. The
+uncertainty score used throughout the package is the predictive entropy of
+that averaged distribution, normalized by ln(class_count) so it lives in
+[0, 1] regardless of the label space.
 """
 
 from __future__ import annotations
@@ -20,17 +22,15 @@ DEFAULT_MC_SAMPLES = 20
 
 @dataclass
 class PredictiveDistribution:
-    """Class probabilities averaged over stochastic forward passes.
+    """Class probabilities averaged over softmax passes.
 
-    ``probs`` has shape (class_count,) for a single input or
-    (rows, class_count) for a batch. When gradients are needed the
-    per-pass probabilities and forward caches are retained so losses can
-    backpropagate through the Monte-Carlo average.
+    ``probs`` has shape (rows, class_count). When gradients are needed the
+    per-pass probabilities and forward caches are retained in
+    ``grad_passes`` so losses can backpropagate through the average.
     """
 
     probs: np.ndarray
     sample_count: int
-    per_sample_probs: np.ndarray | None = None
     grad_passes: list[tuple[np.ndarray, "nn.ForwardCache"]] | None = field(
         default=None, repr=False
     )
@@ -38,10 +38,6 @@ class PredictiveDistribution:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-
-    @property
-    def class_count(self) -> int:
-        return self.probs.shape[-1]
 
     def backprop_mean_prob_grad(
         self, d_mean_probs: np.ndarray
@@ -56,12 +52,10 @@ class PredictiveDistribution:
                 "distribution has no gradient records; predict with "
                 "keep_grad_records=True"
             )
-        g = np.atleast_2d(np.asarray(d_mean_probs, dtype=np.float64))
-        share = 1.0 / len(self.grad_passes)
+        gp = d_mean_probs * (1.0 / len(self.grad_passes))
         total: list[tuple[np.ndarray, np.ndarray]] | None = None
         input_grad = None
         for pass_probs, cache in self.grad_passes:
-            gp = g * share
             # softmax vector-Jacobian product: dL/dz = p * (g - sum_k g_k p_k)
             gz = pass_probs * (gp - (gp * pass_probs).sum(axis=1, keepdims=True))
             grads, xg = nn.backward(cache, gz)
@@ -76,38 +70,41 @@ class PredictiveDistribution:
         return total, input_grad
 
 
-def _mc_mean(
-    model: nn.MlpModel,
-    x: np.ndarray,
-    n_samples: int,
-    seed: int,
-    passes: list | None = None,
-) -> np.ndarray:
-    """Mean softmax over the MC passes on the 2-d batch ``x``, appending each
-    pass's ``(probs, cache)`` to ``passes`` when given.
-
-    Pass ``i`` uses the mask seeded by ``derive_seed(seed, "mc-pass", i)``;
-    with dropout_rate == 0 there is a single unmasked pass. All passes share
-    one unmasked input layer.
-    """
+def _mc_passes(model: nn.MlpModel, n_samples: int, seed: int) -> list:
+    """``(model, mask)`` of each MC pass: pass ``i`` uses the mask seeded by
+    ``derive_seed(seed, "mc-pass", i)``; with dropout_rate == 0 there is a
+    single unmasked pass."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    first = nn.input_layer(model, x)
     if model.dropout_rate == 0.0:
-        masks = [None]
-    else:
-        masks = [
-            nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
-            for i in range(n_samples)
-        ]
-    acc = None
-    for mask in masks:
-        logits, cache = nn.forward(model, x, mask, first)
+        return [(model, None)]
+    return [
+        (model, nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i)))
+        for i in range(n_samples)
+    ]
+
+
+def _mean_of_passes(
+    passes: list, inputs: np.ndarray, keep_grad_records: bool = False
+) -> PredictiveDistribution:
+    """The one softmax-pass loop: mean softmax of the ``(model, mask | None)``
+    passes over the 2-d batch ``inputs``, keeping each pass's
+    ``(probs, cache)`` when asked.
+
+    Consecutive passes of one model share its unmasked input layer.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    records = [] if keep_grad_records else None
+    model = acc = None
+    for m, mask in passes:
+        if m is not model:
+            model, first = m, nn.input_layer(m, x)
+        logits, cache = nn.forward(m, x, mask, first)
         p = nn.softmax(logits)
-        if passes is not None:
-            passes.append((p, cache))
+        if records is not None:
+            records.append((p, cache))
         acc = p if acc is None else acc + p
-    return acc / len(masks)
+    return PredictiveDistribution(acc / len(passes), len(passes), records)
 
 
 def mc_predict(
@@ -117,28 +114,14 @@ def mc_predict(
     seed: int = 0,
     keep_grad_records: bool = False,
 ) -> PredictiveDistribution:
-    """Average ``n_samples`` masked softmax passes over ``inputs``.
+    """Average ``n_samples`` masked softmax passes over the batch ``inputs``.
 
     Deterministic given the seed; pass seeds are derived per sample index.
     With dropout_rate == 0 a single deterministic pass is returned, which
     collapses bit-exactly to the evaluation-mode prediction for any N.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    passes = []
-    mean = _mc_mean(model, x, n_samples, seed, passes)
-    per_sample = np.stack([p for p, _ in passes])
-    if single:
-        mean = mean[0]
-        per_sample = per_sample[:, 0, :]
-    return PredictiveDistribution(
-        probs=mean,
-        sample_count=len(passes),
-        per_sample_probs=per_sample,
-        grad_passes=passes if keep_grad_records else None,
-    )
+    passes = _mc_passes(model, n_samples, seed)
+    return _mean_of_passes(passes, inputs, keep_grad_records)
 
 
 def mc_predict_probs(
@@ -148,7 +131,18 @@ def mc_predict_probs(
     seed: int = 0,
 ) -> np.ndarray:
     """Averaged probabilities only, without per-pass records."""
-    return _mc_mean(model, np.asarray(inputs, dtype=np.float64), n_samples, seed)
+    return _mean_of_passes(_mc_passes(model, n_samples, seed), inputs).probs
+
+
+def eval_predict(
+    models: list[nn.MlpModel], inputs: np.ndarray, keep_grad_records: bool = False
+) -> PredictiveDistribution:
+    """Average one unmasked (evaluation-mode) softmax pass per model over the
+    batch ``inputs``: a single model's deterministic prediction, or a deep
+    ensemble's, whose uncertainty is the entropy of the members' mean."""
+    if not models:
+        raise ValueError("eval_predict needs at least one model")
+    return _mean_of_passes([(m, None) for m in models], inputs, keep_grad_records)
 
 
 def entropy(probs: np.ndarray):

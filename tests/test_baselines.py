@@ -56,21 +56,21 @@ class TestIsotonicApply:
         return baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
     def test_identity_map_leaves_distribution_unchanged(self):
-        probs = np.array([0.7, 0.2, 0.1])
+        probs = np.array([[0.7, 0.2, 0.1]])
         out = baselines.isotonic_apply(self.identity_map(), probs)
         assert np.array_equal(out, probs)
 
     def test_flat_half_map_on_binary(self):
         mapping = baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        out = baselines.isotonic_apply(mapping, np.array([0.9, 0.1]))
-        assert np.allclose(out, [0.5, 0.5], atol=1e-12)
-        assert out[0] >= out[1]  # argmax preserved through the tie
+        out = baselines.isotonic_apply(mapping, np.array([[0.9, 0.1]]))
+        assert np.allclose(out, [[0.5, 0.5]], atol=1e-12)
+        assert out[0, 0] >= out[0, 1]  # argmax preserved through the tie
 
     def test_hand_rescaled_three_class_case(self):
         mapping = baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([-0.2, 0.8]))
         # maps 0.8 -> 0.6; remaining classes scale by (1-0.6)/(1-0.8) = 2
-        out = baselines.isotonic_apply(mapping, np.array([0.8, 0.15, 0.05]))
-        assert np.allclose(out, [0.6, 0.3, 0.1], atol=1e-12)
+        out = baselines.isotonic_apply(mapping, np.array([[0.8, 0.15, 0.05]]))
+        assert np.allclose(out, [[0.6, 0.3, 0.1]], atol=1e-12)
 
     def test_argmax_preserved_under_strictly_increasing_maps(self):
         gen = np.random.default_rng(2)
@@ -86,7 +86,7 @@ class TestIsotonicApply:
         for mapping in maps:
             assert mapping.strictly_increasing
             for _ in range(50):
-                probs = gen.dirichlet(np.ones(4))
+                probs = gen.dirichlet(np.ones(4))[None, :]
                 out = baselines.isotonic_apply(mapping, probs)
                 assert int(np.argmax(out)) == int(np.argmax(probs))
                 assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -121,8 +121,8 @@ class TestIsotonicApply:
 
     def test_single_row_matches_per_row_oracle(self):
         mapping = baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.1, 0.4]))
-        for row in (np.array([0.6, 0.3, 0.1]), np.array([1.0, 0.0]),
-                    np.array([0.5, 0.5])):
+        for row in (np.array([[0.6, 0.3, 0.1]]), np.array([[1.0, 0.0]]),
+                    np.array([[0.5, 0.5]])):
             out = baselines.isotonic_apply(mapping, row)
             assert out.shape == row.shape
             assert np.array_equal(out, isotonic_apply_rows(mapping, row))
@@ -184,10 +184,8 @@ class TestEnsemble:
         assert ens.members[0].parameters_equal(ens.members[1])
         assert ens.members[0].parameters_equal(ens.members[2])
         x = ds.test[0][:5]
-        single = baselines.ensemble_predict(
-            baselines.Ensemble([ens.members[0]], [7]), x
-        ).probs
-        combined = baselines.ensemble_predict(ens, x).probs
+        single = uncertainty.eval_predict([ens.members[0]], x).probs
+        combined = uncertainty.eval_predict(ens.members, x).probs
         assert np.allclose(combined, single, atol=1e-15)
 
     def test_prediction_is_hand_averaged_member_mean(self):
@@ -199,7 +197,7 @@ class TestEnsemble:
             logits, _ = nn.forward(m, x)
             expected += nn.softmax(logits)
         expected /= 3.0
-        dist = baselines.ensemble_predict(ens, x)
+        dist = uncertainty.eval_predict(ens.members, x)
         assert np.max(np.abs(dist.probs - expected)) < 1e-12
         assert dist.sample_count == 3
 
@@ -208,20 +206,22 @@ class TestEnsemble:
         members = [nn.MlpModel.init([4, 16, 3], 0.3, seed=s) for s in range(n_members)]
         ens = baselines.Ensemble(members, list(range(n_members)))
         x = np.random.default_rng(9).random((25, 4))
-        dist = baselines.ensemble_predict(ens, x)
+        dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
         assert (dist.probs == reference_ensemble_probs(ens, x)).all()
         assert (Predictor(ensemble=ens).probs(x, seed=0) == dist.probs).all()
-        for member, probs in zip(members, dist.per_sample_probs):
+        for member, (probs, _) in zip(members, dist.grad_passes, strict=True):
             single = reference_ensemble_probs(baselines.Ensemble([member], [0]), x)
             assert (probs == single).all()
-        one = baselines.ensemble_predict(ens, x[0])
-        assert (one.probs == reference_ensemble_probs(ens, x[0])[0]).all()
-        assert one.per_sample_probs.shape == (n_members, 3)
+        one = uncertainty.eval_predict(ens.members, x[:1], keep_grad_records=True)
+        assert (one.probs == reference_ensemble_probs(ens, x[:1])).all()
+        assert [p.shape for p, _ in one.grad_passes] == [(1, 3)] * n_members
+        with pytest.raises(nn.EngineError, match="2-d"):
+            uncertainty.eval_predict(ens.members, x[0])
 
     def test_two_opposed_members_give_uniform(self):
         a = nn.MlpModel([nn.DenseLayer(np.zeros((2, 1)), np.array([40.0, 0.0]), "identity")], 0.0)
         b = nn.MlpModel([nn.DenseLayer(np.zeros((2, 1)), np.array([0.0, 40.0]), "identity")], 0.0)
-        dist = baselines.ensemble_predict(baselines.Ensemble([a, b], [0, 1]), np.zeros((1, 1)))
+        dist = uncertainty.eval_predict([a, b], np.zeros((1, 1)))
         assert np.allclose(dist.probs, [[0.5, 0.5]], atol=1e-12)
         assert uncertainty.predictive_entropy(dist)[0] == pytest.approx(math.log(2.0))
 
@@ -229,9 +229,10 @@ class TestEnsemble:
         members = [nn.MlpModel.init([2, 6, 4], 0.0, seed=s) for s in (5, 6, 7)]
         ens = baselines.Ensemble(members, [5, 6, 7])
         x = np.random.default_rng(8).random((20, 2))
-        dist = baselines.ensemble_predict(ens, x)
+        dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
         h_mean = uncertainty.entropy(dist.probs)
-        mean_h = uncertainty.entropy(dist.per_sample_probs).mean(axis=0)
+        per_member = np.stack([p for p, _ in dist.grad_passes])
+        mean_h = uncertainty.entropy(per_member).mean(axis=0)
         assert np.all(h_mean >= mean_h - 1e-12)
 
     def test_empty_ensemble_rejected(self):

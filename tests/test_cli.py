@@ -162,6 +162,58 @@ def test_attack_loss_unsupported_by_method_exit_code(tmp_path):
     assert code == 2
 
 
+OUT_OF_RANGE = {
+    # id: (flags, config file or None, field named in the message)
+    "mc_samples": (["--mc-samples", "0"], None, "mc_samples"),
+    "ensemble_members": (
+        ["--method", "ensemble", "--ensemble-members", "0"], None, "ensemble_members"
+    ),
+    "ce_pe_lambda": (
+        ["--method", "ce_pe", "--ce-pe-lambda", "-1"], None, "ce_pe_lambda"
+    ),
+    "ece_bins": ([], {"ece_bins": 0}, "ece_bins"),
+    "histogram_bins": ([], {"histogram_bins": 0}, "histogram_bins"),
+    "hidden-zero": (["--hidden", "0"], None, "hidden"),
+    "hidden-negative": ([], {"model": {"hidden": [-3]}}, "hidden"),
+    "dropout_rate": (["--dropout", "1.5"], None, "dropout_rate"),
+    "train_mc_samples": ([], {"schedule": {"train_mc_samples": 0}}, "train_mc_samples"),
+    "pretrain_epochs": (["--method", "ce", "--pretrain-epochs", "-1"], None,
+                        "pretrain_epochs"),
+    "euat_epochs": (["--euat-epochs", "-1"], None, "euat_epochs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_config_is_rejected_before_any_stage(tmp_path, capsys, case):
+    flags, doc, name = OUT_OF_RANGE[case]
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--config", str(path), *flags]
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--n", "200", "--pretrain-epochs", "1", "--euat-epochs", "1",
+         *flags, "--out", str(out)]
+    )
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["val_fraction", "test_fraction"])
+def test_empty_split_is_a_config_error_before_training(tmp_path, split):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {split: 0.0}}))
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--config", str(path), "--n", "200", "--pretrain-epochs", "1",
+         "--euat-epochs", "1", "--out", str(out)]
+    )
+    assert code == 2
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
+
+
 def test_training_failure_exit_code(tmp_path):
     out = tmp_path / "x"
     code = cli.main(

@@ -5,9 +5,10 @@ Package modules import each other at module top only: an import of
 dependency from the module header and usually papers over an import cycle.
 Lazy third-party imports are not covered here.
 
-Only ``nn`` (which defines it) and ``uncertainty`` (the softmax VJP in
-``backprop_mean_prob_grad``) name ``backward``, so every gradient through
-the softmax takes that one VJP.
+Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
+``softmax``: every gradient through the softmax takes the one VJP in
+``backprop_mean_prob_grad``, and every prediction, ensemble mean and attack
+gradient runs the one softmax-pass loop of ``uncertainty``.
 """
 
 import ast
@@ -56,19 +57,21 @@ def test_detector_flags_relative_and_absolute_imports():
     assert sorted(set(call_time_package_imports(source))) == [("f", 3), ("f", 7), ("g", 7)]
 
 
-BACKWARD_MODULES = {"nn.py", "uncertainty.py"}
+OTHER_MODULES = sorted(
+    p for p in PACKAGE.glob("*.py") if p.name not in ("nn.py", "uncertainty.py")
+)
 
 
-def backward_references(source: str) -> list[int]:
-    """Lines that name ``backward``: as a name, an attribute or an import."""
+def name_references(source: str, name: str) -> list[int]:
+    """Lines that name ``name``: as a name, an attribute or an import."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            named = node.id == "backward"
+            named = node.id == name
         elif isinstance(node, ast.Attribute):
-            named = node.attr == "backward"
+            named = node.attr == name
         elif isinstance(node, ast.ImportFrom):
-            named = any(a.name == "backward" for a in node.names)
+            named = any(a.name == name for a in node.names)
         else:
             continue
         if named:
@@ -76,22 +79,25 @@ def backward_references(source: str) -> list[int]:
     return found
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name not in BACKWARD_MODULES),
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
 def test_only_nn_and_uncertainty_name_backward(path):
-    assert backward_references(path.read_text()) == []
+    assert name_references(path.read_text(), "backward") == []
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
+def test_only_nn_and_uncertainty_name_softmax(path):
+    assert name_references(path.read_text(), "softmax") == []
 
 
 def test_backward_detector_flags_names_attributes_and_imports():
     source = (
-        "from .nn import backward, forward\n"
+        "from .nn import backward, forward, softmax\n"
         "from . import nn\n"
         "def f(cache, g):\n"
         "    nn.backward(cache, g)\n"
-        "    return backward(cache, g), forward\n"
-        "backward_pass = 1\n"
+        "    p = nn.softmax(g)  # softmax in a comment is not a name\n"
+        "    return backward(cache, g), forward, softmax(p)\n"
+        "backward_pass = softmax_out = 'softmax'\n"
     )
-    assert backward_references(source) == [1, 4, 5]
+    assert name_references(source, "backward") == [1, 4, 6]
+    assert name_references(source, "softmax") == [1, 5, 6]

@@ -23,6 +23,22 @@ def dist_for_logits(logit_row, keep=True):
     ), model
 
 
+def entropy_term(dist, labels):
+    """The entropy term alone, value and gradients: CE+PE at lambda 1
+    minus plain CE (lambda 0)."""
+    v1, g1 = losses.ce_pe_loss(dist, labels, 1.0)
+    v0, g0 = losses.ce_pe_loss(dist, labels, 0.0)
+    return v1 - v0, [(w1 - w0, b1 - b0) for (w1, b1), (w0, b0) in zip(g1, g0)]
+
+
+def euat(batch, model, n_samples, seed):
+    """``euat_loss`` over the MC prediction of the batch, as training runs it."""
+    dist = uncertainty.mc_predict(
+        model, batch.inputs, n_samples, seed, keep_grad_records=True
+    )
+    return losses.euat_loss(batch, dist)
+
+
 def rand_setup(seed, sizes=(3, 6, 4), dropout=0.3, rows=4, n_samples=3):
     model = nn.MlpModel.init(list(sizes), dropout_rate=dropout, seed=seed)
     gen = np.random.default_rng(1000 + seed)
@@ -34,23 +50,23 @@ def rand_setup(seed, sizes=(3, 6, 4), dropout=0.3, rows=4, n_samples=3):
 class TestCeLoss:
     def test_certain_correct_prediction_is_zero(self):
         dist, _ = dist_for_logits([1000.0, 0.0])
-        value, _ = losses.ce_loss(dist, np.array([0]))
+        value, _ = losses.ce_pe_loss(dist, np.array([0]), 0.0)
         assert value == 0.0
 
     def test_uniform_gives_log_k(self):
         dist, _ = dist_for_logits([0.0, 0.0, 0.0, 0.0])
-        value, _ = losses.ce_loss(dist, np.array([2]))
+        value, _ = losses.ce_pe_loss(dist, np.array([2]), 0.0)
         assert value == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_probability_point_two(self):
         dist, _ = dist_for_logits([math.log(0.2), math.log(0.8)])
-        value, _ = losses.ce_loss(dist, np.array([0]))
+        value, _ = losses.ce_pe_loss(dist, np.array([0]), 0.0)
         assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_missing_grad_records_rejected(self):
         dist, _ = dist_for_logits([0.0, 1.0], keep=False)
         with pytest.raises(ValueError, match="per-sample records"):
-            losses.ce_loss(dist, np.array([0]))
+            losses.ce_pe_loss(dist, np.array([0]), 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradient_matches_finite_differences(self, seed):
@@ -58,24 +74,24 @@ class TestCeLoss:
 
         def loss(m):
             d = uncertainty.mc_predict(m, x, n, seed=9, keep_grad_records=True)
-            return losses.ce_loss(d, y)[0]
+            return losses.ce_pe_loss(d, y, 0.0)[0]
 
         dist = uncertainty.mc_predict(model, x, n, seed=9, keep_grad_records=True)
-        _, grads = losses.ce_loss(dist, y)
+        _, grads = losses.ce_pe_loss(dist, y, 0.0)
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
 
 class TestEntropyTerm:
     def test_one_hot_zero_value_and_zero_gradient(self):
         dist, _ = dist_for_logits([1000.0, 0.0])
-        value, grads = losses.entropy_term(dist)
+        value, grads = entropy_term(dist, np.array([0]))
         assert value == 0.0
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
 
     def test_uniform_is_log_k_with_vanishing_gradient(self):
         dist, _ = dist_for_logits([0.0, 0.0, 0.0])
-        value, grads = losses.entropy_term(dist)
+        value, grads = entropy_term(dist, np.array([1]))
         assert value == pytest.approx(math.log(3.0), abs=1e-12)
         for gw, gb in grads:
             assert np.max(np.abs(gw)) < 1e-12
@@ -83,27 +99,18 @@ class TestEntropyTerm:
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_gradient_matches_finite_differences(self, seed):
-        model, x, _, n = rand_setup(seed)
+        model, x, y, n = rand_setup(seed)
 
         def loss(m):
             d = uncertainty.mc_predict(m, x, n, seed=5, keep_grad_records=True)
-            return losses.entropy_term(d)[0]
+            return entropy_term(d, y)[0]
 
         dist = uncertainty.mc_predict(model, x, n, seed=5, keep_grad_records=True)
-        _, grads = losses.entropy_term(dist)
+        _, grads = entropy_term(dist, y)
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
 
 class TestCePeLoss:
-    def test_lambda_zero_equals_ce_bitwise(self):
-        model, x, y, n = rand_setup(4)
-        dist = uncertainty.mc_predict(model, x, n, seed=3, keep_grad_records=True)
-        v_ce, g_ce = losses.ce_loss(dist, y)
-        v_cp, g_cp = losses.ce_pe_loss(dist, y, lam=0.0)
-        assert v_cp == v_ce
-        for (aw, ab), (bw, bb) in zip(g_ce, g_cp):
-            assert np.array_equal(aw, bw) and np.array_equal(ab, bb)
-
     def test_uniform_with_unit_lambda(self):
         dist, _ = dist_for_logits([0.0] * 5)
         value, _ = losses.ce_pe_loss(dist, np.array([1]), lam=1.0)
@@ -133,27 +140,25 @@ class TestEuatLoss:
     def test_confident_correct_batch_is_near_zero(self):
         model = logit_model([40.0, 0.0])
         batch = self.batch(np.zeros((3, 1)), [0, 0, 0], [losses.CORRECT_SET] * 3)
-        res = losses.euat_loss(batch, model, n_samples=1, seed=0)
+        res = euat(batch, model, 1, 0)
         assert abs(res.value) < 1e-12
 
     def test_wrong_row_with_uniform_prediction_cancels(self):
         model = logit_model([0.0, 0.0, 0.0])
         batch = self.batch(np.zeros((1, 1)), [1], [losses.WRONG_SET])
-        res = losses.euat_loss(batch, model, n_samples=1, seed=0)
+        res = euat(batch, model, 1, 0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_membership_rejected(self):
         model = logit_model([0.0, 0.0])
         with pytest.raises(ValueError, match="membership"):
-            losses.euat_loss(
-                losses.LabeledBatch(np.zeros((1, 1)), [0]), model, 1, 0
-            )
+            euat(losses.LabeledBatch(np.zeros((1, 1)), [0]), model, 1, 0)
 
     def test_rowwise_oracle(self):
         model, x, y, n = rand_setup(6, rows=6)
         membership = np.array([1, 0, 1, 1, 0, 0])
         batch = self.batch(x, y, membership)
-        res = losses.euat_loss(batch, model, n_samples=n, seed=17)
+        res = euat(batch, model, n, 17)
 
         # independent recomputation from the averaged distribution
         probs = uncertainty.mc_predict(model, x, n, seed=17).probs
@@ -172,7 +177,7 @@ class TestEuatLoss:
     def test_partial_sums_add_up(self):
         model, x, y, n = rand_setup(7, rows=5)
         batch = self.batch(x, y, [1, 0, 0, 1, 1])
-        res = losses.euat_loss(batch, model, n_samples=n, seed=2)
+        res = euat(batch, model, n, 2)
         assert res.value == pytest.approx(
             (res.correct_sum + res.wrong_sum) / 5.0, abs=1e-12
         )
@@ -183,7 +188,7 @@ class TestEuatLoss:
             model, x, y, n = rand_setup(20 + seed, rows=8)
             gen = np.random.default_rng(seed)
             batch = self.batch(x, y, gen.integers(0, 2, size=8))
-            res = losses.euat_loss(batch, model, n_samples=n, seed=seed)
+            res = euat(batch, model, n, seed)
             assert res.value >= -math.log(model.class_count) - 1e-12
 
     @pytest.mark.parametrize("seed", [8, 9])
@@ -193,9 +198,9 @@ class TestEuatLoss:
         batch = self.batch(x, y, gen.integers(0, 2, size=4))
 
         def loss(m):
-            return losses.euat_loss(batch, m, n_samples=n, seed=13).value
+            return euat(batch, m, n, 13).value
 
-        res = losses.euat_loss(batch, model, n_samples=n, seed=13)
+        res = euat(batch, model, n, 13)
         assert max_rel_error(flatten_grads(res.grads), fd_param_grads(loss, model)) < 1e-4
 
 
@@ -208,7 +213,7 @@ def test_entropy_ascent_on_wrong_only_batch():
     values = []
     for _ in range(15):
         dist = uncertainty.mc_predict(model, x, 1, seed=0, keep_grad_records=True)
-        h, grads = losses.entropy_term(dist)
+        h, grads = entropy_term(dist, np.zeros(4, dtype=np.int64))
         values.append(h)
         ascent = [(-gw, -gb) for gw, gb in grads]
         assert nn.sgd_step(model, ascent, state)

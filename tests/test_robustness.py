@@ -87,6 +87,23 @@ class TestFgsm:
         assert np.max(np.abs(adv - x)) <= cfg.epsilon
         assert np.array_equal(adv, robustness.fgsm(model, x, y, cfg))
 
+    @pytest.mark.parametrize("loss", ["ce", "euat"])
+    def test_attack_makes_no_model_copy(self, monkeypatch, loss):
+        # both attack gradients take unmasked passes of the model itself
+        model = nn.MlpModel.init([4, 6, 3], dropout_rate=0.3, seed=10)
+        gen = np.random.default_rng(11)
+        x = gen.random((6, 4))
+        y = gen.integers(0, 3, size=6)
+        cfg = robustness.AttackConfig(epsilon=0.02, loss=loss)
+        expected = robustness.fgsm(model, x, y, cfg)
+
+        def no_copy(self):
+            raise AssertionError("the attack copied the model")
+
+        monkeypatch.setattr(nn.MlpModel, "copy", no_copy)
+        assert np.array_equal(robustness.fgsm(model, x, y, cfg), expected)
+        assert model.dropout_rate == 0.3
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             robustness.AttackConfig(epsilon=-0.1)

@@ -47,14 +47,22 @@ class TestMcPredict:
     def test_mean_matches_per_sample_record(self):
         model = model_with(dropout=0.3, seed=4)
         x = np.random.default_rng(4).normal(size=(6, 3))
-        dist = uncertainty.mc_predict(model, x, n_samples=9, seed=7)
-        assert np.allclose(dist.probs, dist.per_sample_probs.mean(axis=0), atol=1e-12)
+        dist = uncertainty.mc_predict(
+            model, x, n_samples=9, seed=7, keep_grad_records=True
+        )
+        per_sample = np.stack([p for p, _ in dist.grad_passes])
+        assert np.allclose(dist.probs, per_sample.mean(axis=0), atol=1e-12)
 
     def test_single_input_keeps_vector_shape(self):
+        # a single input is a one-row batch; a 1-d vector is not a batch
         model = model_with(dropout=0.2, seed=5)
-        dist = uncertainty.mc_predict(model, np.zeros(3), n_samples=3, seed=8)
-        assert dist.probs.shape == (4,)
-        assert dist.per_sample_probs.shape == (3, 4)
+        dist = uncertainty.mc_predict(
+            model, np.zeros((1, 3)), n_samples=3, seed=8, keep_grad_records=True
+        )
+        assert dist.probs.shape == (1, 4)
+        assert [p.shape for p, _ in dist.grad_passes] == [(1, 4)] * 3
+        with pytest.raises(nn.EngineError, match="2-d"):
+            uncertainty.mc_predict(model, np.zeros(3), n_samples=3, seed=8)
 
     def test_deterministic_given_seed(self):
         model = model_with(dropout=0.3, seed=6)
@@ -86,7 +94,7 @@ def reference_passes(model, x, n_samples, seed):
         ]
     passes = []
     for mask in masks:
-        logits, cache = nn.forward(model, np.atleast_2d(x), mask)
+        logits, cache = nn.forward(model, x, mask)
         passes.append((nn.softmax(logits), cache))
     return passes
 
@@ -102,7 +110,7 @@ SHARED_LAYER_CASES = [
     # (layer sizes, dropout, input shape)
     ((784, 256, 256, 10), 0.2, (3, 784)),
     ((2, 8, 2), 0.3, (20, 2)),
-    ((2, 8, 2), 0.3, (2,)),
+    ((2, 8, 2), 0.3, (1, 2)),
     ((3, 8, 4), 0.0, (5, 3)),
     ((5, 3), 0.3, (4, 5)),
 ]
@@ -120,14 +128,11 @@ class TestSharedInputLayer:
         ref = reference_passes(model, x, 6, seed=15)
         dist = uncertainty.mc_predict(model, x, 6, seed=15, keep_grad_records=True)
         mean = reference_mean(ref)
-        per_sample = np.stack([p for p, _ in ref])
-        if x.ndim == 1:
-            mean, per_sample = mean[0], per_sample[:, 0, :]
-        else:
-            probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
-            assert np.array_equal(probs, mean)
+        probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
+        assert np.array_equal(probs, mean)
         assert np.array_equal(dist.probs, mean)
-        assert np.array_equal(dist.per_sample_probs, per_sample)
+        for (p, _), (ref_p, _) in zip(dist.grad_passes, ref, strict=True):
+            assert np.array_equal(p, ref_p)
         assert dist.sample_count == len(ref)
 
         upstream = gen.normal(size=dist.probs.shape)
@@ -217,7 +222,10 @@ def test_jensen_direction_entropy_of_mean():
     # entropy is concave: H(mean) >= mean per-pass entropy
     model = model_with(dropout=0.4, seed=11)
     x = np.random.default_rng(12).normal(size=(30, 3))
-    dist = uncertainty.mc_predict(model, x, n_samples=15, seed=13)
+    dist = uncertainty.mc_predict(
+        model, x, n_samples=15, seed=13, keep_grad_records=True
+    )
     h_mean = uncertainty.entropy(dist.probs)
-    mean_h = uncertainty.entropy(dist.per_sample_probs).mean(axis=0)
+    per_sample = np.stack([p for p, _ in dist.grad_passes])
+    mean_h = uncertainty.entropy(per_sample).mean(axis=0)
     assert np.all(h_mean >= mean_h - 1e-12)
