@@ -10,9 +10,12 @@ or a run directory that lacks an original ``replay`` compares; an
 out-of-range setting: ``mc_samples``, ``ensemble_members``, ``ece_bins``,
 ``histogram_bins`` or ``train_mc_samples`` below 1, a negative
 ``ce_pe_lambda`` or epoch count, a hidden width below 1, a dropout rate
-outside [0, 1); an empty train, validation or test split), 3 data error,
-4 engine error (an ``nn.EngineError``: a training failure such as a
-non-finite forward pass, or a bad checkpoint).
+outside [0, 1), a ``class_count`` below 2; an empty train, validation or
+test split), 3 data error (also a loaded dataset with fewer than two
+classes), 4 engine error (an ``nn.EngineError``: a training failure such
+as a non-finite forward pass, or a bad checkpoint).
+Every report comes from ``experiment``: ``evaluate`` and the protocol
+subcommands print what ``train`` stores for the same config.
 A run whose training diverged keeps its selected model, exits 0 and
 records ``"diverged": true`` in the manifest.
 """
@@ -23,7 +26,7 @@ import argparse
 import json
 import sys
 
-from . import experiment, metrics, rng
+from . import experiment, training
 from .data import DataError
 from .experiment import ConfigError, ExperimentConfig
 from .nn import EngineError
@@ -34,39 +37,78 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ENGINE = 4
 
+# (flag, config section or None for a top-level field, field, argparse keywords)
+CONFIG_FLAGS = (
+    ("--method", None, "method", {"choices": experiment.METHODS}),
+    ("--seed", None, "seed", {"type": int}),
+    ("--dataset", "dataset", "kind",
+     {"metavar": "DATASET_KIND", "help": "two_moons | gaussian_blobs | rings | idx"}),
+    ("--n", "dataset", "n", {"type": int, "help": "dataset size"}),
+    ("--noise", "dataset", "noise", {"type": float}),
+    ("--class-count", "dataset", "class_count", {"type": int}),
+    ("--dim", "dataset", "dim", {"type": int, "help": "blob input dimension"}),
+    ("--binary-positive", "dataset", "binary_positive_class",
+     {"type": int, "help": "reduce to one-vs-rest on this class"}),
+    ("--images", "dataset", "images_path", {"help": "IDX image file"}),
+    ("--labels", "dataset", "labels_path", {"help": "IDX label file"}),
+    # a string, parsed by _put_flags so a bad value is a ConfigError
+    ("--hidden", "model", "hidden",
+     {"help": "comma-separated hidden widths, e.g. 32,32"}),
+    ("--dropout", "model", "dropout_rate", {"type": float}),
+    ("--pretrain-epochs", "schedule", "pretrain_epochs", {"type": int}),
+    ("--euat-epochs", "schedule", "euat_epochs", {"type": int}),
+    ("--lr", "schedule", "pretrain_lr",
+     {"type": float, "help": "pretraining learning rate"}),
+    ("--euat-lr", "schedule", "euat_lr", {"type": float}),
+    ("--batch-size", "schedule", "batch_size", {"type": int}),
+    ("--selection-metric", "schedule", "selection_metric",
+     {"choices": training.SELECTION_METRICS}),
+    ("--mc-samples", None, "mc_samples", {"type": int}),
+    ("--ce-pe-lambda", None, "ce_pe_lambda", {"type": float}),
+    ("--ensemble-members", None, "ensemble_members", {"type": int}),
+    ("--adversarial", None, "adversarial_training",
+     {"action": "store_true", "default": None, "help": "train on attacked mini-batches"}),
+    ("--epsilon", "attack", "epsilon", {"type": float, "help": "attack L-inf bound"}),
+    ("--sigma", "corruption", "sigma", {"type": float, "help": "OOD corruption noise"}),
+    ("--protocols", None, "protocols",
+     {"help": "comma-separated subset of clean,flip,ood,attack"}),
+)
+
+# protocol subcommand -> (protocol, help, report title, the config flag it takes)
+PROTOCOL_COMMANDS = {
+    "flip-eval": ("flip", "binary class-inversion protocol", "flipping protocol", None),
+    "ood-eval": ("ood", "Gaussian-noise OOD protocol", "noise OOD protocol", "--sigma"),
+    "attack-eval": (
+        "attack", "gradient-sign attack protocol", "attack protocol", "--epsilon"
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--method", choices=experiment.METHODS)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--dataset", dest="dataset_kind",
-                        help="two_moons | gaussian_blobs | rings | idx")
-    parser.add_argument("--n", type=int, help="dataset size")
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--class-count", type=int)
-    parser.add_argument("--dim", type=int, help="blob input dimension")
-    parser.add_argument("--binary-positive", type=int,
-                        help="reduce to one-vs-rest on this class")
-    parser.add_argument("--images", help="IDX image file")
-    parser.add_argument("--labels", help="IDX label file")
-    parser.add_argument("--hidden", help="comma-separated hidden widths, e.g. 32,32")
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--pretrain-epochs", type=int)
-    parser.add_argument("--euat-epochs", type=int)
-    parser.add_argument("--lr", type=float, help="pretraining learning rate")
-    parser.add_argument("--euat-lr", type=float)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--selection-metric", choices=("ua", "uauc", "corr",
-                                                       "wasserstein", "error"))
-    parser.add_argument("--mc-samples", type=int)
-    parser.add_argument("--ce-pe-lambda", type=float)
-    parser.add_argument("--ensemble-members", type=int)
-    parser.add_argument("--adversarial", action="store_true", default=None,
-                        help="train on attacked mini-batches")
-    parser.add_argument("--epsilon", type=float, help="attack L-inf bound")
-    parser.add_argument("--sigma", type=float, help="OOD corruption noise")
-    parser.add_argument("--protocols",
-                        help="comma-separated subset of clean,flip,ood,attack")
+    for flag, _, _, keywords in CONFIG_FLAGS:
+        parser.add_argument(flag, **keywords)
+
+
+def _put_flags(doc: dict, args):
+    """Write every config flag ``args`` holds a value for into the config
+    document ``doc``; an unset flag keeps the document's value."""
+    for flag, section, field, _ in CONFIG_FLAGS:
+        value = getattr(args, _dest(flag), None)
+        if value is None:
+            continue
+        if flag in ("--hidden", "--protocols"):
+            value = [v for v in value.split(",") if v]
+        if flag == "--hidden":
+            try:
+                value = [int(w) for w in value]
+            except ValueError as exc:
+                raise ConfigError(f"bad --hidden value {args.hidden!r}") from exc
+        (doc if section is None else doc.setdefault(section, {}))[field] = value
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -79,46 +121,7 @@ def _resolve_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
-    doc.setdefault("dataset", {})
-    doc.setdefault("model", {})
-    doc.setdefault("schedule", {})
-    doc.setdefault("attack", {})
-    doc.setdefault("corruption", {})
-
-    def put(section, key, value):
-        if value is not None:
-            section[key] = value
-
-    put(doc, "method", args.method)
-    put(doc, "seed", args.seed)
-    put(doc["dataset"], "kind", args.dataset_kind)
-    put(doc["dataset"], "n", args.n)
-    put(doc["dataset"], "noise", args.noise)
-    put(doc["dataset"], "class_count", args.class_count)
-    put(doc["dataset"], "dim", args.dim)
-    put(doc["dataset"], "binary_positive_class", args.binary_positive)
-    put(doc["dataset"], "images_path", args.images)
-    put(doc["dataset"], "labels_path", args.labels)
-    if args.hidden is not None:
-        try:
-            doc["model"]["hidden"] = [int(w) for w in args.hidden.split(",") if w]
-        except ValueError as exc:
-            raise ConfigError(f"bad --hidden value {args.hidden!r}") from exc
-    put(doc["model"], "dropout_rate", args.dropout)
-    put(doc["schedule"], "pretrain_epochs", args.pretrain_epochs)
-    put(doc["schedule"], "euat_epochs", args.euat_epochs)
-    put(doc["schedule"], "pretrain_lr", args.lr)
-    put(doc["schedule"], "euat_lr", args.euat_lr)
-    put(doc["schedule"], "batch_size", args.batch_size)
-    put(doc["schedule"], "selection_metric", args.selection_metric)
-    put(doc, "mc_samples", args.mc_samples)
-    put(doc, "ce_pe_lambda", args.ce_pe_lambda)
-    put(doc, "ensemble_members", args.ensemble_members)
-    put(doc, "adversarial_training", args.adversarial)
-    put(doc["attack"], "epsilon", args.epsilon)
-    put(doc["corruption"], "sigma", args.sigma)
-    if args.protocols is not None:
-        doc["protocols"] = [p for p in args.protocols.split(",") if p]
+    _put_flags(doc, args)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -139,18 +142,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _loaded_run(args, protocol=None, **overrides):
+def _loaded_run(args, protocol=None):
     """Reload a finished run. For a protocol subcommand the config is rebuilt
-    with ``protocol`` listed and the given ``{section: {field: value}}`` flag
-    overrides (None keeps the stored value), so it is checked like a
-    ``train`` config."""
+    with ``protocol`` listed and the subcommand's flag applied (unset keeps
+    the stored value), so it is checked like a ``train`` config."""
     config, predictor, manifest = experiment.load_run(args.run_dir)
     if protocol is not None:
         doc = config.to_dict()
         if protocol not in doc["protocols"]:
             doc["protocols"].append(protocol)
-        for section, fields in overrides.items():
-            doc[section].update((k, v) for k, v in fields.items() if v is not None)
+        _put_flags(doc, args)
         config = ExperimentConfig.from_dict(doc)
     dataset = experiment.build_dataset(config)
     threshold = manifest["tuned_threshold"]
@@ -159,39 +160,16 @@ def _loaded_run(args, protocol=None, **overrides):
 
 def cmd_evaluate(args) -> int:
     config, predictor, dataset, threshold = _loaded_run(args)
-    records = predictor.records(
-        *dataset.split(args.split), rng.derive_seed(config.seed, "test-eval")
-    )
-    report = metrics.summarize(records, threshold, config.ece_bins)
+    _, _, report = experiment.clean_eval(predictor, dataset, threshold, config, args.split)
     _print_report(report, f"{config.method}: {args.split} metrics")
     return EXIT_OK
 
 
-def cmd_flip_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(args, "flip")
-    report = experiment.flip_eval(
-        predictor, *dataset.test, threshold,
-        rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
-    )
-    _print_report(report, f"{config.method}: flipping protocol")
-    return EXIT_OK
-
-
-def cmd_ood_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(
-        args, "ood", corruption={"sigma": args.sigma}
-    )
-    report = experiment.ood_eval(predictor, dataset, threshold, config)
-    _print_report(report, f"{config.method}: noise OOD protocol")
-    return EXIT_OK
-
-
-def cmd_attack_eval(args) -> int:
-    config, predictor, dataset, threshold = _loaded_run(
-        args, "attack", attack={"epsilon": args.epsilon}
-    )
-    report = experiment.attack_eval(predictor, dataset, threshold, config)
-    _print_report(report, f"{config.method}: attack protocol")
+def cmd_protocol_eval(args) -> int:
+    protocol, _, title, _ = PROTOCOL_COMMANDS[args.command]
+    config, predictor, dataset, threshold = _loaded_run(args, protocol)
+    report = experiment.protocol_eval(protocol, predictor, dataset, threshold, config)
+    _print_report(report, f"{config.method}: {title}")
     return EXIT_OK
 
 
@@ -242,19 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=("train", "validation", "test"))
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("flip-eval", help="binary class-inversion protocol")
-    p.add_argument("--run-dir", required=True)
-    p.set_defaults(fn=cmd_flip_eval)
-
-    p = sub.add_parser("ood-eval", help="Gaussian-noise OOD protocol")
-    p.add_argument("--run-dir", required=True)
-    p.add_argument("--sigma", type=float)
-    p.set_defaults(fn=cmd_ood_eval)
-
-    p = sub.add_parser("attack-eval", help="gradient-sign attack protocol")
-    p.add_argument("--run-dir", required=True)
-    p.add_argument("--epsilon", type=float)
-    p.set_defaults(fn=cmd_attack_eval)
+    flag_types = {flag: keywords.get("type") for flag, _, _, keywords in CONFIG_FLAGS}
+    for command, (_, help_text, _, flag) in PROTOCOL_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--run-dir", required=True)
+        if flag is not None:
+            p.add_argument(flag, type=flag_types[flag])
+        p.set_defaults(fn=cmd_protocol_eval)
 
     p = sub.add_parser("compare", help="run several methods on one dataset")
     _add_config_flags(p)

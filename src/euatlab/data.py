@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Dataset:
     inputs: np.ndarray  # (n, d) in [0, 1]
     labels: np.ndarray  # (n,) integer class ids
     splits: dict[str, np.ndarray]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -191,14 +190,6 @@ def generate_dataset(
         inputs=points,
         labels=labels,
         splits=split_indices(n, seed, val_fraction, test_fraction),
-        provenance={
-            "generator": kind,
-            "n": n,
-            "noise": noise,
-            "seed": seed,
-            "class_count": class_count,
-            "dim": dim,
-        },
     )
 
 
@@ -266,12 +257,6 @@ def load_idx(
         inputs=inputs,
         labels=labels.astype(np.int64),
         splits=split_indices(n_images, seed, val_fraction, test_fraction),
-        provenance={
-            "source": "idx",
-            "images": str(images_path),
-            "labels": str(labels_path),
-            "seed": seed,
-        },
     )
 
 
@@ -279,17 +264,9 @@ def make_binary_task(dataset: Dataset, positive_class: int) -> Dataset:
     """One-vs-rest label reduction; the positive class becomes label 1."""
     if positive_class not in dataset.labels:
         raise DataError(f"positive class {positive_class} absent from labels")
-    labels = (dataset.labels == positive_class).astype(np.int64)
-    provenance = dict(dataset.provenance)
-    provenance["binary_positive_class"] = int(positive_class)
-    provenance["binary_balance"] = {
-        "positive": int(labels.sum()),
-        "negative": int(len(labels) - labels.sum()),
-    }
     return Dataset(
         inputs=dataset.inputs.copy(),
-        labels=labels,
+        labels=(dataset.labels == positive_class).astype(np.int64),
         splits={k: v.copy() for k, v in dataset.splits.items()},
-        provenance=provenance,
     )
 

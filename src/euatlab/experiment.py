@@ -29,7 +29,7 @@ from .baselines import (
     isotonic_apply,
     isotonic_fit,
 )
-from .data import Dataset, generate_dataset, load_idx, make_binary_task
+from .data import DataError, Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
 from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_dict
 from .robustness import (
@@ -65,6 +65,10 @@ class DatasetConfig:
     binary_positive_class: int | None = None
     images_path: str | None = None
     labels_path: str | None = None
+
+    def __post_init__(self):
+        if self.class_count < 2:
+            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
 
 
 @dataclass
@@ -165,6 +169,8 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
     for name, ids in ds.splits.items():
         if len(ids) == 0:
             raise ConfigError(f"the {name} split is empty; raise n or its fraction")
+    if ds.class_count < 2:
+        raise DataError(f"the dataset has {ds.class_count} class; need at least 2")
     if dc.binary_positive_class is not None:
         ds = make_binary_task(ds, dc.binary_positive_class)
     return ds
@@ -276,6 +282,37 @@ def tune_on_validation(
         *dataset.validation, rng.derive_seed(config.seed, "threshold-eval")
     )
     return metrics.tune_threshold(records, config.threshold_objective)
+
+
+def clean_eval(
+    predictor: Predictor,
+    dataset: Dataset,
+    threshold: float,
+    config: ExperimentConfig,
+    split: str = "test",
+) -> tuple[EvalRecords, np.ndarray, dict]:
+    """Records, probabilities and metric report of one split."""
+    inputs, labels = dataset.split(split)
+    probs = predictor.probs(inputs, rng.derive_seed(config.seed, "test-eval"))
+    records = records_from_probs(probs, labels)
+    return records, probs, metrics.summarize(records, threshold, config.ece_bins)
+
+
+def protocol_eval(
+    name: str,
+    predictor: Predictor,
+    dataset: Dataset,
+    threshold: float,
+    config: ExperimentConfig,
+) -> dict:
+    """The report of the ``flip``, ``ood`` or ``attack`` protocol."""
+    if name == "flip":
+        return flip_eval(
+            predictor, *dataset.test, threshold,
+            rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
+        )
+    evaluate = {"ood": ood_eval, "attack": attack_eval}[name]
+    return evaluate(predictor, dataset, threshold, config)
 
 
 def flip_eval(
@@ -494,32 +531,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     )
     manifest["tuned_threshold"] = threshold
 
-    def clean_eval():
-        x_test, y_test = dataset.test
-        probs = trained.predictor.probs(
-            x_test, rng.derive_seed(config.seed, "test-eval")
-        )
-        records = records_from_probs(probs, y_test)
-        return records, probs, metrics.summarize(records, threshold, config.ece_bins)
-
-    records, probs, clean_report = stage("evaluate", clean_eval)
+    evaluation = (trained.predictor, dataset, threshold, config)
+    records, probs, clean_report = stage("evaluate", partial(clean_eval, *evaluation))
     reports = {"clean": clean_report}
-    if "flip" in config.protocols:
-        reports["flip"] = stage(
-            "flip",
-            lambda: flip_eval(
-                trained.predictor, *dataset.test, threshold,
-                rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
-            ),
-        )
-    if "ood" in config.protocols:
-        reports["ood"] = stage(
-            "ood", lambda: ood_eval(trained.predictor, dataset, threshold, config)
-        )
-    if "attack" in config.protocols:
-        reports["attack"] = stage(
-            "attack", lambda: attack_eval(trained.predictor, dataset, threshold, config)
-        )
+    for name in PROTOCOLS[1:]:
+        if name in config.protocols:
+            reports[name] = stage(name, partial(protocol_eval, name, *evaluation))
 
     def persist():
         metrics_bytes = _json_bytes(reports)

@@ -75,7 +75,6 @@ class UncertaintyConfusionMatrix:
     tu: int  # uncertain and wrong
     fc: int  # certain but wrong
     fu: int  # uncertain but correct
-    threshold: float
 
     @property
     def total(self) -> int:
@@ -98,7 +97,6 @@ def build_ucm(records: EvalRecords, threshold: float) -> UncertaintyConfusionMat
         tu=int(np.sum(~correct & ~certain)),
         fc=int(np.sum(~correct & certain)),
         fu=int(np.sum(correct & ~certain)),
-        threshold=float(threshold),
     )
 
 

@@ -188,15 +188,10 @@ class ForwardCache:
 
     inputs: list[np.ndarray]  # input to each layer (post-mask activations)
     pre_acts: list[np.ndarray]  # pre-activation z of each layer
-    weights: list[np.ndarray]  # weight arrays as seen at forward time
-    activations: list[str]
+    logits: np.ndarray  # the pass's output
     mask: DropoutMask | None
     model: MlpModel = field(repr=False)
     model_version: int = 0
-
-    @property
-    def batch_rows(self) -> int:
-        return self.inputs[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -283,16 +278,7 @@ def forward(
     logits = a
     if not np.isfinite(logits).all():
         raise EngineError("non-finite logits produced by forward pass")
-    cache = ForwardCache(
-        inputs=inputs,
-        pre_acts=pre_acts,
-        weights=[l.weights for l in layers],
-        activations=[l.activation for l in layers],
-        mask=mask,
-        model=model,
-        model_version=model.version,
-    )
-    return logits, cache
+    return logits, ForwardCache(inputs, pre_acts, logits, mask, model, model.version)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -316,24 +302,28 @@ def backward(
 
     Returns per-layer ``(d_weights, d_bias)`` in layer order plus the
     gradient with respect to the batch input (used by gradient-sign attacks).
+    The layers are read from ``cache.model``: ``sgd_step``, the only writer
+    of layer arrays, bumps the version this checks first.
     """
     if cache.model_version != cache.model.version:
         raise EngineError("stale forward cache: model parameters changed")
     g = np.asarray(upstream_grad, dtype=np.float64)
-    n_layers = len(cache.weights)
-    expected = (cache.batch_rows, cache.weights[-1].shape[0])
-    if g.shape != expected:
-        raise EngineError(f"upstream grad shape {g.shape} != logits shape {expected}")
+    if g.shape != cache.logits.shape:
+        raise EngineError(
+            f"upstream grad shape {g.shape} != logits shape {cache.logits.shape}"
+        )
 
+    layers = cache.model.layers
+    n_layers = len(layers)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
     delta = g
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1 and cache.mask is not None:
             delta = delta * cache.mask.scales[i]
-        if cache.activations[i] == "relu":
+        if layers[i].activation == "relu":
             delta = delta * (cache.pre_acts[i] > 0.0)
         grads[i] = (delta.T @ cache.inputs[i], delta.sum(axis=0))
-        delta = delta @ cache.weights[i]
+        delta = delta @ layers[i].weights
     return grads, delta
 
 

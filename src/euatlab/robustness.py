@@ -16,7 +16,6 @@ import numpy as np
 from . import rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, euat_loss
 from .nn import MlpModel
-from .training import predict_labels
 from .uncertainty import eval_predict
 
 
@@ -60,11 +59,12 @@ def ce_input_grad(
 
 
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
-    # deterministic variant: one unmasked pass, membership from the current
-    # evaluation-mode predictions
-    correct = predict_labels(model, inputs) == labels
-    membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)
+    # deterministic variant: one unmasked pass, membership from the argmax
+    # of its logits (the evaluation-mode predictions)
     dist = eval_predict([model], inputs, keep_grad_records=True)
+    _, cache = dist.grad_passes[0]
+    correct = cache.logits.argmax(axis=1) == labels
+    membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)
     return euat_loss(LabeledBatch(inputs, labels, membership), dist).input_grad
 
 

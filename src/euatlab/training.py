@@ -225,20 +225,16 @@ def selection_score(row: dict, metric: str) -> float:
 
 
 def _report_row(epoch, train_error, records, wall_time, skipped=False) -> dict:
-    t = metrics.tune_threshold(records, "ua")
-    correct = records.correct
-    u_c, u_w = records.uncertainty[correct], records.uncertainty[~correct]
+    report = metrics.summarize(records, metrics.tune_threshold(records, "ua"))
     return {
         "epoch": epoch,
         "train_error": float(train_error),
-        "val_error": metrics.error_rate(records),
-        "ua": metrics.uncertainty_accuracy(metrics.build_ucm(records, t)),
-        "uauc": metrics.uauc(records),
-        "ece": metrics.ece(records),
-        "wasserstein": (
-            metrics.wasserstein1(u_c, u_w) if len(u_c) and len(u_w) else None
-        ),
-        "corr": metrics.residual_correlation(records),
+        "val_error": report["error"],
+        "ua": report["ua"],
+        "uauc": report["uauc"],
+        "ece": report["ece"],
+        "wasserstein": report["wasserstein"],
+        "corr": report["corr_residual"],
         "wall_time": float(wall_time),
         "skipped": skipped,
     }

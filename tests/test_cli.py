@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from euatlab import cli, experiment
-from euatlab.data import IDX_LABEL_MAGIC
+from euatlab.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 
 
 @pytest.fixture()
@@ -45,6 +45,26 @@ def test_evaluate_subcommands(run_dir):
     assert cli.main(["flip-eval", "--run-dir", str(run_dir)]) == 0
     assert cli.main(["ood-eval", "--run-dir", str(run_dir), "--sigma", "0.05"]) == 0
     assert cli.main(["attack-eval", "--run-dir", str(run_dir)]) == 0
+
+
+@pytest.mark.parametrize("method", ["euat", "calibrated_ce"])
+def test_protocol_subcommands_print_the_stored_reports(tmp_path, capsys, method):
+    out = tmp_path / "run"
+    assert cli.main(
+        ["train", "--method", method, "--n", "160", "--noise", "0.08", "--seed", "4",
+         "--hidden", "8", "--pretrain-epochs", "2", "--euat-epochs", "2",
+         "--euat-lr", "0.01", "--batch-size", "32", "--mc-samples", "4",
+         "--protocols", "clean,flip,ood,attack", "--out", str(out)]
+    ) == 0
+    stored = json.loads((out / "metrics.json").read_text())
+    capsys.readouterr()
+    for command, protocol in (("evaluate", "clean"), ("flip-eval", "flip"),
+                              ("ood-eval", "ood"), ("attack-eval", "attack")):
+        assert cli.main([command, "--run-dir", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        expected = [f"  {key}: {value}" for key, value in stored[protocol].items()
+                    if not isinstance(value, dict)]
+        assert sorted(printed) == sorted(expected), command
 
 
 def test_replay_round_trip(run_dir, tmp_path):
@@ -131,6 +151,24 @@ def test_data_error_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("n, exit_code", [(20, 3), (0, 2)], ids=["one-class", "no-rows"])
+def test_idx_without_two_classes_fails_before_training(tmp_path, n, exit_code):
+    # every label 0: one class is a data error; no rows at all leaves the
+    # splits empty, which is a config error
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, 2, 2) + bytes(range(4 * n)))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, n) + bytes(n))
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--dataset", "idx", "--images", str(images), "--labels", str(labels),
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--out", str(out)]
+    )
+    assert code == exit_code
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     config = {
         "method": "ce",
@@ -180,6 +218,8 @@ OUT_OF_RANGE = {
     "pretrain_epochs": (["--method", "ce", "--pretrain-epochs", "-1"], None,
                         "pretrain_epochs"),
     "euat_epochs": (["--euat-epochs", "-1"], None, "euat_epochs"),
+    "class_count-one": (["--class-count", "1"], None, "class_count"),
+    "class_count-zero": (["--class-count", "0"], None, "class_count"),
 }
 
 

@@ -9,6 +9,10 @@ Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 ``softmax``: every gradient through the softmax takes the one VJP in
 ``backprop_mean_prob_grad``, and every prediction, ensemble mean and attack
 gradient runs the one softmax-pass loop of ``uncertainty``.
+
+``cli`` names no ``derive_seed``: the seed stream of every report lives in
+``experiment``. ``robustness`` imports nothing from ``training``: an attack
+takes its membership from the logits of its own pass.
 """
 
 import ast
@@ -63,7 +67,8 @@ OTHER_MODULES = sorted(
 
 
 def name_references(source: str, name: str) -> list[int]:
-    """Lines that name ``name``: as a name, an attribute or an import."""
+    """Lines that name ``name``: as a name, an attribute, an import, or the
+    module of a from-import."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -71,7 +76,8 @@ def name_references(source: str, name: str) -> list[int]:
         elif isinstance(node, ast.Attribute):
             named = node.attr == name
         elif isinstance(node, ast.ImportFrom):
-            named = any(a.name == name for a in node.names)
+            named = (any(a.name == name for a in node.names)
+                     or (node.module or "").split(".")[-1] == name)
         else:
             continue
         if named:
@@ -101,3 +107,20 @@ def test_backward_detector_flags_names_attributes_and_imports():
     )
     assert name_references(source, "backward") == [1, 4, 6]
     assert name_references(source, "softmax") == [1, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "module, name", [("cli.py", "derive_seed"), ("robustness.py", "training")]
+)
+def test_module_does_not_name(module, name):
+    assert name_references((PACKAGE / module).read_text(), name) == []
+
+
+def test_detector_flags_the_module_of_a_from_import():
+    source = (
+        "from .training import predict_labels\n"
+        "from euatlab.training import partition\n"
+        "from . import training\n"
+        "from .uncertainty import eval_predict\n"
+    )
+    assert name_references(source, "training") == [1, 2, 3]

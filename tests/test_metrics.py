@@ -71,7 +71,7 @@ class TestUcm:
 
 class TestUncertaintyAccuracy:
     def test_arithmetic(self):
-        ucm = metrics.UncertaintyConfusionMatrix(tc=8, tu=1, fc=1, fu=0, threshold=0.5)
+        ucm = metrics.UncertaintyConfusionMatrix(tc=8, tu=1, fc=1, fu=0)
         assert metrics.uncertainty_accuracy(ucm) == pytest.approx(0.9)
 
     def test_perfect_separation(self):

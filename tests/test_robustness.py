@@ -1,9 +1,10 @@
 import functools
+import sys
 
 import numpy as np
 import pytest
 
-from euatlab import data, experiment, nn, robustness, training
+from euatlab import data, experiment, losses, nn, robustness, training, uncertainty
 
 
 def linear_model(k=3, d=4, seed=0):
@@ -103,6 +104,51 @@ class TestFgsm:
         monkeypatch.setattr(nn.MlpModel, "copy", no_copy)
         assert np.array_equal(robustness.fgsm(model, x, y, cfg), expected)
         assert model.dropout_rate == 0.3
+
+    @pytest.mark.parametrize("loss", ["ce", "euat"])
+    def test_one_forward_pass_per_attack(self, monkeypatch, loss):
+        model = nn.MlpModel.init([4, 6, 3], dropout_rate=0.3, seed=10)
+        gen = np.random.default_rng(11)
+        x = gen.random((6, 4))
+        y = gen.integers(0, 3, size=6)
+        calls = []
+        original = nn.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # every binding of nn.forward in the package, also `from .nn import`
+        for name, module in list(sys.modules.items()):
+            if name.startswith("euatlab") and getattr(module, "forward", None) is original:
+                monkeypatch.setattr(module, "forward", counted)
+        robustness.fgsm(model, x, y, robustness.AttackConfig(epsilon=0.02, loss=loss))
+        assert len(calls) == 1
+
+    def test_euat_membership_ties_resolve_like_predict_labels(self):
+        # a relu output layer gives every row with negative pre-activations
+        # all-zero logits; their membership must be that of the evaluation-mode
+        # predictions of training.predict_labels
+        model = nn.MlpModel.init([4, 6, 3], dropout_rate=0.3, seed=12)
+        last = model.layers[-1]
+        model.layers[-1] = nn.DenseLayer(last.weights, last.bias - 1.0, "relu")
+        gen = np.random.default_rng(13)
+        x = gen.random((40, 4))
+        y = gen.integers(0, 3, size=40)
+        logits, _ = nn.forward(model, x)
+        tied = (logits == 0.0).all(axis=1)
+        assert tied.sum() >= 20 and np.any(y[tied] != 0)
+
+        def reference_grad(inputs, labels):
+            correct = training.predict_labels(model, inputs) == labels
+            membership = np.where(correct, losses.CORRECT_SET, losses.WRONG_SET)
+            batch = losses.LabeledBatch(inputs, labels, membership.astype(np.int8))
+            dist = uncertainty.eval_predict([model], inputs, keep_grad_records=True)
+            return losses.euat_loss(batch, dist).input_grad
+
+        cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")
+        expected = robustness.gradient_sign_step(x, y, cfg, reference_grad)
+        assert np.array_equal(robustness.fgsm(model, x, y, cfg), expected)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
