@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -394,8 +395,38 @@ def attack_eval(
     return report
 
 
+# a run of plain text (numbers, literals, ", " and ": "), then one string,
+# empty container or bracket; the last match ends the text with no token
+_JSON_TOKENS = re.compile(
+    r'([^"\[\]{}]*)("[^"\\]*(?:\\.[^"\\]*)*"|\[\]|\{\}|[\[\]{}]?)'
+)
+
+
+def _indented(text: str) -> bytes:
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    from the compact ``json.dumps(doc, sort_keys=True)`` text of ``doc``.
+
+    The C encoder formats every number once; ``indent=`` would run the
+    pure-Python encoder. Outside strings, ", " only separates items.
+    """
+    out = []
+    newline = "\n"  # plus the indent of the current depth
+    for run, token in _JSON_TOKENS.findall(text):
+        out.append(run.replace(", ", "," + newline))
+        if token in ("[", "{"):
+            newline += "  "
+            out.append(token + newline)
+        elif token in ("]", "}"):
+            newline = newline[:-2]
+            out.append(newline + token)
+        else:
+            out.append(token)
+    out.append("\n")
+    return "".join(out).encode()
+
+
 def _json_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return _indented(json.dumps(doc, sort_keys=True))
 
 
 def _fmt(value) -> str:
@@ -448,26 +479,23 @@ def write_predictions_csv(path, records: EvalRecords, probs: np.ndarray):
             )
 
 
-def predictor_checkpoint(predictor: Predictor) -> dict:
+def predictor_checkpoint(predictor: Predictor) -> str:
+    """Compact, key-sorted JSON text of the predictor, built around each
+    model's ``checkpoint_json`` string so no weight is formatted twice."""
     if predictor.ensemble is not None:
-        return {
-            "kind": "ensemble",
-            "members": [
-                json.loads(checkpoint_json(m)) for m in predictor.ensemble.members
-            ],
-            "seeds": predictor.ensemble.seeds,
-        }
-    doc = json.loads(checkpoint_json(predictor.model))
-    if predictor.calibration is not None:
-        doc = {
-            "kind": "calibrated",
-            "base": doc,
-            "calibration": {
-                "breakpoints": predictor.calibration.breakpoints.tolist(),
-                "levels": predictor.calibration.levels.tolist(),
-            },
-        }
-    return doc
+        members = ", ".join(checkpoint_json(m) for m in predictor.ensemble.members)
+        seeds = json.dumps(predictor.ensemble.seeds)
+        return f'{{"kind": "ensemble", "members": [{members}], "seeds": {seeds}}}'
+    text = checkpoint_json(predictor.model)
+    if predictor.calibration is None:
+        return text
+    calibration = json.dumps({
+        "breakpoints": predictor.calibration.breakpoints.tolist(),
+        "levels": predictor.calibration.levels.tolist(),
+    }, sort_keys=True)
+    return (
+        f'{{"base": {text}, "calibration": {calibration}, "kind": "calibrated"}}'
+    )
 
 
 def predictor_from_checkpoint(doc: dict, n_mc: int) -> Predictor:
@@ -546,7 +574,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
         )
         write_histogram_csv(out_dir / "histogram.csv", records, config.histogram_bins)
         write_predictions_csv(out_dir / "predictions.csv", records, probs)
-        checkpoint_bytes = _json_bytes(predictor_checkpoint(trained.predictor))
+        checkpoint_bytes = _indented(predictor_checkpoint(trained.predictor))
         (out_dir / "checkpoint.json").write_bytes(checkpoint_bytes)
         manifest["files"] = {
             "metrics": "metrics.json",
@@ -599,11 +627,26 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     return config, predictor, manifest
 
 
+def _rows_sans_wall_time(path) -> list[list[str]]:
+    """The rows of a per-epoch CSV without its ``wall_time`` column; a file
+    whose header lacks that column (also an empty one) is a ``ConfigError``."""
+    try:
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not rows or "wall_time" not in rows[0]:
+        raise ConfigError(f"{path} has no header with a wall_time column")
+    drop = rows[0].index("wall_time")
+    return [[c for i, c in enumerate(r) if i != drop] for r in rows]
+
+
 def replay(manifest_path, output_dir) -> dict:
     """Re-execute a manifest's config and byte-compare the metric artifacts.
 
     Wall-time columns are excluded from the per-epoch comparison; every
-    other reported number must match exactly. A missing original raises
+    other reported number must match exactly. A missing original, or an
+    original ``per_epoch.csv`` without a ``wall_time`` header, raises
     ``ConfigError`` before anything is re-run.
     """
     original_dir = Path(manifest_path).parent
@@ -616,6 +659,7 @@ def replay(manifest_path, output_dir) -> dict:
             raise ConfigError(
                 f"cannot replay {manifest_path}: original {name} is missing"
             )
+    original_epochs = _rows_sans_wall_time(original_dir / "per_epoch.csv")
     run_experiment(config, output_dir)
 
     identical = {}
@@ -623,16 +667,9 @@ def replay(manifest_path, output_dir) -> dict:
         identical[name] = (
             (original_dir / name).read_bytes() == (Path(output_dir) / name).read_bytes()
         )
-
-    def rows_sans_wall_time(path):
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        drop = rows[0].index("wall_time")
-        return [[c for i, c in enumerate(r) if i != drop] for r in rows]
-
-    identical["per_epoch.csv"] = rows_sans_wall_time(
-        original_dir / "per_epoch.csv"
-    ) == rows_sans_wall_time(Path(output_dir) / "per_epoch.csv")
+    identical["per_epoch.csv"] = original_epochs == _rows_sans_wall_time(
+        Path(output_dir) / "per_epoch.csv"
+    )
     return {"identical": all(identical.values()), "files": identical}
 
 
@@ -646,15 +683,17 @@ def compare_methods(
 ) -> dict:
     """Run several methods on the identical dataset/seed and tabulate the
     clean-test metrics side by side (one row per metric)."""
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = {}
+    configs = []  # every method's config is checked before any training
     for method in methods:
         doc = config.to_dict()
         doc["method"] = method
-        sub = ExperimentConfig.from_dict(doc)
-        manifest = run_experiment(sub, out_dir / method)
-        columns[method] = manifest["reports"]["clean"]
+        configs.append(ExperimentConfig.from_dict(doc))
+    out_dir = Path(output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    columns = {
+        sub.method: run_experiment(sub, out_dir / sub.method)["reports"]["clean"]
+        for sub in configs
+    }
     table = [
         [metric] + [columns[m].get(metric) for m in methods]
         for metric in COMPARE_METRICS

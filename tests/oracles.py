@@ -7,6 +7,8 @@ under test.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -200,3 +202,30 @@ def reference_mask(model, seed):
         (gen.random(layer.weights.shape[0]) >= p) / (1.0 - p)
         for layer in model.layers[:-1]
     ]
+
+
+def checkpoint_reference(predictor):
+    """The bytes ``checkpoint.json`` had when it was written by parsing each
+    model's ``checkpoint_json`` text back into a dict, wrapping it for
+    calibrated and ensemble predictors, and re-encoding the whole document
+    with ``indent=2``."""
+    from euatlab.nn import checkpoint_json
+
+    if predictor.ensemble is not None:
+        doc = {
+            "kind": "ensemble",
+            "members": [json.loads(checkpoint_json(m)) for m in predictor.ensemble.members],
+            "seeds": predictor.ensemble.seeds,
+        }
+    else:
+        doc = json.loads(checkpoint_json(predictor.model))
+        if predictor.calibration is not None:
+            doc = {
+                "kind": "calibrated",
+                "base": doc,
+                "calibration": {
+                    "breakpoints": predictor.calibration.breakpoints.tolist(),
+                    "levels": predictor.calibration.levels.tolist(),
+                },
+            }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()

@@ -97,6 +97,35 @@ def test_replay_checks_originals_before_re_running(run_dir, tmp_path, monkeypatc
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "content", [b"", b"member,epoch,loss\n0,0,0.5\n", b"member,wall_\xfftime\n0,0.1\n"],
+    ids=["empty", "no-wall-time", "not-utf8"],
+)
+def test_replay_checks_the_original_epoch_header_before_re_running(
+    run_dir, tmp_path, monkeypatch, content
+):
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("replay re-ran the experiment")
+
+    monkeypatch.setattr(experiment, "run_experiment", no_rerun)
+    (run_dir / "per_epoch.csv").write_bytes(content)
+    assert cli.main(
+        ["replay", "--manifest", str(run_dir / "manifest.json"),
+         "--out", str(tmp_path / "re")]
+    ) == 2
+
+
+def test_compare_checks_every_method_before_training(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"attack": {"loss": "euat"}, "protocols": ["clean", "attack"]}))
+    out = tmp_path / "cmp"
+    assert cli.main(
+        ["compare", "--config", str(path), "--n", "160", "--hidden", "8",
+         "--methods", "euat,calibrated_ce", "--out", str(out)]
+    ) == 2
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_compare_command(tmp_path):
     code = cli.main(
         [

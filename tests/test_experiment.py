@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import checkpoint_reference
 
 from euatlab import experiment, metrics, nn, training
 from euatlab.experiment import ConfigError, ExperimentConfig, Predictor
@@ -172,6 +174,65 @@ class TestReplay:
         result = experiment.replay(tmp_path / "orig" / "manifest.json", tmp_path / "re")
         assert not result["identical"]
         assert not result["files"]["metrics.json"]
+
+
+# strings that look like JSON syntax, escapes, non-ASCII and control characters
+JSON_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "[", "]", "{", "}", ", ", ": ", ",", " ", "a",
+                     "\u00e9", "\u2603", "\U0001f600", "\n", "\x00", "\x1f"]),
+    max_size=6,
+).map("".join) | st.text(max_size=6)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True) | JSON_TEXT
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonArtifacts:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    @example({"a": [], "b": {}, "c": [[], {}, [[]]]})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 2**70, True, None])
+    @example({'", "': '": "', "[": "]", "{": "}", "\\": '\\"'})
+    def test_json_bytes_equal_the_indented_encoder(self, doc):
+        expected = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        assert experiment._json_bytes(doc) == expected
+
+    @pytest.mark.parametrize("method", ["ce", "calibrated_ce", "ensemble"])
+    def test_checkpoint_bytes_equal_the_reference(self, tmp_path, monkeypatch, method):
+        trained, train = [], experiment.train_method
+
+        def keep(config, dataset):
+            trained.append(train(config, dataset))
+            return trained[-1]
+
+        monkeypatch.setattr(experiment, "train_method", keep)
+        experiment.run_experiment(smoke_config(method, ensemble_members=3), tmp_path)
+        written = (tmp_path / "checkpoint.json").read_bytes()
+        assert written == checkpoint_reference(trained[0].predictor)
+
+    def test_persist_formats_each_model_once(self, tmp_path, monkeypatch):
+        calls = {"checkpoint_json": 0, "loads": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            experiment, "checkpoint_json",
+            counting("checkpoint_json", experiment.checkpoint_json),
+        )
+        monkeypatch.setattr(json, "loads", counting("loads", json.loads))
+        experiment.run_experiment(smoke_config("ensemble", ensemble_members=3), tmp_path)
+        assert calls == {"checkpoint_json": 3, "loads": 0}
 
 
 class TestCompare:

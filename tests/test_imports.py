@@ -13,6 +13,10 @@ gradient runs the one softmax-pass loop of ``uncertainty``.
 ``cli`` names no ``derive_seed``: the seed stream of every report lives in
 ``experiment``. ``robustness`` imports nothing from ``training``: an attack
 takes its membership from the logits of its own pass.
+
+No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
+the pure-Python encoder, while ``experiment._indented`` re-indents the
+C encoder's compact text into the same bytes.
 """
 
 import ast
@@ -124,3 +128,41 @@ def test_detector_flags_the_module_of_a_from_import():
         "from .uncertainty import eval_predict\n"
     )
     assert name_references(source, "training") == [1, 2, 3]
+
+
+def indented_json_dumps(source: str) -> list[int]:
+    """Lines of every ``json.dump``/``json.dumps`` call (also of a bare
+    ``dump``/``dumps``) that passes ``indent=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            named = (func.attr in ("dump", "dumps")
+                     and isinstance(func.value, ast.Name) and func.value.id == "json")
+        else:
+            named = isinstance(func, ast.Name) and func.id in ("dump", "dumps")
+        if named and any(k.arg == "indent" for k in node.keywords):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_json_call_passes_indent(path):
+    assert indented_json_dumps(path.read_text()) == []
+
+
+def test_indent_detector_flags_json_dump_and_dumps():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "def f(doc, fh):\n"
+        "    json.dumps(doc, sort_keys=True)\n"
+        "    json.dumps(doc, sort_keys=True, indent=2)\n"
+        "    json.dump(doc, fh, indent=None)\n"
+        "    text = dumps(doc, indent=4)  # indent= in a comment is not a call\n"
+        "    other.dumps(doc, indent=2)\n"
+        "    return 'json.dumps(doc, indent=2)'\n"
+    )
+    assert indented_json_dumps(source) == [5, 6, 7]
