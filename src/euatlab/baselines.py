@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MlpModel
+from .robustness import AttackConfig
 from .training import TrainingSchedule, TrainOutcome, ce_family_train
 
 
@@ -142,7 +143,7 @@ def ensemble_train(
     schedule: TrainingSchedule,
     seeds: list[int],
     n_mc_eval: int = 20,
-    attack=None,
+    attack: AttackConfig | None = None,
 ) -> tuple[Ensemble, list[TrainOutcome]]:
     """Train one independent CE learner per seed.
 

@@ -9,11 +9,13 @@ missing or unreadable run manifest, one without a numeric tuned threshold,
 or a run directory that lacks an original ``replay`` compares or whose
 ``per_epoch.csv`` has no ``wall_time`` header; an
 out-of-range setting: ``mc_samples``, ``ensemble_members``, ``ece_bins``,
-``histogram_bins`` or ``train_mc_samples`` below 1, a negative
-``ce_pe_lambda`` or epoch count, a hidden width below 1, a dropout rate
-outside [0, 1), a ``class_count`` below 2; an empty train, validation or
-test split), 3 data error (also a loaded dataset with fewer than two
-classes), 4 engine error (an ``nn.EngineError``: a training failure such
+``histogram_bins`` or ``train_mc_samples`` below 1, a negative epoch
+count, a hidden width below 1, a dropout rate or momentum outside [0, 1),
+a ``class_count`` below 2, a negative, NaN or infinite ``ce_pe_lambda``,
+learning rate, weight decay, epsilon or sigma; an empty train, validation
+or test split), 3 data error (also a loaded dataset with fewer than two
+classes, a NaN or out-of-range split fraction, a non-finite noise level),
+4 engine error (an ``nn.EngineError``: a training failure such
 as a non-finite forward pass, or a bad checkpoint).
 Every report comes from ``experiment``: ``evaluate`` and the protocol
 subcommands print what ``train`` stores for the same config.

@@ -74,7 +74,9 @@ def split_indices(
     n: int, seed: int, val_fraction: float = 0.1, test_fraction: float = 0.2
 ) -> dict[str, np.ndarray]:
     """Disjoint shuffled train/validation/test index arrays."""
-    if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1:
+    # every comparison with NaN is False, so a NaN fraction fails too
+    if not (val_fraction >= 0 and test_fraction >= 0
+            and val_fraction + test_fraction < 1):
         raise DataError("split fractions must be non-negative and sum below 1")
     order = rng.substream(seed, "split").permutation(n)
     n_val = int(round(n * val_fraction))
@@ -182,6 +184,8 @@ def generate_dataset(
         raise DataError(f"need at least one row per class: n={n} < {class_count}")
     if dim < 2:
         raise DataError(f"dim must be >= 2, got {dim}")
+    if not np.isfinite(noise):
+        raise DataError(f"noise must be finite, got {noise}")
     points, labels = _GENERATORS[kind](n, noise, seed, class_count, dim)
     points = np.clip(points, 0.0, 1.0)
     order = rng.substream(seed, "row-shuffle").permutation(n)

@@ -33,14 +33,7 @@ from .baselines import (
 from .data import DataError, Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
 from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_dict
-from .robustness import (
-    AttackConfig,
-    CorruptionConfig,
-    ce_input_grad,
-    fgsm,
-    gaussian_corrupt,
-    gradient_sign_step,
-)
+from .robustness import AttackConfig, CorruptionConfig, fgsm, gaussian_corrupt
 from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
 from .training import ce_family_train, euat_train
 from .uncertainty import eval_predict, mc_predict_probs
@@ -114,11 +107,13 @@ class ExperimentConfig:
         for name in ("mc_samples", "ensemble_members", "ece_bins", "histogram_bins"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.ce_pe_lambda < 0:
-            raise ConfigError(f"ce_pe_lambda must be >= 0, got {self.ce_pe_lambda}")
+        if not 0.0 <= self.ce_pe_lambda < np.inf:
+            raise ConfigError(
+                f"ce_pe_lambda must be finite and >= 0, got {self.ce_pe_lambda}"
+            )
         surrogate = self.method in ("calibrated_ce", "ensemble")
         if surrogate and "attack" in self.protocols and self.attack.loss == "euat":
-            # Predictor.attacked attacks these through the CE gradient only
+            # the two-branch loss belongs to one uncalibrated model
             raise ConfigError(f"{self.method} supports only the 'ce' attack loss")
 
     def to_dict(self) -> dict:
@@ -206,15 +201,11 @@ class Predictor:
         return records_from_probs(self.probs(inputs, seed), labels)
 
     def attacked(self, inputs, labels, cfg: AttackConfig) -> np.ndarray:
-        if self.ensemble is None and self.calibration is None:
-            return fgsm(self.model, inputs, labels, cfg)
         # calibration never changes the predicted class, so attacking the
         # base predictive distribution (the members' mean for ensembles)
-        # through the CE gradient is the faithful surrogate
+        # is the faithful surrogate
         models = self.ensemble.members if self.ensemble is not None else [self.model]
-        return gradient_sign_step(
-            inputs, labels, cfg, lambda x, y: ce_input_grad(models, x, y)
-        )
+        return fgsm(models, inputs, labels, cfg)
 
 
 @dataclass
@@ -228,7 +219,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     """Train the configured method on the dataset's train/validation splits."""
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
-    attack = partial(fgsm, cfg=config.attack) if config.adversarial_training else None
+    attack = config.attack if config.adversarial_training else None
     seed = rng.derive_seed(config.seed, "train")
     model = build_model(config, dataset)
     n_mc = config.mc_samples
@@ -306,14 +297,31 @@ def protocol_eval(
     threshold: float,
     config: ExperimentConfig,
 ) -> dict:
-    """The report of the ``flip``, ``ood`` or ``attack`` protocol."""
+    """The report of the ``flip``, ``ood`` or ``attack`` protocol on the
+    test split; ``ood`` and ``attack`` score a Gaussian-corrupted or a
+    gradient-sign attacked copy of it with the metric suite."""
+    x_test, y_test = dataset.test
     if name == "flip":
         return flip_eval(
-            predictor, *dataset.test, threshold,
+            predictor, x_test, y_test, threshold,
             rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
         )
-    evaluate = {"ood": ood_eval, "attack": attack_eval}[name]
-    return evaluate(predictor, dataset, threshold, config)
+    if name == "ood":
+        sigma = config.corruption.sigma
+        shifted = gaussian_corrupt(
+            x_test, sigma, rng.derive_seed(config.seed, "ood-noise")
+        )
+        extra = {"sigma": sigma}
+    else:
+        shifted = predictor.attacked(x_test, y_test, config.attack)
+        extra = {
+            "epsilon": config.attack.epsilon,
+            "linf": float(np.max(np.abs(shifted - x_test))),
+        }
+    records = predictor.records(
+        shifted, y_test, rng.derive_seed(config.seed, f"{name}-eval")
+    )
+    return {**metrics.summarize(records, threshold, config.ece_bins), **extra}
 
 
 def flip_eval(
@@ -355,44 +363,6 @@ def flip_eval(
         "tnr": tnr,
         "metrics": metrics.summarize(records, threshold, ece_bins),
     }
-
-
-def ood_eval(
-    predictor: Predictor,
-    dataset: Dataset,
-    threshold: float,
-    config: ExperimentConfig,
-) -> dict:
-    """Evaluate on a Gaussian-corrupted copy of the test split."""
-    x_test, y_test = dataset.test
-    sigma = config.corruption.sigma
-    corrupted = gaussian_corrupt(
-        x_test, sigma, rng.derive_seed(config.seed, "ood-noise")
-    )
-    records = predictor.records(
-        corrupted, y_test, rng.derive_seed(config.seed, "ood-eval")
-    )
-    report = metrics.summarize(records, threshold, config.ece_bins)
-    report["sigma"] = sigma
-    return report
-
-
-def attack_eval(
-    predictor: Predictor,
-    dataset: Dataset,
-    threshold: float,
-    config: ExperimentConfig,
-) -> dict:
-    """Evaluate on gradient-sign adversarial versions of the test split."""
-    x_test, y_test = dataset.test
-    adv = predictor.attacked(x_test, y_test, config.attack)
-    records = predictor.records(
-        adv, y_test, rng.derive_seed(config.seed, "attack-eval")
-    )
-    report = metrics.summarize(records, threshold, config.ece_bins)
-    report["epsilon"] = config.attack.epsilon
-    report["linf"] = float(np.max(np.abs(adv - x_test))) if len(x_test) else 0.0
-    return report
 
 
 # a run of plain text (numbers, literals, ", " and ": "), then one string,
@@ -471,12 +441,14 @@ def write_predictions_csv(path, records: EvalRecords, probs: np.ndarray):
             ["id", "true_label", "pred_label", "normalized_entropy"]
             + [f"p{c}" for c in range(k)]
         )
-        for i in range(len(records)):
-            writer.writerow(
-                [i, int(records.true_label[i]), int(records.pred_label[i]),
-                 _fmt(float(records.uncertainty[i]))]
-                + [_fmt(float(p)) for p in probs[i]]
-            )
+        rows = zip(
+            records.true_label.tolist(), records.pred_label.tolist(),
+            map(repr, records.uncertainty.tolist()), probs.tolist(),
+        )
+        writer.writerows(
+            [i, true, pred, entropy, *map(repr, p)]
+            for i, (true, pred, entropy, p) in enumerate(rows)
+        )
 
 
 def predictor_checkpoint(predictor: Predictor) -> str:

@@ -1,9 +1,10 @@
 """Gradient-sign adversarial examples and Gaussian-noise corruption.
 
-The attack takes one signed gradient step of size epsilon in the L-inf
+``fgsm`` is the one attack of every predictor and of adversarial
+training. It takes one signed gradient step of size epsilon in the L-inf
 ball and clips back into the valid input range; the gradient is computed
 in evaluation mode (no dropout) so the attack is a deterministic function
-of (model, input, label, config). A final projection keeps the measured
+of (models, input, label, config). A final projection keeps the measured
 L-inf distance at or below epsilon even under float rounding.
 """
 
@@ -27,8 +28,8 @@ class AttackConfig:
     loss: str = "ce"  # "euat" attacks through the full two-branch loss
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.clip_min >= self.clip_max:
             raise ValueError("clip_min must be below clip_max")
         if self.loss not in ("ce", "euat"):
@@ -40,8 +41,8 @@ class CorruptionConfig:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def ce_input_grad(
@@ -68,13 +69,14 @@ def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
     return euat_loss(LabeledBatch(inputs, labels, membership), dist).input_grad
 
 
-def gradient_sign_step(
-    inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig, input_grad
+def fgsm(
+    models: list[MlpModel], inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig
 ) -> np.ndarray:
-    """x' = clip(x + eps * sign(input_grad(x, y))); exact L-inf bound.
+    """x' = clip(x + eps * sign(dL/dx)); exact L-inf bound.
 
-    ``input_grad`` is any (x, y) -> dL/dx; it is not called when epsilon
-    is zero.
+    L is the CE of the mean softmax of ``models`` (one model, or every
+    ensemble member), or with ``cfg.loss == "euat"`` the two-branch loss of
+    a single model. No gradient is taken when epsilon is zero.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -82,9 +84,12 @@ def gradient_sign_step(
         raise ValueError("inputs must lie within [clip_min, clip_max]")
     if cfg.epsilon == 0.0:
         return x.copy()
-    adv = np.clip(
-        x + cfg.epsilon * np.sign(input_grad(x, labels)), cfg.clip_min, cfg.clip_max
-    )
+    if cfg.loss == "ce":
+        grad = ce_input_grad(models, x, labels)
+    else:
+        (model,) = models  # the two-branch loss is defined for one model
+        grad = _euat_input_grad(model, x, labels)
+    adv = np.clip(x + cfg.epsilon * np.sign(grad), cfg.clip_min, cfg.clip_max)
     # project away half-ulp overshoot so the measured distance never
     # exceeds epsilon
     for _ in range(3):
@@ -93,19 +98,6 @@ def gradient_sign_step(
             break
         adv[over] = np.nextafter(adv[over], x[over])
     return adv
-
-
-def fgsm(
-    model: MlpModel, inputs: np.ndarray, labels: np.ndarray, cfg: AttackConfig
-) -> np.ndarray:
-    """Gradient-sign step along the model's CE or two-branch loss gradient."""
-    if cfg.loss == "ce":
-        return gradient_sign_step(
-            inputs, labels, cfg, lambda x, y: ce_input_grad([model], x, y)
-        )
-    return gradient_sign_step(
-        inputs, labels, cfg, lambda x, y: _euat_input_grad(model, x, y)
-    )
 
 
 def gaussian_corrupt(inputs: np.ndarray, sigma: float, seed: int) -> np.ndarray:

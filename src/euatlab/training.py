@@ -34,6 +34,7 @@ from . import metrics, rng
 from .losses import CORRECT_SET, WRONG_SET, LabeledBatch, ce_pe_loss, euat_loss
 from .metrics import EvalRecords, records_from_probs
 from .nn import EngineError, MlpModel, OptimizerState, forward, sgd_step
+from .robustness import AttackConfig, fgsm
 from .uncertainty import mc_predict, mc_predict_probs
 
 logger = logging.getLogger(__name__)
@@ -80,6 +81,13 @@ class TrainingSchedule:
             )
         if self.euat_lr is None:
             self.euat_lr = self.pretrain_lr / 1000.0
+        for name in ("pretrain_lr", "euat_lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(
                 f"selection_metric must be one of {SELECTION_METRICS}, "
@@ -290,7 +298,7 @@ def ce_family_train(
     epochs: int,
     seed: int,
     lam: float = 0.0,
-    attack=None,
+    attack: AttackConfig | None = None,
     val_inputs: np.ndarray | None = None,
     val_labels: np.ndarray | None = None,
     n_mc_eval: int = 20,
@@ -298,12 +306,12 @@ def ce_family_train(
     """Minibatch SGD on CE + lam * PE at ``schedule.pretrain_lr``.
 
     With validation data every epoch is scored and the best checkpoint is
-    returned; without it, the last one. ``attack`` is an optional hook
-    (model, x, y) -> x' applied to every mini-batch before the update.
+    returned; without it, the last one. With ``attack``, every mini-batch
+    is replaced by its ``fgsm`` attack on the work copy before the update.
     A divergence ends training (see the module docstring).
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     run = _Run(
         model, schedule.pretrain_lr, schedule, seed, val_inputs, val_labels, n_mc_eval
     )
@@ -324,7 +332,7 @@ def ce_family_train(
             ids = order[lo : lo + schedule.batch_size]
             xb, yb = inputs[ids], labels[ids]
             if attack is not None:
-                xb = attack(work, xb, yb)
+                xb = fgsm([work], xb, yb, attack)
             dist = mc_predict(
                 work,
                 xb,
@@ -352,14 +360,14 @@ def euat_train(
     schedule: TrainingSchedule,
     n_mc: int,
     seed: int,
-    attack=None,
+    attack: AttackConfig | None = None,
 ) -> TrainOutcome:
     """Error-driven training of a pre-trained model with validation-based
     checkpoint selection.
 
     Epochs where either partition side is empty are skipped (nothing to
     balance); three consecutive skips end training early. When ``attack``
-    is given, partitioning is computed on attacked versions of the training
+    is given, partitioning is computed on ``fgsm`` attacks of the training
     rows, and every mini-batch of clean rows is attacked once before its
     update, so trained rows stay within the attack's bound of the clean
     rows. A divergence ends training (see the module docstring); a full
@@ -376,7 +384,7 @@ def euat_train(
     while not stop_condition(epoch, schedule, skip_counter):
         epoch += 1
         start = time.perf_counter()
-        part_inputs = inputs if attack is None else attack(work, inputs, labels)
+        part_inputs = inputs if attack is None else fgsm([work], inputs, labels, attack)
         part = partition(work, part_inputs, labels, epoch=epoch)
         if part.epoch != epoch:
             raise EngineError(f"partition of epoch {part.epoch} used in epoch {epoch}")
@@ -415,7 +423,7 @@ def euat_train(
                     raise EngineError(f"epoch {epoch} batch {b}: {n_correct} "
                                       f"correct rows, expected {half} of each side")
             if attack is not None:
-                xb = attack(work, batch.inputs, batch.labels)
+                xb = fgsm([work], batch.inputs, batch.labels, attack)
                 batch = LabeledBatch(xb, batch.labels, batch.membership)
             dist = mc_predict(
                 work, batch.inputs, n_mc, rng.derive_seed(seed, "euat-mask", epoch, b),

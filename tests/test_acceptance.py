@@ -310,9 +310,9 @@ def test_criterion_7_attack_contract():
         model = nn.MlpModel.init([6, 10, 3], dropout_rate=0.3, seed=seed)
         x = gen.random((30, 6))
         y = gen.integers(0, 3, size=30)
-        adv = robustness.fgsm(model, x, y, cfg)
+        adv = robustness.fgsm([model], x, y, cfg)
         bound_ok &= bool(np.max(np.abs(adv - x)) <= cfg.epsilon)
-        zero = robustness.fgsm(model, x, y, robustness.AttackConfig(epsilon=0.0))
+        zero = robustness.fgsm([model], x, y, robustness.AttackConfig(epsilon=0.0))
         identity_ok &= np.array_equal(zero, x)
 
     # adversarial test error >= clean test error, per-method seed median

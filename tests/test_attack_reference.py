@@ -1,9 +1,10 @@
 """The shared attack path reproduces the attacks it replaced, bit for bit.
 
-Every attack now takes the one gradient-sign step
-(``robustness.gradient_sign_step``), and every CE attack takes the one CE
-input gradient (``robustness.ce_input_grad``, through the shared softmax
-VJP). The reference functions below are the attack code as it stood before
+Every attack, of a plain model, a calibrated predictor or an ensemble, in
+an attack report or in adversarial training, is one ``robustness.fgsm``
+call over a list of models, and every CE attack takes the one CE input
+gradient (``robustness.ce_input_grad``, through the shared softmax VJP).
+The reference functions below are the attack code as it stood before
 both were shared: ``fgsm`` with its own range check, clip and projection
 and the ``probs - onehot`` CE input gradient of a plain model, and
 ``Predictor.attacked`` / ``Predictor.input_grad_ce`` with a second copy of
@@ -126,7 +127,7 @@ class TestAttackMatchesReference:
         )
         # a calibrated predictor attacks exactly like its base model
         assert np.array_equal(
-            predictor.attacked(x, y, CFG), robustness.fgsm(predictor.model, x, y, CFG)
+            predictor.attacked(x, y, CFG), robustness.fgsm([predictor.model], x, y, CFG)
         )
         # the shared softmax VJP of -log p_y rounds differently from
         # probs - onehot: the gradients agree to rounding, the signs exactly
@@ -157,7 +158,7 @@ class TestAttackMatchesReference:
         x, y = batch(sizes, 40, 4)
         cfg = robustness.AttackConfig(epsilon=0.05, loss=loss)
         assert np.array_equal(
-            robustness.fgsm(model, x, y, cfg), reference_fgsm(model, x, y, cfg)
+            robustness.fgsm([model], x, y, cfg), reference_fgsm(model, x, y, cfg)
         )
         # the plain predictor attacks through fgsm itself
         predictor = Predictor(model=model)

@@ -283,6 +283,43 @@ def test_empty_split_is_a_config_error_before_training(tmp_path, split):
     assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
 
 
+BAD_NUMBERS = {
+    # id: (flags, config file or None, exit code)
+    "lr-negative": (["--lr", "-1"], None, 2),
+    "lr-nan": (["--lr", "nan"], None, 2),
+    "euat_lr-negative": (["--euat-lr", "-1"], None, 2),
+    "momentum": ([], {"schedule": {"momentum": 1.5}}, 2),
+    "weight_decay": ([], {"schedule": {"weight_decay": -1}}, 2),
+    "epsilon-nan": (["--epsilon", "nan", "--protocols", "clean,attack"], None, 2),
+    "sigma-nan": (["--sigma", "nan", "--protocols", "clean,ood"], None, 2),
+    "ce_pe_lambda-nan": (["--method", "ce_pe", "--ce-pe-lambda", "nan"], None, 2),
+    "val_fraction-nan": ([], {"dataset": {"val_fraction": float("nan")}}, 3),
+    "test_fraction-nan": ([], {"dataset": {"test_fraction": float("nan")}}, 3),
+    "noise-inf": (["--noise", "inf"], None, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_is_rejected_before_training(tmp_path, case):
+    # NaN fails every range check written as `not low <= x < high`
+    flags, doc, exit_code = BAD_NUMBERS[case]
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--config", str(path), *flags]
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--n", "200", "--pretrain-epochs", "1", "--euat-epochs", "1",
+         *flags, "--out", str(out)]
+    )
+    assert code == exit_code
+    manifest = out / "manifest.json"
+    stages = json.loads(manifest.read_text())["stages"] if manifest.exists() else []
+    assert [(s["stage"], s["status"]) for s in stages] in (
+        [], [("dataset", "failed")]
+    )
+
+
 def test_training_failure_exit_code(tmp_path):
     out = tmp_path / "x"
     code = cli.main(

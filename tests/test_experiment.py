@@ -321,7 +321,9 @@ class TestOodAndAttack:
         dataset = experiment.build_dataset(config)
         trained = experiment.train_method(config, dataset)
         threshold = experiment.tune_on_validation(trained.predictor, dataset, config)
-        report = experiment.ood_eval(trained.predictor, dataset, threshold, config)
+        report = experiment.protocol_eval(
+            "ood", trained.predictor, dataset, threshold, config
+        )
         assert report["sigma"] == config.corruption.sigma
         assert 0.0 <= report["error"] <= 1.0
 

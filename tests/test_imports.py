@@ -10,6 +10,10 @@ Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 ``backprop_mean_prob_grad``, and every prediction, ensemble mean and attack
 gradient runs the one softmax-pass loop of ``uncertainty``.
 
+Only ``robustness`` names ``ce_input_grad``: every gradient-sign attack,
+of any predictor and in adversarial training, is one ``robustness.fgsm``
+call.
+
 ``cli`` names no ``derive_seed``: the seed stream of every report lives in
 ``experiment``. ``robustness`` imports nothing from ``training``: an attack
 takes its membership from the logits of its own pass.
@@ -118,6 +122,15 @@ def test_backward_detector_flags_names_attributes_and_imports():
 )
 def test_module_does_not_name(module, name):
     assert name_references((PACKAGE / module).read_text(), name) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "robustness.py"),
+    ids=lambda p: p.name,
+)
+def test_only_robustness_names_ce_input_grad(path):
+    assert name_references(path.read_text(), "ce_input_grad") == []
 
 
 def test_detector_flags_the_module_of_a_from_import():

@@ -1,4 +1,3 @@
-import functools
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ class TestFgsm:
         model = linear_model()
         x = np.random.default_rng(1).random((5, 4))
         cfg = robustness.AttackConfig(epsilon=0.0)
-        adv = robustness.fgsm(model, x, np.zeros(5, dtype=int), cfg)
+        adv = robustness.fgsm([model], x, np.zeros(5, dtype=int), cfg)
         assert np.array_equal(adv, x)
 
     def test_sign_pattern_matches_closed_form_linear_gradient(self):
@@ -29,7 +28,7 @@ class TestFgsm:
         x = gen.random((6, 4))
         y = gen.integers(0, 3, size=6)
         cfg = robustness.AttackConfig(epsilon=0.01, clip_min=-10, clip_max=10)
-        adv = robustness.fgsm(model, x, y, cfg)
+        adv = robustness.fgsm([model], x, y, cfg)
         logits, _ = nn.forward(model, x)
         probs = nn.softmax(logits)
         onehot = np.zeros_like(probs)
@@ -44,7 +43,7 @@ class TestFgsm:
         for _ in range(20):
             x = gen.random((8, 4))
             y = gen.integers(0, 3, size=8)
-            adv = robustness.fgsm(model, x, y, cfg)
+            adv = robustness.fgsm([model], x, y, cfg)
             assert np.max(np.abs(adv - x)) <= cfg.epsilon
             assert adv.min() >= cfg.clip_min and adv.max() <= cfg.clip_max
 
@@ -55,7 +54,7 @@ class TestFgsm:
         x = gen.random((10, 4))
         y = gen.integers(0, 3, size=10)
         cfg = robustness.AttackConfig(epsilon=0.02)
-        adv = robustness.fgsm(model, x, y, cfg)
+        adv = robustness.fgsm([model], x, y, cfg)
         diff = np.abs(adv - x)
         full = np.isclose(diff, cfg.epsilon, rtol=0, atol=4 * np.spacing(1.0))
         clipped = (adv == cfg.clip_min) | (adv == cfg.clip_max)
@@ -66,15 +65,15 @@ class TestFgsm:
         x = np.random.default_rng(9).random((5, 4))
         y = np.zeros(5, dtype=int)
         cfg = robustness.AttackConfig()
-        a = robustness.fgsm(model, x, y, cfg)
-        b = robustness.fgsm(model, x, y, cfg)
+        a = robustness.fgsm([model], x, y, cfg)
+        b = robustness.fgsm([model], x, y, cfg)
         assert np.array_equal(a, b)
 
     def test_out_of_range_input_rejected(self):
         model = linear_model()
         with pytest.raises(ValueError):
             robustness.fgsm(
-                model, np.full((1, 4), 2.0), np.zeros(1, dtype=int),
+                [model], np.full((1, 4), 2.0), np.zeros(1, dtype=int),
                 robustness.AttackConfig(),
             )
 
@@ -84,9 +83,9 @@ class TestFgsm:
         x = gen.random((6, 4))
         y = gen.integers(0, 3, size=6)
         cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")
-        adv = robustness.fgsm(model, x, y, cfg)
+        adv = robustness.fgsm([model], x, y, cfg)
         assert np.max(np.abs(adv - x)) <= cfg.epsilon
-        assert np.array_equal(adv, robustness.fgsm(model, x, y, cfg))
+        assert np.array_equal(adv, robustness.fgsm([model], x, y, cfg))
 
     @pytest.mark.parametrize("loss", ["ce", "euat"])
     def test_attack_makes_no_model_copy(self, monkeypatch, loss):
@@ -96,13 +95,13 @@ class TestFgsm:
         x = gen.random((6, 4))
         y = gen.integers(0, 3, size=6)
         cfg = robustness.AttackConfig(epsilon=0.02, loss=loss)
-        expected = robustness.fgsm(model, x, y, cfg)
+        expected = robustness.fgsm([model], x, y, cfg)
 
         def no_copy(self):
             raise AssertionError("the attack copied the model")
 
         monkeypatch.setattr(nn.MlpModel, "copy", no_copy)
-        assert np.array_equal(robustness.fgsm(model, x, y, cfg), expected)
+        assert np.array_equal(robustness.fgsm([model], x, y, cfg), expected)
         assert model.dropout_rate == 0.3
 
     @pytest.mark.parametrize("loss", ["ce", "euat"])
@@ -122,7 +121,7 @@ class TestFgsm:
         for name, module in list(sys.modules.items()):
             if name.startswith("euatlab") and getattr(module, "forward", None) is original:
                 monkeypatch.setattr(module, "forward", counted)
-        robustness.fgsm(model, x, y, robustness.AttackConfig(epsilon=0.02, loss=loss))
+        robustness.fgsm([model], x, y, robustness.AttackConfig(epsilon=0.02, loss=loss))
         assert len(calls) == 1
 
     def test_euat_membership_ties_resolve_like_predict_labels(self):
@@ -139,16 +138,26 @@ class TestFgsm:
         tied = (logits == 0.0).all(axis=1)
         assert tied.sum() >= 20 and np.any(y[tied] != 0)
 
-        def reference_grad(inputs, labels):
-            correct = training.predict_labels(model, inputs) == labels
-            membership = np.where(correct, losses.CORRECT_SET, losses.WRONG_SET)
-            batch = losses.LabeledBatch(inputs, labels, membership.astype(np.int8))
-            dist = uncertainty.eval_predict([model], inputs, keep_grad_records=True)
-            return losses.euat_loss(batch, dist).input_grad
+        correct = training.predict_labels(model, x) == y
+        membership = np.where(correct, losses.CORRECT_SET, losses.WRONG_SET)
+        batch = losses.LabeledBatch(x, y, membership.astype(np.int8))
+        dist = uncertainty.eval_predict([model], x, keep_grad_records=True)
+        reference_grad = losses.euat_loss(batch, dist).input_grad
 
         cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")
-        expected = robustness.gradient_sign_step(x, y, cfg, reference_grad)
-        assert np.array_equal(robustness.fgsm(model, x, y, cfg), expected)
+        expected = np.clip(x + cfg.epsilon * np.sign(reference_grad), 0.0, 1.0)
+        for _ in range(3):  # the half-ulp projection of the attack
+            over = np.abs(expected - x) > cfg.epsilon
+            expected[over] = np.nextafter(expected[over], x[over])
+        assert np.array_equal(robustness.fgsm([model], x, y, cfg), expected)
+
+    def test_euat_loss_attack_takes_one_model(self):
+        models = [nn.MlpModel.init([4, 6, 3], 0.3, seed=s) for s in range(3)]
+        x = np.random.default_rng(14).random((5, 4))
+        y = np.zeros(5, dtype=int)
+        cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")
+        with pytest.raises(ValueError):
+            robustness.fgsm(models, x, y, cfg)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -165,9 +174,7 @@ class TestAdversarialTraining:
         schedule = training.TrainingSchedule(pretrain_epochs=4, euat_epochs=3,
                                              pretrain_lr=0.1, batch_size=32)
         model = nn.MlpModel.init([2, 8, 2], 0.3, seed=13)
-        attack = functools.partial(
-            robustness.fgsm, cfg=robustness.AttackConfig(epsilon=0.0)
-        )
+        attack = robustness.AttackConfig(epsilon=0.0)
         plain = training.ce_family_train(
             model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14
         )
@@ -187,9 +194,7 @@ class TestAdversarialTraining:
             nn.MlpModel.init([2, 8, 2], 0.3, seed=16), *ds.train,
             schedule, epochs=schedule.pretrain_epochs, seed=17,
         ).model
-        attack = functools.partial(
-            robustness.fgsm, cfg=robustness.AttackConfig(epsilon=0.0)
-        )
+        attack = robustness.AttackConfig(epsilon=0.0)
         plain = training.euat_train(
             pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=18
         )
@@ -221,9 +226,7 @@ class TestAdversarialTraining:
             return real_loss(batch, *args, **kwargs)
 
         monkeypatch.setattr(training, "euat_loss", spy)
-        attack = functools.partial(
-            robustness.fgsm, cfg=robustness.AttackConfig(epsilon=eps)
-        )
+        attack = robustness.AttackConfig(epsilon=eps)
         training.euat_train(
             pre, x, y, *ds.validation, schedule=schedule, n_mc=4, seed=14,
             attack=attack,
@@ -268,7 +271,7 @@ class TestAdversarialDataset:
         ds = data.generate_dataset("gaussian_blobs", 60, 0.08, seed=29)
         model = nn.MlpModel.init([2, 8, 2], 0.0, seed=30)
         cfg = robustness.AttackConfig(epsilon=0.02)
-        adv = robustness.fgsm(model, ds.inputs, ds.labels, cfg)
+        adv = robustness.fgsm([model], ds.inputs, ds.labels, cfg)
         assert np.max(np.abs(adv - ds.inputs)) <= 0.02
 
 
