@@ -1,11 +1,10 @@
 """Comparison methods: isotonic post-hoc calibration of the top-label
-confidence, and deep ensembles.
+confidence, and the deep-ensemble record.
 
-The CE and CE+PE baselines are ``training.ce_family_train`` with
-validation data (lambda = 0 for CE). Ensemble members train through the
-same call, so all baselines share the validation-based model selection;
-the ensemble honors a fair total gradient-sample budget (total epochs
-divided across members). An ensemble predicts through
+Every baseline trains in ``experiment.train_method``: the CE and CE+PE
+baselines and each ensemble member are ``training.ce_family_train`` with
+validation data (lambda = 0 for CE), so all share the validation-based
+model selection. An ensemble predicts through
 ``uncertainty.eval_predict`` over its members.
 """
 
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MlpModel
-from .robustness import AttackConfig
-from .training import TrainingSchedule, TrainOutcome, ce_family_train
 
 
 @dataclass
@@ -133,49 +130,3 @@ class Ensemble:
             if m.class_count != first.class_count:
                 raise ValueError("ensemble members must share class_count")
 
-
-def ensemble_train(
-    model_template: MlpModel,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    val_inputs: np.ndarray,
-    val_labels: np.ndarray,
-    schedule: TrainingSchedule,
-    seeds: list[int],
-    n_mc_eval: int = 20,
-    attack: AttackConfig | None = None,
-) -> tuple[Ensemble, list[TrainOutcome]]:
-    """Train one independent CE learner per seed.
-
-    The total epoch budget (pretrain + error-driven epochs) is divided
-    across members so every compared method consumes the same number of
-    gradient samples.
-    """
-    if not seeds:
-        raise ValueError("ensemble needs at least one member")
-    total = schedule.pretrain_epochs + schedule.euat_epochs
-    epochs = max(total // len(seeds), 1)
-
-    members, outcomes = [], []
-    for seed in seeds:
-        layer_sizes = (
-            [model_template.input_width]
-            + model_template.hidden_widths
-            + [model_template.class_count]
-        )
-        member = MlpModel.init(layer_sizes, model_template.dropout_rate, seed=seed)
-        outcome = ce_family_train(
-            member,
-            inputs,
-            labels,
-            schedule,
-            epochs=epochs,
-            seed=seed,
-            attack=attack,
-            val_inputs=val_inputs,
-            val_labels=val_labels,
-            n_mc_eval=n_mc_eval,
-        )
-        members.append(outcome.model)
-        outcomes.append(outcome)
-    return Ensemble(members, list(seeds)), outcomes

@@ -5,18 +5,21 @@ replay. Configs come from a JSON file (--config) and/or flag overrides;
 the resolved config is written verbatim into the run manifest.
 
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
-missing or unreadable run manifest, one without a numeric tuned threshold,
-or a run directory that lacks an original ``replay`` compares or whose
-``per_epoch.csv`` has no ``wall_time`` header; an
-out-of-range setting: ``mc_samples``, ``ensemble_members``, ``ece_bins``,
-``histogram_bins`` or ``train_mc_samples`` below 1, a negative epoch
-count, a hidden width below 1, a dropout rate or momentum outside [0, 1),
-a ``class_count`` below 2, a negative, NaN or infinite ``ce_pe_lambda``,
-learning rate, weight decay, epsilon or sigma; an empty train, validation
-or test split), 3 data error (also a loaded dataset with fewer than two
-classes, a NaN or out-of-range split fraction, a non-finite noise level),
-4 engine error (an ``nn.EngineError``: a training failure such
-as a non-finite forward pass, or a bad checkpoint).
+missing or unreadable run manifest, one without a numeric tuned
+threshold, or a run directory that lacks an original ``replay`` compares
+or whose ``per_epoch.csv`` has no ``wall_time`` header; a non-integer or
+boolean integer field; an out-of-range setting: ``mc_samples``,
+``ensemble_members``, ``ece_bins``, ``histogram_bins`` or
+``train_mc_samples`` below 1, a negative epoch count, a hidden width
+below 1, a dropout rate or momentum outside [0, 1), a ``class_count``
+below 2, a negative, NaN or infinite ``ce_pe_lambda``, learning rate,
+weight decay, epsilon or sigma; an empty train, validation or test
+split; the ``flip`` protocol or ``flip_gain`` objective on a non-binary
+task; an empty or repeated ``compare --methods`` list), 3 data error
+(also a loaded dataset with fewer than two classes, a NaN or
+out-of-range split fraction, a non-finite noise level), 4 engine error
+(an ``nn.EngineError``: a training failure such as a non-finite forward
+pass, or a bad checkpoint).
 Every report comes from ``experiment``: ``evaluate`` and the protocol
 subcommands print what ``train`` stores for the same config.
 A run whose training diverged keeps its selected model, exits 0 and

@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, rng
-from .baselines import (
-    Ensemble,
-    IsotonicMap,
-    ensemble_train,
-    isotonic_apply,
-    isotonic_fit,
-)
+from .baselines import Ensemble, IsotonicMap, isotonic_apply, isotonic_fit
 from .data import DataError, Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
 from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_dict
@@ -47,6 +41,12 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _require_int(name: str, value):
+    # JSON gives 300.0 or true where an integer belongs
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class DatasetConfig:
     kind: str = "gaussian_blobs"  # generator name or "idx"
@@ -61,6 +61,10 @@ class DatasetConfig:
     labels_path: str | None = None
 
     def __post_init__(self):
+        for name in ("n", "class_count", "dim"):
+            _require_int(name, getattr(self, name))
+        if self.binary_positive_class is not None:
+            _require_int("binary_positive_class", self.binary_positive_class)
         if self.class_count < 2:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
 
@@ -71,6 +75,8 @@ class ModelConfig:
     dropout_rate: float = 0.3
 
     def __post_init__(self):
+        for w in self.hidden:
+            _require_int("hidden", w)
         if any(w < 1 for w in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -104,7 +110,11 @@ class ExperimentConfig:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {p!r}")
+        _require_int("seed", self.seed)
+        for name in ("pretrain_epochs", "euat_epochs", "batch_size", "train_mc_samples"):
+            _require_int(name, getattr(self.schedule, name))
         for name in ("mc_samples", "ensemble_members", "ece_bins", "histogram_bins"):
+            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.ce_pe_lambda < np.inf:
@@ -169,13 +179,23 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
         raise DataError(f"the dataset has {ds.class_count} class; need at least 2")
     if dc.binary_positive_class is not None:
         ds = make_binary_task(ds, dc.binary_positive_class)
+    flips = "flip" in config.protocols or config.threshold_objective == "flip_gain"
+    if flips and ds.class_count != 2:
+        raise ConfigError(
+            "the flip protocol and the flip_gain objective need a binary task, "
+            f"got {ds.class_count} classes"
+        )
     return ds
 
 
+def _layer_sizes(config: ExperimentConfig, dataset: Dataset) -> list[int]:
+    return [dataset.inputs.shape[1], *config.model.hidden, dataset.class_count]
+
+
 def build_model(config: ExperimentConfig, dataset: Dataset) -> MlpModel:
-    sizes = [dataset.inputs.shape[1], *config.model.hidden, dataset.class_count]
     return MlpModel.init(
-        sizes, config.model.dropout_rate, rng.derive_seed(config.seed, "init-model")
+        _layer_sizes(config, dataset), config.model.dropout_rate,
+        rng.derive_seed(config.seed, "init-model"),
     )
 
 
@@ -216,55 +236,64 @@ class TrainedMethod:
 
 
 def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
-    """Train the configured method on the dataset's train/validation splits."""
+    """Train the configured method on the dataset's train/validation splits;
+    an ensemble divides the total epoch budget across its members, so every
+    method consumes the same number of gradient samples."""
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
+    schedule = config.schedule
     attack = config.attack if config.adversarial_training else None
-    seed = rng.derive_seed(config.seed, "train")
-    model = build_model(config, dataset)
     n_mc = config.mc_samples
+    budget = schedule.pretrain_epochs + schedule.euat_epochs
+    train_selected = partial(
+        ce_family_train, inputs=x_train, labels=y_train, schedule=schedule,
+        attack=attack, val_inputs=x_val, val_labels=y_val, n_mc_eval=n_mc,
+    )
 
+    if config.method == "ensemble":
+        seeds = [
+            rng.derive_seed(config.seed, "ensemble-member", i)
+            for i in range(config.ensemble_members)
+        ]
+        sizes = _layer_sizes(config, dataset)
+        outcomes = [
+            train_selected(
+                MlpModel.init(sizes, config.model.dropout_rate, s),
+                epochs=max(budget // len(seeds), 1), seed=s,
+            )
+            for s in seeds
+        ]
+        ens = Ensemble([o.model for o in outcomes], seeds)
+        predictor = Predictor(ensemble=ens, n_mc=n_mc)
+        return TrainedMethod(predictor, member_outcomes=outcomes)
+
+    model = build_model(config, dataset)
+    seed = rng.derive_seed(config.seed, "train")
     if config.method == "euat":
         pre = ce_family_train(
-            model, x_train, y_train, config.schedule,
-            epochs=config.schedule.pretrain_epochs, seed=seed, attack=attack,
+            model, x_train, y_train, schedule,
+            epochs=schedule.pretrain_epochs, seed=seed, attack=attack,
         )
         out = euat_train(
-            pre.model, x_train, y_train, x_val, y_val, config.schedule,
+            pre.model, x_train, y_train, x_val, y_val, schedule,
             n_mc, seed, attack=attack,
         )
         out.loss_trajectory = pre.loss_trajectory + out.loss_trajectory
         out.diverged = out.diverged or pre.diverged
         return TrainedMethod(Predictor(model=out.model, n_mc=n_mc), out)
 
-    if config.method in ("ce", "ce_pe", "calibrated_ce"):
-        schedule = config.schedule
-        out = ce_family_train(
-            model, x_train, y_train, schedule,
-            epochs=schedule.pretrain_epochs + schedule.euat_epochs, seed=seed,
-            lam=config.ce_pe_lambda if config.method == "ce_pe" else 0.0,
-            attack=attack, val_inputs=x_val, val_labels=y_val, n_mc_eval=n_mc,
+    # ce, ce_pe, calibrated_ce
+    lam = config.ce_pe_lambda if config.method == "ce_pe" else 0.0
+    out = train_selected(model, epochs=budget, seed=seed, lam=lam)
+    predictor = Predictor(model=out.model, n_mc=n_mc)
+    if config.method == "calibrated_ce":
+        records = predictor.records(
+            x_val, y_val, rng.derive_seed(config.seed, "calibration-eval")
         )
-        predictor = Predictor(model=out.model, n_mc=n_mc)
-        if config.method == "calibrated_ce":
-            records = predictor.records(
-                x_val, y_val, rng.derive_seed(config.seed, "calibration-eval")
-            )
-            predictor.calibration = isotonic_fit(
-                records.confidence, records.correct.astype(np.float64)
-            )
-        return TrainedMethod(predictor, out)
-
-    # ensemble
-    seeds = [
-        rng.derive_seed(config.seed, "ensemble-member", i)
-        for i in range(config.ensemble_members)
-    ]
-    ens, outcomes = ensemble_train(
-        model, x_train, y_train, x_val, y_val, config.schedule,
-        seeds=seeds, n_mc_eval=n_mc, attack=attack,
-    )
-    return TrainedMethod(Predictor(ensemble=ens, n_mc=n_mc), member_outcomes=outcomes)
+        predictor.calibration = isotonic_fit(
+            records.confidence, records.correct.astype(np.float64)
+        )
+    return TrainedMethod(predictor, out)
 
 
 def tune_on_validation(
@@ -654,7 +683,10 @@ def compare_methods(
     config: ExperimentConfig, methods: list[str], output_dir
 ) -> dict:
     """Run several methods on the identical dataset/seed and tabulate the
-    clean-test metrics side by side (one row per metric)."""
+    clean-test metrics side by side (one row per metric). An empty or
+    repeated method list raises ``ConfigError`` before anything is run."""
+    if not methods or len(set(methods)) != len(methods):
+        raise ConfigError(f"compare needs distinct methods, got {methods}")
     configs = []  # every method's config is checked before any training
     for method in methods:
         doc = config.to_dict()

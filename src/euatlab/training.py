@@ -10,7 +10,8 @@ selection metric is retained.
 
 ``ce_family_train`` is the one CE-family entry point: the plain SGD loop
 that pretrains the error-driven method (``epochs=schedule.pretrain_epochs``,
-no validation data) also trains the CE and CE+PE baselines (CE is the
+no validation data) also trains the CE and CE+PE baselines and every
+ensemble member, all from ``experiment.train_method`` (CE is the
 lambda = 0 case of the same code path, which makes the two trajectories
 bit-identical under equal seeds).
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from euatlab import baselines, data, nn, training, uncertainty
-from euatlab.experiment import Predictor
+from euatlab import baselines, data, nn, rng, training, uncertainty
+from euatlab.experiment import ExperimentConfig, Predictor, build_dataset, train_method
 from oracles import isotonic_apply_rows, isotonic_nnls
 
 
@@ -155,32 +155,49 @@ def reference_ensemble_probs(ensemble, inputs):
     return acc / len(ensemble.members)
 
 
+def ensemble_config(members, **schedule):
+    """A 2-8-2 ensemble on 240 blobs; ``mc_samples`` keeps its default 20,
+    the ``n_mc_eval`` default of ``train_ce_family``."""
+    return ExperimentConfig.from_dict({
+        "method": "ensemble",
+        "ensemble_members": members,
+        "dataset": {"kind": "gaussian_blobs", "n": 240, "noise": 0.08},
+        "model": {"hidden": [8], "dropout_rate": 0.3},
+        "schedule": {"pretrain_epochs": 4, "euat_epochs": 2, "pretrain_lr": 0.1,
+                     "batch_size": 32, **schedule},
+    })
+
+
 class TestEnsemble:
     def setup_data(self, seed=0):
         ds = data.generate_dataset("gaussian_blobs", 240, 0.08, seed=seed)
         return ds
 
     def test_single_member_matches_ce_baseline(self):
-        ds = self.setup_data()
-        schedule = small_schedule()
-        seed = 42
-        template = nn.MlpModel.init([2, 8, 2], 0.3, seed=seed)
-        ens, _ = baselines.ensemble_train(
-            template, *ds.train, *ds.validation, schedule, seeds=[seed]
-        )
+        # one member takes the whole budget: it is the CE baseline trained
+        # from the member's seed
+        config = ensemble_config(1)
+        ds = build_dataset(config)
+        ens = train_method(config, ds).predictor.ensemble
+        seed = rng.derive_seed(config.seed, "ensemble-member", 0)
         ce = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=seed),
-            *ds.train, *ds.validation, schedule, seed=seed,
+            *ds.train, *ds.validation, config.schedule, seed=seed,
         )
+        assert ens.seeds == [seed]
         assert ens.members[0].parameters_equal(ce.model)
 
     def test_identical_seeds_give_identical_members(self):
         ds = self.setup_data(seed=1)
-        template = nn.MlpModel.init([2, 8, 2], 0.3, seed=0)
-        ens, _ = baselines.ensemble_train(
-            template, *ds.train, *ds.validation, small_schedule(),
-            seeds=[7, 7, 7],
-        )
+        members = [
+            training.ce_family_train(
+                nn.MlpModel.init([2, 8, 2], 0.3, seed=7), *ds.train,
+                small_schedule(), epochs=2, seed=7,
+                val_inputs=ds.validation[0], val_labels=ds.validation[1],
+            ).model
+            for _ in range(3)
+        ]
+        ens = baselines.Ensemble(members, [7, 7, 7])
         assert ens.members[0].parameters_equal(ens.members[1])
         assert ens.members[0].parameters_equal(ens.members[2])
         x = ds.test[0][:5]
@@ -240,12 +257,9 @@ class TestEnsemble:
             baselines.Ensemble([], [])
 
     def test_budget_split_across_members(self):
-        ds = self.setup_data(seed=2)
-        schedule = small_schedule(pretrain_epochs=6, euat_epochs=6)
-        template = nn.MlpModel.init([2, 8, 2], 0.3, seed=0)
-        _, outcomes = baselines.ensemble_train(
-            template, *ds.train, *ds.validation, schedule, seeds=[1, 2, 3],
-        )
+        config = ensemble_config(3, pretrain_epochs=6, euat_epochs=6)
+        outcomes = train_method(config, build_dataset(config)).member_outcomes
+        assert len(outcomes) == 3
         for out in outcomes:
             assert len(out.loss_trajectory) == 4  # 12 total epochs / 3 members
 

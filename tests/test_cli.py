@@ -126,6 +126,16 @@ def test_compare_checks_every_method_before_training(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("methods", ["", "ce,ce"], ids=["empty", "repeated"])
+def test_compare_rejects_an_empty_or_repeated_method_list(tmp_path, methods):
+    out = tmp_path / "cmp"
+    assert cli.main(
+        ["compare", "--n", "160", "--hidden", "8", "--methods", methods,
+         "--out", str(out)]
+    ) == 2
+    assert not out.exists()
+
+
 def test_compare_command(tmp_path):
     code = cli.main(
         [
@@ -318,6 +328,87 @@ def test_bad_number_is_rejected_before_training(tmp_path, case):
     assert [(s["stage"], s["status"]) for s in stages] in (
         [], [("dataset", "failed")]
     )
+
+
+NON_INTEGERS = {
+    # id: (config file, field named in the message)
+    "seed-string": ({"seed": "x"}, "seed"),
+    "seed-bool": ({"seed": True}, "seed"),
+    "n-string": ({"dataset": {"n": "300"}}, "n"),
+    "n-float": ({"dataset": {"n": 300.0}}, "n"),
+    "class_count-float": ({"dataset": {"class_count": 3.0}}, "class_count"),
+    "dim-float": ({"dataset": {"dim": 2.0}}, "dim"),
+    "binary_positive_class-float": (
+        {"dataset": {"binary_positive_class": 1.0}}, "binary_positive_class"
+    ),
+    "hidden-float": ({"model": {"hidden": [8.5]}}, "hidden"),
+    "pretrain_epochs-float": ({"schedule": {"pretrain_epochs": 1.0}}, "pretrain_epochs"),
+    "euat_epochs-bool": ({"schedule": {"euat_epochs": True}}, "euat_epochs"),
+    "batch_size-float": ({"schedule": {"batch_size": 32.0}}, "batch_size"),
+    "train_mc_samples-float": (
+        {"schedule": {"train_mc_samples": 1.0}}, "train_mc_samples"
+    ),
+    "mc_samples-float": ({"mc_samples": 2.0}, "mc_samples"),
+    "ensemble_members-float": (
+        {"method": "ensemble", "ensemble_members": 2.0}, "ensemble_members"
+    ),
+    "ece_bins-float": ({"ece_bins": 15.0}, "ece_bins"),
+    "histogram_bins-float": ({"histogram_bins": 50.0}, "histogram_bins"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_non_integer_field_is_rejected_before_any_stage(tmp_path, capsys, case):
+    bad, name = NON_INTEGERS[case]
+    # a small run, so a value that slips through fails fast; no flag may
+    # override the bad value
+    doc = {"dataset": {"n": 200}, "schedule": {"pretrain_epochs": 1, "euat_epochs": 1}}
+    for key, value in bad.items():
+        doc[key] = {**doc.get(key, {}), **value} if isinstance(value, dict) else value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    code = cli.main(["train", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"{name} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [(["--protocols", "clean,flip"], None), ([], {"threshold_objective": "flip_gain"})],
+    ids=["flip-protocol", "flip_gain-objective"],
+)
+def test_flipping_on_a_non_binary_task_is_rejected_before_training(
+    tmp_path, flags, doc
+):
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--config", str(path), *flags]
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--class-count", "3", "--n", "200", "--pretrain-epochs", "1",
+         "--euat-epochs", "1", *flags, "--out", str(out)]
+    )
+    assert code == 2
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
+
+
+def test_flip_eval_rejects_a_non_binary_run_before_predicting(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.main(
+        ["train", "--class-count", "3", "--n", "200", "--hidden", "8",
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--mc-samples", "2",
+         "--out", str(out)]
+    ) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flip-eval predicted on a non-binary task")
+
+    monkeypatch.setattr(experiment.Predictor, "probs", refuse)
+    assert cli.main(["flip-eval", "--run-dir", str(out)]) == 2
 
 
 def test_training_failure_exit_code(tmp_path):

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from euatlab import rng
-from euatlab.baselines import ensemble_train
-from euatlab.experiment import ExperimentConfig, build_dataset, run_experiment
-from euatlab.nn import MlpModel, checkpoint_json
-from euatlab.training import TrainingSchedule
+from euatlab.experiment import (
+    ExperimentConfig,
+    build_dataset,
+    run_experiment,
+    train_method,
+)
+from euatlab.nn import checkpoint_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("EUATLAB_REGEN_GOLDEN") == "1"
@@ -67,14 +69,7 @@ def test_euat_run_reproduces_per_epoch_table(tmp_path):
 
 def test_ensemble_member_checksums():
     config = small_config("ensemble")
-    dataset = build_dataset(config)
-    template = MlpModel.init([2, 16, 2], 0.3, seed=0)
-    schedule = TrainingSchedule(**config.to_dict()["schedule"])
-    seeds = [rng.derive_seed(config.seed, "ensemble-member", i) for i in range(3)]
-    ens, _ = ensemble_train(
-        template, *dataset.train, *dataset.validation, schedule,
-        seeds=seeds, n_mc_eval=4,
-    )
+    ens = train_method(config, build_dataset(config)).predictor.ensemble
     checksums = [
         hashlib.sha256(checkpoint_json(m).encode()).hexdigest() for m in ens.members
     ]

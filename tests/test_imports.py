@@ -16,7 +16,13 @@ call.
 
 ``cli`` names no ``derive_seed``: the seed stream of every report lives in
 ``experiment``. ``robustness`` imports nothing from ``training``: an attack
-takes its membership from the logits of its own pass.
+takes its membership from the logits of its own pass. ``baselines`` names
+neither ``training`` nor ``robustness``: it holds calibration and the
+ensemble record, and every method trains in ``experiment.train_method``.
+
+Only ``training`` (which defines them), ``experiment`` (whose
+``train_method`` trains every method) and ``__init__`` (the public API)
+name ``ce_family_train`` and ``euat_train``.
 
 No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
 the pure-Python encoder, while ``experiment._indented`` re-indents the
@@ -118,10 +124,25 @@ def test_backward_detector_flags_names_attributes_and_imports():
 
 
 @pytest.mark.parametrize(
-    "module, name", [("cli.py", "derive_seed"), ("robustness.py", "training")]
+    "module, name",
+    [("cli.py", "derive_seed"), ("robustness.py", "training"),
+     ("baselines.py", "training"), ("baselines.py", "robustness")],
 )
 def test_module_does_not_name(module, name):
     assert name_references((PACKAGE / module).read_text(), name) == []
+
+
+TRAINERS = ("training.py", "experiment.py", "__init__.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in TRAINERS),
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("name", ["ce_family_train", "euat_train"])
+def test_only_train_method_names_the_training_loops(path, name):
+    assert name_references(path.read_text(), name) == []
 
 
 @pytest.mark.parametrize(
