@@ -7,8 +7,10 @@ the resolved config is written verbatim into the run manifest.
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned
 threshold, or a run directory that lacks an original ``replay`` compares
-or whose ``per_epoch.csv`` has no ``wall_time`` header; a non-integer or
-boolean integer field; an out-of-range setting: ``mc_samples``,
+or whose ``per_epoch.csv`` has no ``wall_time`` header; a config or config
+section that is not a JSON object; a non-integer or boolean integer
+field; a non-number or boolean ``dataset.noise``, ``val_fraction`` or
+``test_fraction``; an out-of-range setting: ``mc_samples``,
 ``ensemble_members``, ``ece_bins``, ``histogram_bins`` or
 ``train_mc_samples`` below 1, a negative epoch count, a hidden width
 below 1, a dropout rate or momentum outside [0, 1), a ``class_count``
@@ -114,7 +116,10 @@ def _put_flags(doc: dict, args):
                 value = [int(w) for w in value]
             except ValueError as exc:
                 raise ConfigError(f"bad --hidden value {args.hidden!r}") from exc
-        (doc if section is None else doc.setdefault(section, {}))[field] = value
+        target = doc if section is None else doc.setdefault(section, {})
+        if not isinstance(target, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        target[field] = value
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -127,6 +132,8 @@ def _resolve_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
     _put_flags(doc, args)
     return ExperimentConfig.from_dict(doc)
 

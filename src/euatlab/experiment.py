@@ -63,6 +63,10 @@ class DatasetConfig:
     def __post_init__(self):
         for name in ("n", "class_count", "dim"):
             _require_int(name, getattr(self, name))
+        for name in ("noise", "val_fraction", "test_fraction"):
+            value = getattr(self, name)  # JSON gives "x", null or true for a number
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.binary_positive_class is not None:
             _require_int("binary_positive_class", self.binary_positive_class)
         if self.class_count < 2:
@@ -132,9 +136,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its ``to_dict`` form; every invalid or
-        unknown field raises ``ConfigError``. Legacy manifests: a
+        unknown field or section raises ``ConfigError``. Legacy manifests: a
         ``corruption.seed`` (never read) and ``ensemble_full_budget: false``
         (the only value any run used) are dropped; ``true`` is rejected."""
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
         doc = dict(doc)
         if doc.pop("ensemble_full_budget", False):
             raise ConfigError("ensemble_full_budget is no longer supported")
@@ -149,7 +155,9 @@ class ExperimentConfig:
                 ("attack", AttackConfig),
                 ("corruption", CorruptionConfig),
             ):
-                if key in doc and isinstance(doc[key], dict):
+                if key in doc:
+                    if not isinstance(doc[key], dict):
+                        raise ConfigError(f"config section {key!r} must be a JSON object")
                     doc[key] = sub(**doc[key])
             return cls(**doc)
         except ConfigError:

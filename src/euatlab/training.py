@@ -15,12 +15,12 @@ ensemble member, all from ``experiment.train_method`` (CE is the
 lambda = 0 case of the same code path, which makes the two trajectories
 bit-identical under equal seeds).
 
-Both loops step and select through one private ``_Run``. A non-finite loss
-or a step ``sgd_step`` refuses (a non-finite gradient) is a divergence, and
-it is not fatal: training stops, the outcome keeps the validation-selected
-model (without validation data, the model after the last accepted step)
-and sets ``TrainOutcome.diverged``. A non-finite forward pass is fatal: it
-raises ``nn.EngineError``.
+Both loops step through one update loop, ``_Run.fit``, and select through
+``_Run.record``. A non-finite loss or a step ``sgd_step`` refuses (a
+non-finite gradient) is a divergence, and it is not fatal: training stops,
+the outcome keeps the validation-selected model (without validation data,
+the model after the last accepted step) and sets ``TrainOutcome.diverged``.
+A non-finite forward pass is fatal: it raises ``nn.EngineError``.
 """
 
 from __future__ import annotations
@@ -209,11 +209,6 @@ def balanced_batches(
     return batches
 
 
-def stop_condition(epoch: int, schedule: TrainingSchedule, skip_counter: int) -> bool:
-    """True once the epoch budget is exhausted or the skip rule fires."""
-    return epoch >= schedule.euat_epochs or skip_counter >= MAX_CONSECUTIVE_SKIPS
-
-
 def evaluate_records(
     model: MlpModel, inputs: np.ndarray, labels: np.ndarray, n_mc: int, seed: int
 ) -> EvalRecords:
@@ -251,7 +246,7 @@ def _report_row(epoch, train_error, records, wall_time, skipped=False) -> dict:
 
 class _Run:
     """The work copy, optimizer state and outcome of one training loop, with
-    the step, validation-selection and divergence policy both loops share."""
+    the update loop, selection and divergence policy both loops share."""
 
     def __init__(self, model, lr, schedule, seed, val_inputs, val_labels, n_mc):
         self.work = model.copy()
@@ -266,13 +261,26 @@ class _Run:
         self.n_mc = n_mc
         self.best_score = -np.inf
 
-    def step(self, value, grads, epoch: int, b: int) -> bool:
-        """One SGD update; False, with ``diverged`` set, ends training."""
-        if np.isfinite(value) and sgd_step(self.work, grads, self.state):
-            return True
-        logger.warning("divergence at epoch %d batch %d; stopping", epoch, b)
-        self.outcome.diverged = True
-        return False
+    def fit(self, batches, epoch: int, tag: str, n_mc: int, loss, attack) -> bool:
+        """One epoch of steps: per batch an optional attack, ``n_mc`` passes
+        masked by ``derive_seed(seed, tag, epoch, b)`` and a step on ``loss``.
+        Appends the epoch's mean loss; False (``diverged`` set) ends training."""
+        total, rows = 0.0, 0
+        for b, batch in enumerate(batches):
+            if attack is not None:
+                xb = fgsm([self.work], batch.inputs, batch.labels, attack)
+                batch = LabeledBatch(xb, batch.labels, batch.membership)
+            seed = rng.derive_seed(self.seed, tag, epoch, b)
+            dist = mc_predict(self.work, batch.inputs, n_mc, seed, keep_grad_records=True)
+            value, grads = loss(batch, dist)
+            if not (np.isfinite(value) and sgd_step(self.work, grads, self.state)):
+                logger.warning("divergence at epoch %d batch %d; stopping", epoch, b)
+                self.outcome.diverged = True
+                return False
+            total += value * len(batch)
+            rows += len(batch)
+        self.outcome.loss_trajectory.append(total / rows)
+        return True
 
     def record(self, epoch: int, train_error, start: float, skipped=False):
         """Append the epoch's validation report row; a trained epoch scoring
@@ -316,37 +324,27 @@ def ce_family_train(
     run = _Run(
         model, schedule.pretrain_lr, schedule, seed, val_inputs, val_labels, n_mc_eval
     )
-    work = run.work
-    n = len(labels)
+    n, size, mc = len(labels), schedule.batch_size, schedule.train_mc_samples
     select = val_inputs is not None
 
+    def loss(batch, dist):
+        return ce_pe_loss(dist, batch.labels, lam)
+
     def record(epoch, start):
-        run.record(epoch, np.mean(predict_labels(work, inputs) != labels), start)
+        run.record(epoch, np.mean(predict_labels(run.work, inputs) != labels), start)
 
     if select:
         record(0, time.perf_counter())
     for epoch in range(1, epochs + 1):
         start = time.perf_counter()
         order = rng.substream(seed, "sgd-shuffle", epoch).permutation(n)
-        total, rows = 0.0, 0
-        for b, lo in enumerate(range(0, n, schedule.batch_size)):
-            ids = order[lo : lo + schedule.batch_size]
-            xb, yb = inputs[ids], labels[ids]
-            if attack is not None:
-                xb = fgsm([work], xb, yb, attack)
-            dist = mc_predict(
-                work,
-                xb,
-                schedule.train_mc_samples,
-                seed=rng.derive_seed(seed, "sgd-mask", epoch, b),
-                keep_grad_records=True,
-            )
-            value, grads = ce_pe_loss(dist, yb, lam)
-            if not run.step(value, grads, epoch, b):
-                return run.outcome
-            total += value * len(ids)
-            rows += len(ids)
-        run.outcome.loss_trajectory.append(total / rows)
+        # a generator, so one batch of rows is alive at a time
+        batches = (
+            LabeledBatch(inputs[ids], labels[ids])
+            for ids in (order[lo : lo + size] for lo in range(0, n, size))
+        )
+        if not run.fit(batches, epoch, "sgd-mask", mc, loss, attack):
+            return run.outcome
         if select:
             record(epoch, start)
     return run.outcome
@@ -380,9 +378,12 @@ def euat_train(
     start = time.perf_counter()
     run.record(0, len(partition(work, inputs, labels, epoch=0).wrong) / n, start)
 
-    skip_counter = 0
-    epoch = 0
-    while not stop_condition(epoch, schedule, skip_counter):
+    def loss(batch, dist):
+        res = euat_loss(batch, dist)
+        return res.value, res.grads
+
+    epoch = skip_counter = 0
+    while epoch < schedule.euat_epochs and skip_counter < MAX_CONSECUTIVE_SKIPS:
         epoch += 1
         start = time.perf_counter()
         part_inputs = inputs if attack is None else fgsm([work], inputs, labels, attack)
@@ -398,23 +399,14 @@ def euat_train(
             continue
         skip_counter = 0
 
-        # equalize the two sets: subsample whichever side is larger
+        # equalize the two sets: the larger side is subsampled
         target = min(len(part.correct), len(part.wrong))
         sub_seed = rng.derive_seed(seed, "subsample", epoch)
-        if len(part.correct) >= len(part.wrong):
-            c_ids = stratified_subsample(part.correct, target, labels, sub_seed)
-            w_ids = part.wrong
-        else:
-            c_ids = part.correct
-            w_ids = stratified_subsample(part.wrong, target, labels, sub_seed)
-
         batches = balanced_batches(
-            inputs,
-            labels,
-            c_ids,
-            w_ids,
-            schedule.batch_size,
-            rng.derive_seed(seed, "batches", epoch),
+            inputs, labels,
+            stratified_subsample(part.correct, target, labels, sub_seed),
+            stratified_subsample(part.wrong, target, labels, sub_seed),
+            schedule.batch_size, rng.derive_seed(seed, "batches", epoch),
         )
         half = schedule.batch_size // 2
         for b, batch in enumerate(batches):
@@ -423,15 +415,7 @@ def euat_train(
                 if n_correct != half or np.sum(batch.membership == WRONG_SET) != half:
                     raise EngineError(f"epoch {epoch} batch {b}: {n_correct} "
                                       f"correct rows, expected {half} of each side")
-            if attack is not None:
-                xb = fgsm([work], batch.inputs, batch.labels, attack)
-                batch = LabeledBatch(xb, batch.labels, batch.membership)
-            dist = mc_predict(
-                work, batch.inputs, n_mc, rng.derive_seed(seed, "euat-mask", epoch, b),
-                keep_grad_records=True,
-            )
-            res = euat_loss(batch, dist)
-            if not run.step(res.value, res.grads, epoch, b):
-                return run.outcome
+        if not run.fit(batches, epoch, "euat-mask", n_mc, loss, attack):
+            return run.outcome
         run.record(epoch, train_error, start)
     return run.outcome

@@ -259,6 +259,14 @@ OUT_OF_RANGE = {
     "euat_epochs": (["--euat-epochs", "-1"], None, "euat_epochs"),
     "class_count-one": (["--class-count", "1"], None, "class_count"),
     "class_count-zero": (["--class-count", "0"], None, "class_count"),
+    # a config or section that is not a JSON object
+    "config-list": ([], [1], "config"),
+    "dataset-list": ([], {"dataset": [1]}, "dataset"),
+    "schedule-string": ([], {"schedule": "x"}, "schedule"),
+    "schedule-string-lr": (["--lr", "0.1"], {"schedule": "x"}, "schedule"),
+    "model-string": ([], {"model": "x"}, "model"),
+    "attack-number": ([], {"attack": 3}, "attack"),
+    "corruption-null": ([], {"corruption": None}, "corruption"),
 }
 
 
@@ -306,6 +314,9 @@ BAD_NUMBERS = {
     "val_fraction-nan": ([], {"dataset": {"val_fraction": float("nan")}}, 3),
     "test_fraction-nan": ([], {"dataset": {"test_fraction": float("nan")}}, 3),
     "noise-inf": (["--noise", "inf"], None, 3),
+    "noise-string": ([], {"dataset": {"noise": "x"}}, 2),
+    "val_fraction-bool": ([], {"dataset": {"val_fraction": True}}, 2),
+    "test_fraction-null": ([], {"dataset": {"test_fraction": None}}, 2),
 }
 
 

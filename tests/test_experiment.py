@@ -56,6 +56,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"methods": "euat"})
 
+    @pytest.mark.parametrize(
+        "section", ["dataset", "model", "schedule", "attack", "corruption"]
+    )
+    def test_section_that_is_not_an_object_rejected(self, section):
+        for value in ("x", [1], 3, None):
+            with pytest.raises(ConfigError, match=f"'{section}' must be a JSON object"):
+                ExperimentConfig.from_dict({section: value})
+
     @pytest.mark.parametrize("method", ["calibrated_ce", "ensemble"])
     def test_euat_attack_loss_rejected_where_only_ce_attack_runs(self, method):
         with pytest.raises(ConfigError):
@@ -313,6 +321,29 @@ class TestFlipEval:
         n_same = int(np.sum(records.correct[untouched]))
         errors_from_untouched = np.sum(untouched) - n_same
         assert report["error_with_flip"] * 30 >= errors_from_untouched - 1e-9
+
+
+def test_euat_loss_trajectory_joins_pretraining_and_error_driven_epochs(monkeypatch):
+    config = smoke_config()
+    dataset = experiment.build_dataset(config)
+    phases = []
+
+    def keep_trajectory(train):
+        def wrapped(*args, **kwargs):
+            out = train(*args, **kwargs)
+            phases.append(list(out.loss_trajectory))
+            return out
+
+        return wrapped
+
+    for name in ("ce_family_train", "euat_train"):
+        monkeypatch.setattr(experiment, name, keep_trajectory(getattr(experiment, name)))
+    out = experiment.train_method(config, dataset).outcome
+    pre, euat = phases
+    assert len(pre) == config.schedule.pretrain_epochs
+    assert len(euat) == len([row for row in out.report[1:] if not row["skipped"]]) > 0
+    assert out.loss_trajectory == pre + euat
+    assert np.all(np.isfinite(out.loss_trajectory))
 
 
 class TestOodAndAttack:

@@ -24,6 +24,10 @@ Only ``training`` (which defines them), ``experiment`` (whose
 ``train_method`` trains every method) and ``__init__`` (the public API)
 name ``ce_family_train`` and ``euat_train``.
 
+In ``training``, ``sgd_step`` and ``mc_predict`` are called only inside
+``_Run.fit``: CE-family and error-driven epochs step through one update
+loop.
+
 No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
 the pure-Python encoder, while ``experiment._indented`` re-indents the
 C encoder's compact text into the same bytes.
@@ -162,6 +166,56 @@ def test_detector_flags_the_module_of_a_from_import():
         "from .uncertainty import eval_predict\n"
     )
     assert name_references(source, "training") == [1, 2, 3]
+
+
+def calls_by_method(source: str, names) -> list[tuple[str, str, int]]:
+    """(enclosing ``Class.method`` or "", name, line) of every call of one
+    of ``names``, as a bare name or an attribute."""
+    tree = ast.parse(source)
+    owner = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owner[id(node)] = f"{cls.name}.{fn.name}"
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append((owner.get(id(node), ""), name, node.lineno))
+    return sorted(found)
+
+
+def test_every_training_step_runs_in_the_one_update_loop():
+    calls = calls_by_method(
+        (PACKAGE / "training.py").read_text(), ("sgd_step", "mc_predict")
+    )
+    assert {name for _, name, _ in calls} == {"sgd_step", "mc_predict"}
+    assert [c for c in calls if c[0] != "_Run.fit"] == []
+
+
+def test_call_detector_names_the_enclosing_method():
+    source = (
+        "from .nn import sgd_step\n"
+        "class _Run:\n"
+        "    def fit(self):\n"
+        "        return sgd_step(self.work) and nn.mc_predict(self.work)\n"
+        "    def step(self):\n"
+        "        def inner():\n"
+        "            return sgd_step(self.work)\n"
+        "        return inner\n"
+        "def train(work):\n"
+        "    return nn.sgd_step(work), mc_predict  # a reference is not a call\n"
+    )
+    assert calls_by_method(source, ("sgd_step", "mc_predict")) == [
+        ("", "sgd_step", 10),
+        ("_Run.fit", "mc_predict", 4),
+        ("_Run.fit", "sgd_step", 4),
+        ("_Run.step", "sgd_step", 7),
+    ]
 
 
 def indented_json_dumps(source: str) -> list[int]:

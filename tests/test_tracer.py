@@ -54,6 +54,10 @@ def test_every_traced_method_is_defined_on_its_class(tracer):
 
 
 def test_install_and_uninstall_round_trip(tracer):
+    # install imports every traced module; import them first, so both
+    # snapshots cover the same modules also when this file runs alone
+    for short in tracer.MODULES:
+        importlib.import_module(f"euatlab.{short}")
     before = package_bindings()
     forward, attacked = nn.forward, experiment.Predictor.__dict__["attacked"]
     traced = tracer.Tracer()

@@ -179,20 +179,6 @@ class TestBalancedBatches:
             self.make(4, 4, 5)
 
 
-class TestStopCondition:
-    def test_budget_exhausted(self):
-        s = training.TrainingSchedule(euat_epochs=10)
-        assert training.stop_condition(10, s, 0)
-
-    def test_skip_rule(self):
-        s = training.TrainingSchedule(euat_epochs=10)
-        assert training.stop_condition(2, s, 3)
-
-    def test_otherwise_false(self):
-        s = training.TrainingSchedule(euat_epochs=10)
-        assert not training.stop_condition(9, s, 2)
-
-
 def reference_selection_score(records, metric):
     """Selection score computed from the records, as before it read the
     epoch's report row."""
@@ -374,7 +360,10 @@ class TestEuatTrain:
         for row in out.report:
             for col in training.REPORT_COLUMNS:
                 assert col in row
-        assert [row["epoch"] for row in out.report] == list(range(len(out.report)))
+        # the loop stops once the epoch budget is spent
+        assert [row["epoch"] for row in out.report] == list(
+            range(schedule.euat_epochs + 1)
+        )
 
     def test_seeded_determinism(self):
         ds, pre, schedule = self.small_setup(seed=8)
@@ -386,6 +375,40 @@ class TestEuatTrain:
         )
         assert a.model.parameters_equal(b.model)
         assert a.best_epoch == b.best_epoch
+
+    def test_loss_trajectory_is_the_row_weighted_mean_of_each_trained_epoch(
+        self, monkeypatch
+    ):
+        ds, pre, schedule = self.small_setup(seed=5)
+        batch_counts, losses = [], []
+        balanced_batches, euat_loss = training.balanced_batches, training.euat_loss
+
+        def counting_balanced_batches(*args):
+            batches = balanced_batches(*args)
+            batch_counts.append(len(batches))
+            return batches
+
+        def recording_euat_loss(batch, dist):
+            res = euat_loss(batch, dist)
+            losses.append((res.value, len(batch)))
+            return res
+
+        monkeypatch.setattr(training, "balanced_batches", counting_balanced_batches)
+        monkeypatch.setattr(training, "euat_loss", recording_euat_loss)
+        out = training.euat_train(
+            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=2
+        )
+        trained = [row for row in out.report[1:] if not row["skipped"]]
+        assert len(out.loss_trajectory) == len(trained) == len(batch_counts) > 0
+        expected, calls = [], iter(losses)
+        for count in batch_counts:
+            epoch = [next(calls) for _ in range(count)]
+            total = 0.0
+            for value, rows in epoch:
+                total += value * rows
+            expected.append(total / sum(rows for _, rows in epoch))
+        assert out.loss_trajectory == expected
+        assert np.all(np.isfinite(out.loss_trajectory))
 
     def test_unbalanced_full_batch_raises(self, monkeypatch):
         # the balanced-halves check is explicit, so it also holds under -O
