@@ -6,7 +6,8 @@ A run directory contains the manifest (resolved config, stage log, file
 digests), the per-epoch CSV, the metrics report JSON, uncertainty
 histograms, a per-input prediction dump, and a self-contained checkpoint.
 Metrics artifacts are deterministic given the config: replaying a manifest
-single-threaded reproduces them byte for byte.
+reproduces them byte for byte, whatever width of pass pool ran the
+predictions (the manifest records it as ``mc_pass_workers``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_di
 from .robustness import AttackConfig, CorruptionConfig, fgsm, gaussian_corrupt
 from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
 from .training import ce_family_train, euat_train
-from .uncertainty import eval_predict, mc_predict_probs
+from .uncertainty import eval_predict, mc_predict_probs, pool_use
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
 
@@ -542,6 +543,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
         "files": {},
     }
     started = time.perf_counter()
+    pooled_before = pool_use()[0]
 
     def stage(name, fn):
         t0 = time.perf_counter()
@@ -599,6 +601,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
 
     stage("persist", persist)
     manifest["reports"] = reports
+    # the pool width the run's predictions split their passes over, 1 if
+    # every prediction ran its passes serially
+    pooled, workers = pool_use()
+    manifest["mc_pass_workers"] = workers if pooled > pooled_before else 1
     manifest["wall_time"] = time.perf_counter() - started
     (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
     return manifest

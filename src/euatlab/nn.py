@@ -224,10 +224,9 @@ def _check_batch(model: MlpModel, x: np.ndarray):
 
 
 def _input_layer(model: MlpModel, x: np.ndarray) -> InputLayer:
-    layer = model.layers[0]
-    z = x @ layer.weights.T + layer.bias
-    h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return InputLayer(x, z, h, model, model.version)
+    pre_acts = []
+    act = _layer_loop(model.layers[:1], x, None, 0, None, [], pre_acts)
+    return InputLayer(x, pre_acts[0], act, model, model.version)
 
 
 def input_layer(model: MlpModel, batch: np.ndarray) -> InputLayer:
@@ -236,6 +235,52 @@ def input_layer(model: MlpModel, batch: np.ndarray) -> InputLayer:
     x = np.asarray(batch, dtype=np.float64)
     _check_batch(model, x)
     return _input_layer(model, x)
+
+
+def _check_pass(model: MlpModel, x: np.ndarray, mask, first):
+    """Every check a pass makes before its layer loop: a 2-d batch of the
+    model's feature width, a mask shaped like the hidden layers, and
+    ``first``, when given, built for this very batch array and the model's
+    current version."""
+    _check_batch(model, x)
+    if mask is not None:
+        _check_mask(model, mask)
+    if first is not None and (first.batch is not x or first.model is not model
+                              or first.model_version != model.version):
+        raise EngineError("input layer was computed for another batch or model state")
+
+
+def _layer_loop(layers, a, scales, start, bufs=None, inputs=None, pre_acts=None):
+    """The one layer loop of every pass: ``layers[start:]`` from their input
+    ``a``, each layer after the first seeing ``a`` scaled by its keep mask
+    when ``scales`` is given; returns the last layer's activation.
+
+    Without ``bufs`` every step makes a fresh array, and ``inputs`` and
+    ``pre_acts``, when given, collect each layer's (masked) input and
+    pre-activation. ``bufs[i] = (masked, out)`` holds arrays for layer
+    ``i``: its masked input goes to ``masked``, and its pre-activation and
+    then, in place, its activation go to ``out``. Either way every step is
+    the same ufunc or gemm call on the same operands, so the values are
+    bit-identical.
+    """
+    for i in range(start, len(layers)):
+        layer = layers[i]
+        masked, out = (None, None) if bufs is None else bufs[i]
+        if scales is not None and i > 0:
+            a = np.multiply(a, scales[i - 1], out=masked)
+        z = np.matmul(a, layer.weights.T, out=out)
+        z += layer.bias
+        if inputs is not None:
+            inputs.append(a)
+            pre_acts.append(z)
+        a = np.maximum(z, 0.0, out=out) if layer.activation == "relu" else z
+    return a
+
+
+def _check_logits(logits: np.ndarray) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise EngineError("non-finite logits produced by forward pass")
+    return logits
 
 
 def forward(
@@ -253,32 +298,23 @@ def forward(
     computation.
     """
     x = np.asarray(batch, dtype=np.float64)
-    _check_batch(model, x)
-    if mask is not None:
-        _check_mask(model, mask)
+    _check_pass(model, x, mask, first)
     if first is None:
         first = _input_layer(model, x)
-    elif (first.batch is not x or first.model is not model
-          or first.model_version != model.version):
-        raise EngineError("input layer was computed for another batch or model state")
-
-    layers = model.layers
     scales = mask.scales if mask is not None else None
     inputs, pre_acts = [x], [first.pre_act]
-    a = first.act
-    for i in range(1, len(layers)):
-        if scales is not None:
-            a = a * scales[i - 1]
-        layer = layers[i]
-        z = a @ layer.weights.T
-        z += layer.bias
-        inputs.append(a)
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    logits = a
-    if not np.isfinite(logits).all():
-        raise EngineError("non-finite logits produced by forward pass")
+    logits = _check_logits(
+        _layer_loop(model.layers, first.act, scales, 1, None, inputs, pre_acts)
+    )
     return logits, ForwardCache(inputs, pre_acts, logits, mask, model, model.version)
+
+
+def infer(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """Evaluation-mode logits of a (rows, features) batch, bit-identical to
+    :func:`forward`'s, from the same layer loop without a ``ForwardCache``."""
+    x = np.asarray(batch, dtype=np.float64)
+    _check_pass(model, x, None, None)
+    return _check_logits(_layer_loop(model.layers, x, None, 0))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -6,10 +6,20 @@ mode, or a deep ensemble); both run the one pass loop of this module. The
 uncertainty score used throughout the package is the predictive entropy of
 that averaged distribution, normalized by ln(class_count) so it lives in
 [0, 1] regardless of the label space.
+
+The passes of a prediction without gradient records are independent, so
+when they are large enough they run on a process-wide thread pool, one
+thread per CPU the process may use (BLAS itself stays single-threaded).
+Each pass makes the same gemm and ufunc calls on the same operands as a
+serial one, and the calling thread checks, softmaxes and sums the logits
+in pass order, so the probabilities are bit-identical.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +28,13 @@ from scipy.special import xlogy
 from . import nn, rng
 
 DEFAULT_MC_SAMPLES = 20
+
+# per-pass work (rows x weights of the layers a pass computes itself) from
+# which pooled passes run: on a 2-vCPU Xeon with single-threaded OpenBLAS,
+# 20 pooled passes broke even with serial ones at about 1e6 and were faster
+# from about 2e6 (a 2-8-2 net on 450 rows does 7,200; 784-256-256-10 on
+# 2,000 rows, 136e6)
+POOL_MIN_WORK = 2_000_000
 
 
 @dataclass
@@ -84,25 +101,142 @@ def _mc_passes(model: nn.MlpModel, n_samples: int, seed: int) -> list:
     ]
 
 
+_pool: tuple[ThreadPoolExecutor, int] | None = None
+_pool_lock = threading.Lock()
+_pooled_predictions = 0
+
+
+def _new_pool() -> tuple[ThreadPoolExecutor, int]:
+    """The pass pool and its width: one thread per CPU this process may use."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="euatlab-pass"), workers
+
+
+def _pass_pool() -> tuple[ThreadPoolExecutor, int]:
+    """The process-wide pass pool, built on first use; its threads start
+    only when a pooled prediction submits work."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _new_pool()
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of its parent's pool threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def pool_use() -> tuple[int, int]:
+    """(predictions whose passes ran on the pool so far in this process,
+    the pool's width, 1 while no pool exists)."""
+    return _pooled_predictions, _pool[1] if _pool is not None else 1
+
+
+def _run_passes(runs: list) -> list[np.ndarray]:
+    """The logits of ``nn._layer_loop`` runs. Pool threads run it, so it
+    calls no public package function: the benchmark tracer wraps those and
+    keeps a single span stack."""
+    return [nn._layer_loop(*run) for run in runs]
+
+
+def _hidden_buffers(model: nn.MlpModel, rows: int, start: int) -> list:
+    """``(masked input, output)`` arrays of layers ``start, ...`` of a pass of
+    ``model`` over ``rows`` rows, for ``nn._layer_loop``; the last layer's
+    output is left to each pass. A layer masks its input in place in the
+    previous layer's output, except after a shared input layer."""
+    layers = model.layers
+    bufs, out = [(None, None)] * start, None
+    for i in range(start, len(layers)):
+        into = None
+        if i > 0:
+            into = out if out is not None else np.empty((rows, layers[i].in_width))
+        out = np.empty((rows, layers[i].out_width)) if i < len(layers) - 1 else None
+        bufs.append((into, out))
+    return bufs
+
+
+def _pass_logits(passes: list, x: np.ndarray) -> list[np.ndarray]:
+    """The logits of the ``(model, mask | None)`` passes over the batch ``x``,
+    in pass order, without forward caches.
+
+    Every check runs on the calling thread before any pass does. Passes of
+    one model share its input layer, computed here; passes of several
+    models (an ensemble) each compute their own. The passes run serially
+    unless there are several, each computes at least ``POOL_MIN_WORK``
+    (rows x weights) and the pool has two or more threads. Then worker
+    ``j`` of ``w`` runs passes ``j, j + w, ...`` into arrays the calling
+    thread allocated: threads that allocate their own each get a malloc
+    arena, which raises the peak RSS.
+    """
+    model = passes[0][0]
+    shared = all(m is model for m, _ in passes)
+    first = nn.input_layer(model, x) if shared else None
+    for m, mask in passes:
+        nn._check_pass(m, x, mask, first)
+    start, a = (1, first.act) if shared else (0, x)
+    rows = len(x)
+    work = rows * sum(layer.weights.size for layer in model.layers[start:])
+    runs = [(m.layers, a, None if mask is None else mask.scales, start)
+            for m, mask in passes]
+    if len(passes) < 2 or work < POOL_MIN_WORK:
+        return _run_passes(runs)
+    pool, workers = _pass_pool()
+    if workers < 2:
+        return _run_passes(runs)
+
+    global _pooled_predictions
+    with _pool_lock:
+        _pooled_predictions += 1
+    groups = [[] for _ in range(workers)]
+    scratch = [{} for _ in range(workers)]  # per worker, by geometry
+    for i, ((m, mask), run) in enumerate(zip(passes, runs)):
+        key = tuple(layer.weights.shape for layer in m.layers)
+        hidden = scratch[i % workers].get(key)
+        if hidden is None:
+            hidden = scratch[i % workers][key] = _hidden_buffers(m, rows, start)
+        logits = np.empty((rows, m.class_count))
+        groups[i % workers].append((*run, hidden[:-1] + [(hidden[-1][0], logits)]))
+    futures = [pool.submit(_run_passes, group) for group in groups]
+    wait(futures)
+    done = [f.result() for f in futures]
+    return [done[i % workers][i // workers] for i in range(len(passes))]
+
+
 def _mean_of_passes(
     passes: list, inputs: np.ndarray, keep_grad_records: bool = False
 ) -> PredictiveDistribution:
     """The one softmax-pass loop: mean softmax of the ``(model, mask | None)``
-    passes over the 2-d batch ``inputs``, keeping each pass's
-    ``(probs, cache)`` when asked.
+    passes over the 2-d batch ``inputs``, summed in pass order, keeping each
+    pass's ``(probs, cache)`` when asked.
 
-    Consecutive passes of one model share its unmasked input layer.
+    With records, each pass is an ``nn.forward`` and consecutive passes of
+    one model share its unmasked input layer; without, the passes come from
+    :func:`_pass_logits` and a non-finite pass raises here, the first in
+    pass order.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    records = [] if keep_grad_records else None
-    model = acc = None
-    for m, mask in passes:
-        if m is not model:
-            model, first = m, nn.input_layer(m, x)
-        logits, cache = nn.forward(m, x, mask, first)
-        p = nn.softmax(logits)
-        if records is not None:
-            records.append((p, cache))
+    if keep_grad_records:
+        records, model = [], None
+        for m, mask in passes:
+            if m is not model:
+                model, first = m, nn.input_layer(m, x)
+            logits, cache = nn.forward(m, x, mask, first)
+            records.append((nn.softmax(logits), cache))
+        probs = (p for p, _ in records)
+    else:
+        records = None
+        probs = (nn.softmax(nn._check_logits(l)) for l in _pass_logits(passes, x))
+    acc = None
+    for p in probs:
         acc = p if acc is None else acc + p
     return PredictiveDistribution(acc / len(passes), len(passes), records)
 

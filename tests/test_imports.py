@@ -28,6 +28,10 @@ In ``training``, ``sgd_step`` and ``mc_predict`` are called only inside
 ``_Run.fit``: CE-family and error-driven epochs step through one update
 loop.
 
+Only ``uncertainty`` imports ``concurrent.futures`` or names
+``ThreadPoolExecutor``: the MC passes of a prediction are the package's one
+parallel path, on the one pass pool.
+
 No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
 the pure-Python encoder, while ``experiment._indented`` re-indents the
 C encoder's compact text into the same bytes.
@@ -254,3 +258,42 @@ def test_indent_detector_flags_json_dump_and_dumps():
         "    return 'json.dumps(doc, indent=2)'\n"
     )
     assert indented_json_dumps(source) == [5, 6, 7]
+
+
+def pool_references(source: str) -> list[int]:
+    """Lines that import from the ``concurrent`` package or name
+    ``ThreadPoolExecutor``."""
+    found = name_references(source, "ThreadPoolExecutor")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named = any(a.name.split(".")[0] == "concurrent" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named = node.level == 0 and (node.module or "").split(".")[0] == "concurrent"
+        else:
+            continue
+        if named:
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "uncertainty.py"),
+    ids=lambda p: p.name,
+)
+def test_only_uncertainty_runs_a_thread_pool(path):
+    assert pool_references(path.read_text()) == []
+
+
+def test_pool_detector_flags_imports_and_names():
+    source = (
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor, wait\n"
+        "from concurrent import futures\n"
+        "def f():\n"
+        "    return futures.ThreadPoolExecutor(2)  # ThreadPoolExecutor\n"
+        "from .concurrent import x\n"
+        "executor = 'ThreadPoolExecutor'\n"
+    )
+    assert pool_references(source) == [1, 2, 3, 5]
+    assert pool_references((PACKAGE / "uncertainty.py").read_text()) != []

@@ -66,6 +66,27 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
+class TestInfer:
+    @pytest.mark.parametrize("sizes", [(3, 5, 4, 2), (784, 256, 256, 10), (5, 3)])
+    def test_logits_equal_forward_without_a_cache(self, sizes, monkeypatch):
+        model = tiny_model(seed=9, sizes=sizes, dropout=0.3)
+        x = np.random.default_rng(15).normal(size=(7, sizes[0]))
+        logits, _ = nn.forward(model, x)
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("infer built a ForwardCache")
+
+        monkeypatch.setattr(nn, "ForwardCache", no_cache)
+        assert np.array_equal(nn.infer(model, x), logits)
+
+    def test_checks_batch_and_finiteness(self):
+        model = tiny_model()
+        with pytest.raises(nn.EngineError, match="4 features"):
+            nn.infer(model, np.zeros((2, 4)))
+        with pytest.raises(nn.EngineError, match="non-finite"):
+            nn.infer(model, np.full((2, 3), np.nan))
+
+
 class TestInputLayer:
     def test_shared_layer_gives_identical_pass(self):
         model = tiny_model(seed=6, dropout=0.3)

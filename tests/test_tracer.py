@@ -6,15 +6,19 @@ otherwise surface only as an error in every traced benchmark repetition.
 The tracer is loaded from its file and never modified.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from euatlab import experiment, nn, training
+from euatlab import experiment, nn, training, uncertainty
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -72,3 +76,47 @@ def test_install_and_uninstall_round_trip(tracer):
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
+
+
+def test_pooled_predictions_trace_repeatably_on_the_calling_thread(tracer, monkeypatch):
+    # the tracer keeps one span stack and unlocked counters: a span opened
+    # on a pool thread could interleave with the caller's and lose counts
+    executor = ThreadPoolExecutor(2)
+    monkeypatch.setattr(uncertainty, "_new_pool", lambda: (executor, 2))
+    monkeypatch.setattr(uncertainty, "_pool", None)
+    span_threads = set()
+
+    class ThreadNoting(tracer.Tracer):
+        def _wrap(self, name, fn):
+            traced = super()._wrap(name, fn)
+
+            @functools.wraps(fn)
+            def noted(*args, **kwargs):
+                span_threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return noted
+
+    model = nn.MlpModel.init([64, 128, 128, 10], 0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(200, 64))
+    assert 200 * (128 * 128 + 128 * 10) >= uncertainty.POOL_MIN_WORK
+    before = uncertainty.pool_use()[0]
+    traced = ThreadNoting()
+    traced.install()
+    try:
+        calls = []
+        for _ in range(3):
+            traced.reset()
+            uncertainty.mc_predict_probs(model, x, 20, seed=5)
+            spans = {name: n for name, (n, _) in traced.summary().items()}
+            calls.append((spans, dict(traced.counts)))
+    finally:
+        traced.uninstall()
+        executor.shutdown()
+    assert uncertainty.pool_use()[0] == before + 3
+    assert calls[0] == calls[1] == calls[2]
+    spans, counts = calls[0]
+    assert spans["uncertainty.mc_predict_probs"] == 1
+    assert spans["nn.sample_mask"] == 20
+    assert counts["uncertainty.mc_predict_probs.row_passes"] == 200 * 20
+    assert span_threads == {threading.get_ident()}

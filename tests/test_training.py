@@ -53,6 +53,16 @@ class TestPartition:
         assert len(part.wrong) == 2 * n // 3
         assert len(part.correct) == n // 3
 
+    def test_builds_no_forward_cache(self, monkeypatch):
+        def no_cache(*args, **kwargs):
+            raise AssertionError("partition built a ForwardCache")
+
+        monkeypatch.setattr(nn, "ForwardCache", no_cache)
+        model = nn.MlpModel.init([2, 6, 3], dropout_rate=0.3, seed=5)
+        x = np.random.default_rng(5).random((40, 2))
+        part = training.partition(model, x, np.zeros(40, dtype=int))
+        assert len(part.correct) + len(part.wrong) == 40
+
     def test_matches_row_by_row_oracle(self):
         model = nn.MlpModel.init([2, 6, 3], dropout_rate=0.0, seed=4)
         gen = np.random.default_rng(4)
