@@ -141,6 +141,32 @@ class DropoutMask:
     seed: int
 
 
+@dataclass
+class MaskStack:
+    """The keep masks of the N passes of one stacked :func:`forward`, from
+    :func:`stack_masks`: ``scales[i]`` has shape ``(N, 1, width_i)``, or
+    ``scales`` is None for N unmasked passes."""
+
+    scales: list[np.ndarray] | None
+    passes: int
+
+
+def stack_masks(masks: list[DropoutMask | None]) -> MaskStack:
+    """One stack of the masks of N passes, in pass order: all masks, or all
+    None for unmasked passes."""
+    unmasked = sum(mask is None for mask in masks)
+    if unmasked == len(masks):
+        return MaskStack(None, len(masks))
+    if unmasked:
+        raise EngineError("masks of one stack do not match: some passes are unmasked")
+    try:
+        layers = zip(*(mask.scales for mask in masks), strict=True)
+        scales = [np.stack(layer)[:, np.newaxis] for layer in layers]
+    except ValueError as exc:
+        raise EngineError(f"masks of one stack do not match: {exc}") from None
+    return MaskStack(scales, len(masks))
+
+
 # one mask generator per thread, re-keyed by every sample_mask call
 _mask_generators = threading.local()
 
@@ -170,44 +196,52 @@ def sample_mask(model: MlpModel, seed: int) -> DropoutMask:
     return DropoutMask(scales, seed)
 
 
-def _check_mask(model: MlpModel, mask: DropoutMask):
-    scales, layers = mask.scales, model.layers
-    if len(scales) != len(layers) - 1:
+def _check_mask(model: MlpModel, mask: DropoutMask | MaskStack):
+    """One shape check per hidden layer: ``(width,)`` for one pass,
+    ``(N, 1, width)`` for a stack of N."""
+    scales, widths = mask.scales, model.hidden_widths
+    if scales is None:
+        return
+    if len(scales) != len(widths):
         raise EngineError(
-            f"mask has {len(scales)} layers, model has {len(layers) - 1} hidden"
+            f"mask has {len(scales)} layers, model has {len(widths)} hidden"
         )
-    for i, (scale, layer) in enumerate(zip(scales, layers)):
-        width = layer.weights.shape[0]
-        if scale.shape != (width,):
-            raise EngineError(f"mask layer {i}: shape {scale.shape} != ({width},)")
+    lead = (mask.passes, 1) if isinstance(mask, MaskStack) else ()
+    for i, (scale, width) in enumerate(zip(scales, widths)):
+        if scale.shape != (*lead, width):
+            raise EngineError(f"mask layer {i}: shape {scale.shape} != {(*lead, width)}")
 
 
 @dataclass
 class ForwardCache:
-    """Activation record for one forward pass; consumed by :func:`backward`."""
+    """Activation record of one :func:`forward`, consumed by :func:`backward`.
+
+    Under a :class:`MaskStack` of N passes the first layer's input and
+    activation stay shared ``(rows, width)`` arrays, every array from the
+    first mask on is ``(N, rows, width)``, and the logits are always
+    ``(N, rows, class_count)``.
+    """
 
     inputs: list[np.ndarray]  # input to each layer (post-mask activations)
-    pre_acts: list[np.ndarray]  # pre-activation z of each layer
+    acts: list[np.ndarray]  # output of each layer, before any mask
     logits: np.ndarray  # the pass's output
-    mask: DropoutMask | None
+    mask: DropoutMask | MaskStack | None
     model: MlpModel = field(repr=False)
     model_version: int = 0
 
 
 @dataclass(frozen=True)
 class InputLayer:
-    """First-layer pre-activation and activation of one batch.
+    """First-layer activation of one batch.
 
     Dropout masks only the outputs of hidden layers, after their
     activation, so every masked pass over the same batch and model version
-    computes the same ``z = x @ W.T + b`` and ``relu(z)``. :func:`input_layer`
-    computes them once; each :func:`forward` given the result runs the same
-    float operations from there on, so its logits are bit-identical.
-    Forward caches share these arrays and :func:`backward` only reads them.
+    computes the same ``relu(x @ W.T + b)``. :func:`input_layer` computes it
+    once for the cache-free passes of ``uncertainty``, which run the same
+    float operations from there on, so their logits are bit-identical.
     """
 
     batch: np.ndarray
-    pre_act: np.ndarray
     act: np.ndarray
     model: MlpModel = field(repr=False)
     model_version: int
@@ -223,18 +257,12 @@ def _check_batch(model: MlpModel, x: np.ndarray):
         )
 
 
-def _input_layer(model: MlpModel, x: np.ndarray) -> InputLayer:
-    pre_acts = []
-    act = _layer_loop(model.layers[:1], x, None, 0, None, [], pre_acts)
-    return InputLayer(x, pre_acts[0], act, model, model.version)
-
-
 def input_layer(model: MlpModel, batch: np.ndarray) -> InputLayer:
     """The unmasked first layer of ``batch``, for reuse by every masked
-    :func:`forward` over the same batch until the model changes."""
+    pass over the same batch until the model changes."""
     x = np.asarray(batch, dtype=np.float64)
     _check_batch(model, x)
-    return _input_layer(model, x)
+    return InputLayer(x, _layer_loop(model.layers[:1], x, None, 0), model, model.version)
 
 
 def _check_pass(model: MlpModel, x: np.ndarray, mask, first):
@@ -250,17 +278,19 @@ def _check_pass(model: MlpModel, x: np.ndarray, mask, first):
         raise EngineError("input layer was computed for another batch or model state")
 
 
-def _layer_loop(layers, a, scales, start, bufs=None, inputs=None, pre_acts=None):
+def _layer_loop(layers, a, scales, start, bufs=None, inputs=None, acts=None):
     """The one layer loop of every pass: ``layers[start:]`` from their input
     ``a``, each layer after the first seeing ``a`` scaled by its keep mask
-    when ``scales`` is given; returns the last layer's activation.
+    when ``scales`` is given; returns the last layer's activation. Stacked
+    ``(N, 1, width)`` scales give every later array a leading pass axis, and
+    ``np.matmul`` makes one gemm per pass slice, as N separate passes would.
 
     Without ``bufs`` every step makes a fresh array, and ``inputs`` and
-    ``pre_acts``, when given, collect each layer's (masked) input and
-    pre-activation. ``bufs[i] = (masked, out)`` holds arrays for layer
-    ``i``: its masked input goes to ``masked``, and its pre-activation and
-    then, in place, its activation go to ``out``. Either way every step is
-    the same ufunc or gemm call on the same operands, so the values are
+    ``acts``, when given, collect each layer's (masked) input and
+    activation. ``bufs[i] = (masked, out)`` holds arrays for layer ``i``:
+    its masked input goes to ``masked``, and its pre-activation and then,
+    in place, its activation go to ``out``. Either way every step is the
+    same ufunc or gemm call on the same operands, so the values are
     bit-identical.
     """
     for i in range(start, len(layers)):
@@ -272,8 +302,8 @@ def _layer_loop(layers, a, scales, start, bufs=None, inputs=None, pre_acts=None)
         z += layer.bias
         if inputs is not None:
             inputs.append(a)
-            pre_acts.append(z)
-        a = np.maximum(z, 0.0, out=out) if layer.activation == "relu" else z
+            acts.append(z)
+        a = np.maximum(z, 0.0, out=z) if layer.activation == "relu" else z
     return a
 
 
@@ -284,29 +314,25 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    model: MlpModel,
-    batch: np.ndarray,
-    mask: DropoutMask | None = None,
-    first: InputLayer | None = None,
+    model: MlpModel, batch: np.ndarray, mask: DropoutMask | MaskStack | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on a (rows, features) batch.
 
-    With ``mask`` present the post-activation output of every hidden layer is
-    multiplied by the layer's scaled keep mask; without it the pass is the
-    deterministic evaluation-mode function of (model, batch). ``first``, from
-    :func:`input_layer` on this very batch array, replaces the first layer's
-    computation.
+    With a :class:`DropoutMask` the post-activation output of every hidden
+    layer is multiplied by the layer's scaled keep mask; without one the
+    pass is the deterministic evaluation-mode function of (model, batch).
+    A :class:`MaskStack` runs its N passes as one, sharing the first layer,
+    and returns ``(N, rows, class_count)`` logits: a pass whose logits no
+    mask reached is repeated.
     """
     x = np.asarray(batch, dtype=np.float64)
-    _check_pass(model, x, mask, first)
-    if first is None:
-        first = _input_layer(model, x)
+    _check_pass(model, x, mask, None)
     scales = mask.scales if mask is not None else None
-    inputs, pre_acts = [x], [first.pre_act]
-    logits = _check_logits(
-        _layer_loop(model.layers, first.act, scales, 1, None, inputs, pre_acts)
-    )
-    return logits, ForwardCache(inputs, pre_acts, logits, mask, model, model.version)
+    inputs, acts = [], []
+    logits = _check_logits(_layer_loop(model.layers, x, scales, 0, None, inputs, acts))
+    if isinstance(mask, MaskStack) and logits.ndim == 2:
+        logits = np.broadcast_to(logits, (mask.passes, *logits.shape))
+    return logits, ForwardCache(inputs, acts, logits, mask, model, model.version)
 
 
 def infer(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -331,6 +357,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def _pass_sum(per_pass: np.ndarray) -> np.ndarray:
+    """``per_pass[0] + per_pass[1] + ...``, added in pass order in place in
+    ``per_pass[0]``: the sums that N separate passes' results would give."""
+    total = per_pass[0]
+    for part in per_pass[1:]:
+        total += part
+    return total
+
+
 def backward(
     cache: ForwardCache, upstream_grad: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
@@ -340,6 +375,9 @@ def backward(
     gradient with respect to the batch input (used by gradient-sign attacks).
     The layers are read from ``cache.model``: ``sgd_step``, the only writer
     of layer arrays, bumps the version this checks first.
+
+    A stacked cache runs the delta chain once over the pass axis, one gemm
+    per pass slice, and sums each gradient over the passes in pass order.
     """
     if cache.model_version != cache.model.version:
         raise EngineError("stale forward cache: model parameters changed")
@@ -350,16 +388,28 @@ def backward(
         )
 
     layers = cache.model.layers
-    n_layers = len(layers)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
+    last = len(layers) - 1
+    scales = cache.mask.scales if cache.mask is not None else None
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     delta = g
-    for i in range(n_layers - 1, -1, -1):
-        if i < n_layers - 1 and cache.mask is not None:
-            delta = delta * cache.mask.scales[i]
-        if layers[i].activation == "relu":
-            delta = delta * (cache.pre_acts[i] > 0.0)
-        grads[i] = (delta.T @ cache.inputs[i], delta.sum(axis=0))
+    for i in range(last, -1, -1):
+        # a relu's output is positive exactly where its input is
+        gate = cache.acts[i] > 0.0 if layers[i].activation == "relu" else None
+        if i == last:
+            if gate is not None:
+                delta = delta * gate  # not in place: g is the caller's
+        else:
+            # delta is the fresh product of the layer above
+            if scales is not None:
+                delta *= scales[i]
+            if gate is not None:
+                delta *= gate
+        grads[i] = (np.matmul(delta.swapaxes(-1, -2), cache.inputs[i]),
+                    delta.sum(axis=-2))
         delta = delta @ layers[i].weights
+    if isinstance(cache.mask, MaskStack):
+        grads = [(_pass_sum(gw), _pass_sum(gb)) for gw, gb in grads]
+        delta = _pass_sum(delta)
     return grads, delta
 
 

@@ -61,10 +61,10 @@ def ce_input_grad(
 
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
     # deterministic variant: one unmasked pass, membership from the argmax
-    # of its logits (the evaluation-mode predictions)
+    # of its logits (the evaluation-mode predictions), slice 0 of its stack
     dist = eval_predict([model], inputs, keep_grad_records=True)
     _, cache = dist.grad_passes[0]
-    correct = cache.logits.argmax(axis=1) == labels
+    correct = cache.logits[0].argmax(axis=1) == labels
     membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)
     return euat_loss(LabeledBatch(inputs, labels, membership), dist).input_grad
 

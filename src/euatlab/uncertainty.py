@@ -21,6 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.special import xlogy
@@ -41,9 +42,11 @@ POOL_MIN_WORK = 2_000_000
 class PredictiveDistribution:
     """Class probabilities averaged over softmax passes.
 
-    ``probs`` has shape (rows, class_count). When gradients are needed the
-    per-pass probabilities and forward caches are retained in
-    ``grad_passes`` so losses can backpropagate through the average.
+    ``probs`` has shape (rows, class_count). When gradients are needed
+    ``grad_passes`` keeps one ``(probs, cache)`` record per ``nn.forward``,
+    each of a stack of passes: its probabilities are (passes, rows,
+    class_count), in pass order, so losses can backpropagate through the
+    average.
     """
 
     probs: np.ndarray
@@ -60,7 +63,8 @@ class PredictiveDistribution:
         self, d_mean_probs: np.ndarray
     ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         """Push a gradient w.r.t. the averaged probabilities back to the
-        model parameters, summing contributions over all retained passes.
+        model parameters, summing contributions over all retained passes:
+        one softmax VJP and one ``nn.backward`` per record.
 
         Returns per-layer (d_weights, d_bias) plus the input gradient.
         """
@@ -69,12 +73,12 @@ class PredictiveDistribution:
                 "distribution has no gradient records; predict with "
                 "keep_grad_records=True"
             )
-        gp = d_mean_probs * (1.0 / len(self.grad_passes))
+        gp = d_mean_probs * (1.0 / self.sample_count)
         total: list[tuple[np.ndarray, np.ndarray]] | None = None
         input_grad = None
         for pass_probs, cache in self.grad_passes:
             # softmax vector-Jacobian product: dL/dz = p * (g - sum_k g_k p_k)
-            gz = pass_probs * (gp - (gp * pass_probs).sum(axis=1, keepdims=True))
+            gz = pass_probs * (gp - (gp * pass_probs).sum(axis=-1, keepdims=True))
             grads, xg = nn.backward(cache, gz)
             if total is None:
                 # nn.backward allocates fresh arrays: accumulate in place
@@ -215,23 +219,22 @@ def _mean_of_passes(
     passes: list, inputs: np.ndarray, keep_grad_records: bool = False
 ) -> PredictiveDistribution:
     """The one softmax-pass loop: mean softmax of the ``(model, mask | None)``
-    passes over the 2-d batch ``inputs``, summed in pass order, keeping each
-    pass's ``(probs, cache)`` when asked.
+    passes over the 2-d batch ``inputs``, summed in pass order, keeping the
+    ``(probs, cache)`` records of the passes when asked.
 
-    With records, each pass is an ``nn.forward`` and consecutive passes of
-    one model share its unmasked input layer; without, the passes come from
+    With records, each run of consecutive passes of one model is one
+    stacked ``nn.forward`` and one softmax: one for an MC call, one per
+    member of an ensemble. Without, the passes come from
     :func:`_pass_logits` and a non-finite pass raises here, the first in
     pass order.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if keep_grad_records:
-        records, model = [], None
-        for m, mask in passes:
-            if m is not model:
-                model, first = m, nn.input_layer(m, x)
-            logits, cache = nn.forward(m, x, mask, first)
+        records = []
+        for m, run in groupby(passes, key=lambda p: p[0]):
+            logits, cache = nn.forward(m, x, nn.stack_masks([mask for _, mask in run]))
             records.append((nn.softmax(logits), cache))
-        probs = (p for p, _ in records)
+        probs = (p for stacked, _ in records for p in stacked)
     else:
         records = None
         probs = (nn.softmax(nn._check_logits(l)) for l in _pass_logits(passes, x))
@@ -264,7 +267,7 @@ def mc_predict_probs(
     n_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> np.ndarray:
-    """Averaged probabilities only, without per-pass records."""
+    """Averaged probabilities only, without gradient records."""
     return _mean_of_passes(_mc_passes(model, n_samples, seed), inputs).probs
 
 

@@ -226,12 +226,12 @@ class TestEnsemble:
         dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
         assert (dist.probs == reference_ensemble_probs(ens, x)).all()
         assert (Predictor(ensemble=ens).probs(x, seed=0) == dist.probs).all()
-        for member, (probs, _) in zip(members, dist.grad_passes, strict=True):
+        for member, (stack, _) in zip(members, dist.grad_passes, strict=True):
             single = reference_ensemble_probs(baselines.Ensemble([member], [0]), x)
-            assert (probs == single).all()
+            assert stack.shape == (1, *single.shape) and (stack[0] == single).all()
         one = uncertainty.eval_predict(ens.members, x[:1], keep_grad_records=True)
         assert (one.probs == reference_ensemble_probs(ens, x[:1])).all()
-        assert [p.shape for p, _ in one.grad_passes] == [(1, 3)] * n_members
+        assert [p.shape for p, _ in one.grad_passes] == [(1, 1, 3)] * n_members
         with pytest.raises(nn.EngineError, match="2-d"):
             uncertainty.eval_predict(ens.members, x[0])
 
@@ -248,7 +248,7 @@ class TestEnsemble:
         x = np.random.default_rng(8).random((20, 2))
         dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
         h_mean = uncertainty.entropy(dist.probs)
-        per_member = np.stack([p for p, _ in dist.grad_passes])
+        per_member = np.concatenate([p for p, _ in dist.grad_passes])
         mean_h = uncertainty.entropy(per_member).mean(axis=0)
         assert np.all(h_mean >= mean_h - 1e-12)
 

@@ -8,7 +8,10 @@ Lazy third-party imports are not covered here.
 Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 ``softmax``: every gradient through the softmax takes the one VJP in
 ``backprop_mean_prob_grad``, and every prediction, ensemble mean and attack
-gradient runs the one softmax-pass loop of ``uncertainty``.
+gradient runs the one softmax-pass loop of ``uncertainty``. For the same
+reason only they call ``forward``: every gradient record is one stacked
+forward of ``uncertainty``. ``training`` keeps a ``forward`` binding for the
+benchmark's tracer but calls nothing through it.
 
 Only ``robustness`` names ``ce_input_grad``: every gradient-sign attack,
 of any predictor and in adversarial training, is one ``robustness.fgsm``
@@ -220,6 +223,21 @@ def test_call_detector_names_the_enclosing_method():
         ("_Run.fit", "sgd_step", 4),
         ("_Run.step", "sgd_step", 7),
     ]
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
+def test_only_nn_and_uncertainty_call_forward(path):
+    assert calls_by_method(path.read_text(), ("forward",)) == []
+
+
+def test_forward_call_detector_ignores_imports_and_references():
+    source = (
+        "from .nn import forward  # noqa: F401\n"
+        "def f(model, x):\n"
+        "    keep = forward\n"
+        "    return nn.forward(model, x), forward(model, x)[0]\n"
+    )
+    assert calls_by_method(source, ("forward",)) == [("", "forward", 4)] * 2
 
 
 def indented_json_dumps(source: str) -> list[int]:

@@ -89,15 +89,15 @@ class TestInfer:
 
 class TestInputLayer:
     def test_shared_layer_gives_identical_pass(self):
+        # the cache-free passes start from the shared layer, forward does not
         model = tiny_model(seed=6, dropout=0.3)
         x = np.random.default_rng(13).normal(size=(5, 3))
         mask = nn.sample_mask(model, seed=2)
         logits, cache = nn.forward(model, x, mask)
-        shared_logits, shared_cache = nn.forward(model, x, mask, nn.input_layer(model, x))
+        first = nn.input_layer(model, x)
+        assert np.array_equal(first.act, cache.acts[0])
+        shared_logits = nn._layer_loop(model.layers, first.act, mask.scales, 1)
         assert np.array_equal(shared_logits, logits)
-        for a, b in zip(shared_cache.pre_acts + shared_cache.inputs,
-                        cache.pre_acts + cache.inputs):
-            assert np.array_equal(a, b)
 
     def test_checks_batch_before_matmul(self):
         model = tiny_model()
@@ -110,19 +110,19 @@ class TestInputLayer:
         model = tiny_model(seed=7)
         first = nn.input_layer(model, np.zeros((2, 3)))
         with pytest.raises(nn.EngineError, match="another batch"):
-            nn.forward(model, np.zeros((2, 3)), first=first)
+            nn._check_pass(model, np.zeros((2, 3)), None, first)
 
     def test_other_model_state_rejected(self):
         model = tiny_model(seed=8)
         x = np.zeros((2, 3))
         first = nn.input_layer(model, x)
         with pytest.raises(nn.EngineError, match="model state"):
-            nn.forward(tiny_model(seed=8), x, first=first)
+            nn._check_pass(tiny_model(seed=8), x, None, first)
         state = nn.OptimizerState.for_model(model, lr=0.1)
         zero = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
         assert nn.sgd_step(model, zero, state)
         with pytest.raises(nn.EngineError, match="model state"):
-            nn.forward(model, x, first=first)
+            nn._check_pass(model, x, None, first)
 
 
 class TestSoftmax:

@@ -50,7 +50,7 @@ class TestMcPredict:
         dist = uncertainty.mc_predict(
             model, x, n_samples=9, seed=7, keep_grad_records=True
         )
-        per_sample = np.stack([p for p, _ in dist.grad_passes])
+        per_sample = np.concatenate([p for p, _ in dist.grad_passes])
         assert np.allclose(dist.probs, per_sample.mean(axis=0), atol=1e-12)
 
     def test_single_input_keeps_vector_shape(self):
@@ -60,7 +60,7 @@ class TestMcPredict:
             model, np.zeros((1, 3)), n_samples=3, seed=8, keep_grad_records=True
         )
         assert dist.probs.shape == (1, 4)
-        assert [p.shape for p, _ in dist.grad_passes] == [(1, 4)] * 3
+        assert [p.shape for stack, _ in dist.grad_passes for p in stack] == [(1, 4)] * 3
         with pytest.raises(nn.EngineError, match="2-d"):
             uncertainty.mc_predict(model, np.zeros(3), n_samples=3, seed=8)
 
@@ -131,7 +131,8 @@ class TestSharedInputLayer:
         probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
         assert np.array_equal(probs, mean)
         assert np.array_equal(dist.probs, mean)
-        for (p, _), (ref_p, _) in zip(dist.grad_passes, ref, strict=True):
+        per_pass = [p for stack, _ in dist.grad_passes for p in stack]
+        for p, (ref_p, _) in zip(per_pass, ref, strict=True):
             assert np.array_equal(p, ref_p)
         assert dist.sample_count == len(ref)
 
@@ -226,6 +227,6 @@ def test_jensen_direction_entropy_of_mean():
         model, x, n_samples=15, seed=13, keep_grad_records=True
     )
     h_mean = uncertainty.entropy(dist.probs)
-    per_sample = np.stack([p for p, _ in dist.grad_passes])
+    per_sample = np.concatenate([p for p, _ in dist.grad_passes])
     mean_h = uncertainty.entropy(per_sample).mean(axis=0)
     assert np.all(h_mean >= mean_h - 1e-12)
