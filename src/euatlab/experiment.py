@@ -62,6 +62,12 @@ class DatasetConfig:
     labels_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ConfigError(f"kind must be a string, got {self.kind!r}")
+        for name in ("images_path", "labels_path"):
+            value = getattr(self, name)  # an integer path would open a descriptor
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string or null, got {value!r}")
         for name in ("n", "class_count", "dim"):
             _require_int(name, getattr(self, name))
         for name in ("noise", "val_fraction", "test_fraction"):
@@ -527,15 +533,26 @@ def predictor_from_checkpoint(doc: dict, n_mc: int) -> Predictor:
     return Predictor(model=model_from_checkpoint_dict(doc), n_mc=n_mc)
 
 
+def _make_dir(path) -> Path:
+    """Create the directory ``path`` and its parents; one that cannot be
+    created (a file of that name, say) is a ``ConfigError``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create run directory {path}: {exc}") from exc
+    return path
+
+
 def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     """Dataset -> training -> threshold tuning -> protocols -> artifacts.
 
     Returns the manifest; writes everything under ``output_dir`` (falls
-    back to ``config.output_dir``). Stage failures are recorded in the
-    manifest before the exception propagates.
+    back to ``config.output_dir``); a directory that cannot be created
+    raises ``ConfigError`` before any stage runs. Stage failures are
+    recorded in the manifest before the exception propagates.
     """
-    out_dir = Path(output_dir or config.output_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(output_dir or config.output_dir or ".")
     manifest = {
         "code_version": __version__,
         "config": config.to_dict(),
@@ -660,12 +677,15 @@ def replay(manifest_path, output_dir) -> dict:
     """Re-execute a manifest's config and byte-compare the metric artifacts.
 
     Wall-time columns are excluded from the per-epoch comparison; every
-    other reported number must match exactly. A missing original, or an
-    original ``per_epoch.csv`` without a ``wall_time`` header, raises
-    ``ConfigError`` before anything is re-run.
+    other reported number must match exactly. An ``output_dir`` that is the
+    original run's directory (which would compare each file with itself), a
+    missing original, or an original ``per_epoch.csv`` without a
+    ``wall_time`` header raises ``ConfigError`` before anything is re-run.
     """
     original_dir = Path(manifest_path).parent
     _, config = _load_manifest(manifest_path)
+    if Path(output_dir).resolve() == original_dir.resolve():
+        raise ConfigError(f"cannot replay into the original run directory {output_dir}")
     byte_compared = (
         "metrics.json", "histogram.csv", "predictions.csv", "checkpoint.json"
     )
@@ -698,7 +718,8 @@ def compare_methods(
 ) -> dict:
     """Run several methods on the identical dataset/seed and tabulate the
     clean-test metrics side by side (one row per metric). An empty or
-    repeated method list raises ``ConfigError`` before anything is run."""
+    repeated method list, or an ``output_dir`` that cannot be created,
+    raises ``ConfigError`` before anything is run."""
     if not methods or len(set(methods)) != len(methods):
         raise ConfigError(f"compare needs distinct methods, got {methods}")
     configs = []  # every method's config is checked before any training
@@ -706,8 +727,7 @@ def compare_methods(
         doc = config.to_dict()
         doc["method"] = method
         configs.append(ExperimentConfig.from_dict(doc))
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(output_dir)
     columns = {
         sub.method: run_experiment(sub, out_dir / sub.method)["reports"]["clean"]
         for sub in configs

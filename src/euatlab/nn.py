@@ -4,7 +4,9 @@ analytic gradients, and SGD with momentum and classical weight decay.
 Everything is float64 and deterministic given its seeds. Dropout masks are
 sampled per hidden *unit* and shared across the rows of a batch, so a mask
 is one realization of a thinned network; evaluation-mode forward passes use
-no mask and no rescaling (inverted dropout scales at sampling time).
+no mask and no rescaling (inverted dropout scales at sampling time). The
+one mask type is :class:`MaskStack`, the masks of N passes: ``sample_mask``
+draws one pass, and a stack runs its passes as one ``forward``.
 """
 
 from __future__ import annotations
@@ -134,49 +136,26 @@ class MlpModel:
 
 
 @dataclass
-class DropoutMask:
-    """Per-hidden-layer keep masks, entries in ``{0, 1/(1-p)}``."""
-
-    scales: list[np.ndarray]
-    seed: int
-
-
-@dataclass
 class MaskStack:
-    """The keep masks of the N passes of one stacked :func:`forward`, from
-    :func:`stack_masks`: ``scales[i]`` has shape ``(N, 1, width_i)``, or
+    """The keep masks of N dropout passes, entries in ``{0, 1/(1-p)}``:
+    ``scales[i]`` has shape ``(N, 1, width_i)``, one row per pass, or
     ``scales`` is None for N unmasked passes."""
 
     scales: list[np.ndarray] | None
     passes: int
 
 
-def stack_masks(masks: list[DropoutMask | None]) -> MaskStack:
-    """One stack of the masks of N passes, in pass order: all masks, or all
-    None for unmasked passes."""
-    unmasked = sum(mask is None for mask in masks)
-    if unmasked == len(masks):
-        return MaskStack(None, len(masks))
-    if unmasked:
-        raise EngineError("masks of one stack do not match: some passes are unmasked")
-    try:
-        layers = zip(*(mask.scales for mask in masks), strict=True)
-        scales = [np.stack(layer)[:, np.newaxis] for layer in layers]
-    except ValueError as exc:
-        raise EngineError(f"masks of one stack do not match: {exc}") from None
-    return MaskStack(scales, len(masks))
-
-
 # one mask generator per thread, re-keyed by every sample_mask call
 _mask_generators = threading.local()
 
 
-def sample_mask(model: MlpModel, seed: int) -> DropoutMask:
-    """Sample Bernoulli(1-p) keep decisions per hidden unit, pre-scaled.
+def sample_mask(model: MlpModel, seed: int) -> MaskStack:
+    """Sample Bernoulli(1-p) keep decisions per hidden unit, pre-scaled: the
+    mask of one pass, as a one-pass stack with ``(1, 1, width)`` scales.
 
     The same seed always reproduces the same mask bit-exactly: the draws
-    are those of ``rng.substream(seed, "dropout-mask")``, one
-    ``random(width)`` per hidden layer in layer order.
+    are those of ``rng.substream(seed, "dropout-mask")``, one ``random``
+    call of ``width`` draws per hidden layer in layer order.
 
     Building a Philox generator costs several times more than the draws of
     a small net, so each thread keeps one generator and every call re-keys
@@ -192,13 +171,13 @@ def sample_mask(model: MlpModel, seed: int) -> DropoutMask:
     if gen is None:
         gen = _mask_generators.gen = rng.generator(0)
     gen.bit_generator.state = rng.philox_state(rng.derive_seed(seed, "dropout-mask"))
-    scales = [(gen.random(width) >= p) / (1.0 - p) for width in model.hidden_widths]
-    return DropoutMask(scales, seed)
+    scales = [(gen.random((1, 1, width)) >= p) / (1.0 - p)
+              for width in model.hidden_widths]
+    return MaskStack(scales, 1)
 
 
-def _check_mask(model: MlpModel, mask: DropoutMask | MaskStack):
-    """One shape check per hidden layer: ``(width,)`` for one pass,
-    ``(N, 1, width)`` for a stack of N."""
+def _check_mask(model: MlpModel, mask: MaskStack):
+    """One shape check per hidden layer: ``(N, 1, width)`` for a stack of N."""
     scales, widths = mask.scales, model.hidden_widths
     if scales is None:
         return
@@ -206,10 +185,10 @@ def _check_mask(model: MlpModel, mask: DropoutMask | MaskStack):
         raise EngineError(
             f"mask has {len(scales)} layers, model has {len(widths)} hidden"
         )
-    lead = (mask.passes, 1) if isinstance(mask, MaskStack) else ()
     for i, (scale, width) in enumerate(zip(scales, widths)):
-        if scale.shape != (*lead, width):
-            raise EngineError(f"mask layer {i}: shape {scale.shape} != {(*lead, width)}")
+        if scale.shape != (mask.passes, 1, width):
+            raise EngineError(
+                f"mask layer {i}: shape {scale.shape} != {(mask.passes, 1, width)}")
 
 
 @dataclass
@@ -219,35 +198,20 @@ class ForwardCache:
     Under a :class:`MaskStack` of N passes the first layer's input and
     activation stay shared ``(rows, width)`` arrays, every array from the
     first mask on is ``(N, rows, width)``, and the logits are always
-    ``(N, rows, class_count)``.
+    ``(N, rows, class_count)``; without a mask every array is 2-d.
     """
 
     inputs: list[np.ndarray]  # input to each layer (post-mask activations)
     acts: list[np.ndarray]  # output of each layer, before any mask
     logits: np.ndarray  # the pass's output
-    mask: DropoutMask | MaskStack | None
+    mask: MaskStack | None
     model: MlpModel = field(repr=False)
     model_version: int = 0
 
 
-@dataclass(frozen=True)
-class InputLayer:
-    """First-layer activation of one batch.
-
-    Dropout masks only the outputs of hidden layers, after their
-    activation, so every masked pass over the same batch and model version
-    computes the same ``relu(x @ W.T + b)``. :func:`input_layer` computes it
-    once for the cache-free passes of ``uncertainty``, which run the same
-    float operations from there on, so their logits are bit-identical.
-    """
-
-    batch: np.ndarray
-    act: np.ndarray
-    model: MlpModel = field(repr=False)
-    model_version: int
-
-
-def _check_batch(model: MlpModel, x: np.ndarray):
+def _check_pass(model: MlpModel, x: np.ndarray, mask: MaskStack | None):
+    """Every check a pass makes before its layer loop: a 2-d batch of the
+    model's feature width and a mask shaped like the hidden layers."""
     if x.ndim != 2:
         raise EngineError(f"batch must be 2-d (rows, features), got shape {x.shape}")
     if x.shape[1] != model.input_width:
@@ -255,35 +219,17 @@ def _check_batch(model: MlpModel, x: np.ndarray):
             f"batch has {x.shape[1]} features, first layer expects "
             f"{model.input_width}"
         )
-
-
-def input_layer(model: MlpModel, batch: np.ndarray) -> InputLayer:
-    """The unmasked first layer of ``batch``, for reuse by every masked
-    pass over the same batch until the model changes."""
-    x = np.asarray(batch, dtype=np.float64)
-    _check_batch(model, x)
-    return InputLayer(x, _layer_loop(model.layers[:1], x, None, 0), model, model.version)
-
-
-def _check_pass(model: MlpModel, x: np.ndarray, mask, first):
-    """Every check a pass makes before its layer loop: a 2-d batch of the
-    model's feature width, a mask shaped like the hidden layers, and
-    ``first``, when given, built for this very batch array and the model's
-    current version."""
-    _check_batch(model, x)
     if mask is not None:
         _check_mask(model, mask)
-    if first is not None and (first.batch is not x or first.model is not model
-                              or first.model_version != model.version):
-        raise EngineError("input layer was computed for another batch or model state")
 
 
 def _layer_loop(layers, a, scales, start, bufs=None, inputs=None, acts=None):
     """The one layer loop of every pass: ``layers[start:]`` from their input
     ``a``, each layer after the first seeing ``a`` scaled by its keep mask
-    when ``scales`` is given; returns the last layer's activation. Stacked
-    ``(N, 1, width)`` scales give every later array a leading pass axis, and
-    ``np.matmul`` makes one gemm per pass slice, as N separate passes would.
+    when ``scales`` is given; returns the last layer's activation. A
+    stack's ``(N, 1, width)`` scales give every later array a leading pass
+    axis, and ``np.matmul`` makes one gemm per pass slice, as N separate
+    passes would; the ``(1, width)`` slices of one pass keep them 2-d.
 
     Without ``bufs`` every step makes a fresh array, and ``inputs`` and
     ``acts``, when given, collect each layer's (masked) input and
@@ -314,23 +260,23 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    model: MlpModel, batch: np.ndarray, mask: DropoutMask | MaskStack | None = None
+    model: MlpModel, batch: np.ndarray, mask: MaskStack | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on a (rows, features) batch.
 
-    With a :class:`DropoutMask` the post-activation output of every hidden
-    layer is multiplied by the layer's scaled keep mask; without one the
-    pass is the deterministic evaluation-mode function of (model, batch).
-    A :class:`MaskStack` runs its N passes as one, sharing the first layer,
-    and returns ``(N, rows, class_count)`` logits: a pass whose logits no
-    mask reached is repeated.
+    Without a mask the pass is the deterministic evaluation-mode function
+    of (model, batch) and returns ``(rows, class_count)`` logits. A
+    :class:`MaskStack` runs its N passes as one, sharing the first layer,
+    each multiplying the post-activation output of every hidden layer by
+    its scaled keep mask, and returns ``(N, rows, class_count)`` logits: a
+    pass whose logits no mask reached is repeated.
     """
     x = np.asarray(batch, dtype=np.float64)
-    _check_pass(model, x, mask, None)
+    _check_pass(model, x, mask)
     scales = mask.scales if mask is not None else None
     inputs, acts = [], []
     logits = _check_logits(_layer_loop(model.layers, x, scales, 0, None, inputs, acts))
-    if isinstance(mask, MaskStack) and logits.ndim == 2:
+    if mask is not None and logits.ndim == 2:
         logits = np.broadcast_to(logits, (mask.passes, *logits.shape))
     return logits, ForwardCache(inputs, acts, logits, mask, model, model.version)
 
@@ -339,7 +285,7 @@ def infer(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Evaluation-mode logits of a (rows, features) batch, bit-identical to
     :func:`forward`'s, from the same layer loop without a ``ForwardCache``."""
     x = np.asarray(batch, dtype=np.float64)
-    _check_pass(model, x, None, None)
+    _check_pass(model, x, None)
     return _check_logits(_layer_loop(model.layers, x, None, 0))
 
 
@@ -376,7 +322,7 @@ def backward(
     The layers are read from ``cache.model``: ``sgd_step``, the only writer
     of layer arrays, bumps the version this checks first.
 
-    A stacked cache runs the delta chain once over the pass axis, one gemm
+    A masked cache runs the delta chain once over the pass axis, one gemm
     per pass slice, and sums each gradient over the passes in pass order.
     """
     if cache.model_version != cache.model.version:
@@ -407,7 +353,7 @@ def backward(
         grads[i] = (np.matmul(delta.swapaxes(-1, -2), cache.inputs[i]),
                     delta.sum(axis=-2))
         delta = delta @ layers[i].weights
-    if isinstance(cache.mask, MaskStack):
+    if cache.mask is not None:
         grads = [(_pass_sum(gw), _pass_sum(gb)) for gw, gb in grads]
         delta = _pass_sum(delta)
     return grads, delta

@@ -2,7 +2,9 @@
 
 A prediction is the average of N softmaxed stochastic forward passes, each
 under a fresh dropout mask, or of one unmasked pass per model (evaluation
-mode, or a deep ensemble); both run the one pass loop of this module. The
+mode, or a deep ensemble); both run the one pass loop of this module, which
+takes the passes as ``(model, nn.MaskStack)`` runs: one run of N masks for
+an MC call, one unmasked run per model for ``eval_predict``. The
 uncertainty score used throughout the package is the predictive entropy of
 that averaged distribution, normalized by ln(class_count) so it lives in
 [0, 1] regardless of the label space.
@@ -21,7 +23,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from scipy.special import xlogy
@@ -43,8 +44,8 @@ class PredictiveDistribution:
     """Class probabilities averaged over softmax passes.
 
     ``probs`` has shape (rows, class_count). When gradients are needed
-    ``grad_passes`` keeps one ``(probs, cache)`` record per ``nn.forward``,
-    each of a stack of passes: its probabilities are (passes, rows,
+    ``grad_passes`` keeps one ``(probs, cache)`` record per run of passes,
+    each from one ``nn.forward``: its probabilities are (passes, rows,
     class_count), in pass order, so losses can backpropagate through the
     average.
     """
@@ -92,17 +93,18 @@ class PredictiveDistribution:
 
 
 def _mc_passes(model: nn.MlpModel, n_samples: int, seed: int) -> list:
-    """``(model, mask)`` of each MC pass: pass ``i`` uses the mask seeded by
-    ``derive_seed(seed, "mc-pass", i)``; with dropout_rate == 0 there is a
-    single unmasked pass."""
+    """The one ``(model, MaskStack)`` run of an MC call: pass ``i`` uses the
+    mask seeded by ``derive_seed(seed, "mc-pass", i)``, and the N one-pass
+    masks are concatenated in pass order; with dropout_rate == 0 the run is
+    a single unmasked pass."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if model.dropout_rate == 0.0:
-        return [(model, None)]
-    return [
-        (model, nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i)))
-        for i in range(n_samples)
-    ]
+        return [(model, nn.MaskStack(None, 1))]
+    masks = [nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
+             for i in range(n_samples)]
+    scales = [np.concatenate(layer) for layer in zip(*(m.scales for m in masks))]
+    return [(model, nn.MaskStack(scales, n_samples))]
 
 
 _pool: tuple[ThreadPoolExecutor, int] | None = None
@@ -145,11 +147,11 @@ def pool_use() -> tuple[int, int]:
     return _pooled_predictions, _pool[1] if _pool is not None else 1
 
 
-def _run_passes(runs: list) -> list[np.ndarray]:
-    """The logits of ``nn._layer_loop`` runs. Pool threads run it, so it
-    calls no public package function: the benchmark tracer wraps those and
-    keeps a single span stack."""
-    return [nn._layer_loop(*run) for run in runs]
+def _run_passes(loops: list) -> list[np.ndarray]:
+    """The logits of ``nn._layer_loop`` calls, one per argument tuple. Pool
+    threads run it, so it calls no public package function: the benchmark
+    tracer wraps those and keeps a single span stack."""
+    return [nn._layer_loop(*loop) for loop in loops]
 
 
 def _hidden_buffers(model: nn.MlpModel, rows: int, start: int) -> list:
@@ -168,47 +170,50 @@ def _hidden_buffers(model: nn.MlpModel, rows: int, start: int) -> list:
     return bufs
 
 
-def _pass_logits(passes: list, x: np.ndarray) -> list[np.ndarray]:
-    """The logits of the ``(model, mask | None)`` passes over the batch ``x``,
-    in pass order, without forward caches.
+def _pass_logits(runs: list, x: np.ndarray) -> list[np.ndarray]:
+    """The logits of every pass of the ``(model, MaskStack)`` runs over the
+    batch ``x``, in pass order, without forward caches; pass ``p`` of a run
+    is masked by the slices ``s[p]`` of its scales.
 
-    Every check runs on the calling thread before any pass does. Passes of
-    one model share its input layer, computed here; passes of several
-    models (an ensemble) each compute their own. The passes run serially
-    unless there are several, each computes at least ``POOL_MIN_WORK``
-    (rows x weights) and the pool has two or more threads. Then worker
-    ``j`` of ``w`` runs passes ``j, j + w, ...`` into arrays the calling
-    thread allocated: threads that allocate their own each get a malloc
-    arena, which raises the peak RSS.
+    Every check runs on the calling thread, once per run, before any pass
+    does. Passes of one model share its input layer, computed here; passes
+    of several models (an ensemble) each compute their own. The passes run
+    serially unless there are several, each computes at least
+    ``POOL_MIN_WORK`` (rows x weights) and the pool has two or more
+    threads. Then worker ``j`` of ``w`` runs passes ``j, j + w, ...`` into
+    arrays the calling thread allocated: threads that allocate their own
+    each get a malloc arena, which raises the peak RSS.
     """
-    model = passes[0][0]
-    shared = all(m is model for m, _ in passes)
-    first = nn.input_layer(model, x) if shared else None
-    for m, mask in passes:
-        nn._check_pass(m, x, mask, first)
-    start, a = (1, first.act) if shared else (0, x)
+    for m, stack in runs:
+        nn._check_pass(m, x, stack)
+    model = runs[0][0]
+    shared = all(m is model for m, _ in runs)
+    # dropout masks only the outputs of hidden layers, so every pass of one
+    # model computes the same first layer
+    start, a = (1, nn._layer_loop(model.layers[:1], x, None, 0)) if shared else (0, x)
     rows = len(x)
     work = rows * sum(layer.weights.size for layer in model.layers[start:])
-    runs = [(m.layers, a, None if mask is None else mask.scales, start)
-            for m, mask in passes]
+    passes = [(m, None if stack.scales is None else [s[p] for s in stack.scales])
+              for m, stack in runs for p in range(stack.passes)]
+    loops = [(m.layers, a, scales, start) for m, scales in passes]
     if len(passes) < 2 or work < POOL_MIN_WORK:
-        return _run_passes(runs)
+        return _run_passes(loops)
     pool, workers = _pass_pool()
     if workers < 2:
-        return _run_passes(runs)
+        return _run_passes(loops)
 
     global _pooled_predictions
     with _pool_lock:
         _pooled_predictions += 1
     groups = [[] for _ in range(workers)]
     scratch = [{} for _ in range(workers)]  # per worker, by geometry
-    for i, ((m, mask), run) in enumerate(zip(passes, runs)):
+    for i, ((m, _), loop) in enumerate(zip(passes, loops)):
         key = tuple(layer.weights.shape for layer in m.layers)
         hidden = scratch[i % workers].get(key)
         if hidden is None:
             hidden = scratch[i % workers][key] = _hidden_buffers(m, rows, start)
         logits = np.empty((rows, m.class_count))
-        groups[i % workers].append((*run, hidden[:-1] + [(hidden[-1][0], logits)]))
+        groups[i % workers].append((*loop, hidden[:-1] + [(hidden[-1][0], logits)]))
     futures = [pool.submit(_run_passes, group) for group in groups]
     wait(futures)
     done = [f.result() for f in futures]
@@ -216,32 +221,33 @@ def _pass_logits(passes: list, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _mean_of_passes(
-    passes: list, inputs: np.ndarray, keep_grad_records: bool = False
+    runs: list, inputs: np.ndarray, keep_grad_records: bool = False
 ) -> PredictiveDistribution:
-    """The one softmax-pass loop: mean softmax of the ``(model, mask | None)``
-    passes over the 2-d batch ``inputs``, summed in pass order, keeping the
-    ``(probs, cache)`` records of the passes when asked.
+    """The one softmax-pass loop: mean softmax of every pass of the
+    ``(model, MaskStack)`` runs over the 2-d batch ``inputs``, summed in
+    pass order, keeping the ``(probs, cache)`` record of each run when
+    asked.
 
-    With records, each run of consecutive passes of one model is one
-    stacked ``nn.forward`` and one softmax: one for an MC call, one per
-    member of an ensemble. Without, the passes come from
-    :func:`_pass_logits` and a non-finite pass raises here, the first in
-    pass order.
+    With records, each run is one stacked ``nn.forward`` and one softmax:
+    one for an MC call, one per member of an ensemble. Without, the passes
+    come from :func:`_pass_logits` and a non-finite pass raises here, the
+    first in pass order.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if keep_grad_records:
         records = []
-        for m, run in groupby(passes, key=lambda p: p[0]):
-            logits, cache = nn.forward(m, x, nn.stack_masks([mask for _, mask in run]))
+        for m, stack in runs:
+            logits, cache = nn.forward(m, x, stack)
             records.append((nn.softmax(logits), cache))
         probs = (p for stacked, _ in records for p in stacked)
     else:
         records = None
-        probs = (nn.softmax(nn._check_logits(l)) for l in _pass_logits(passes, x))
+        probs = (nn.softmax(nn._check_logits(l)) for l in _pass_logits(runs, x))
     acc = None
     for p in probs:
         acc = p if acc is None else acc + p
-    return PredictiveDistribution(acc / len(passes), len(passes), records)
+    count = sum(stack.passes for _, stack in runs)
+    return PredictiveDistribution(acc / count, count, records)
 
 
 def mc_predict(
@@ -279,7 +285,8 @@ def eval_predict(
     ensemble's, whose uncertainty is the entropy of the members' mean."""
     if not models:
         raise ValueError("eval_predict needs at least one model")
-    return _mean_of_passes([(m, None) for m in models], inputs, keep_grad_records)
+    runs = [(m, nn.MaskStack(None, 1)) for m in models]
+    return _mean_of_passes(runs, inputs, keep_grad_records)
 
 
 def entropy(probs: np.ndarray):

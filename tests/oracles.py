@@ -13,7 +13,8 @@ import numpy as np
 
 
 def naive_forward(model, batch, mask=None):
-    """Loop-based forward pass: explicit matmul, relu, inverted dropout."""
+    """Loop-based forward pass: explicit matmul, relu, inverted dropout
+    under the one-pass ``mask`` of ``nn.sample_mask``."""
     batch = np.asarray(batch, dtype=np.float64)
     out = []
     for row in batch:
@@ -28,7 +29,8 @@ def naive_forward(model, batch, mask=None):
             if layer.activation == "relu":
                 z = [v if v > 0 else 0.0 for v in z]
             if mask is not None and li < len(model.layers) - 1:
-                z = [v * float(mask.scales[li][o]) for o, v in enumerate(z)]
+                # a one-pass MaskStack: scales[li] has shape (1, 1, width)
+                z = [v * float(mask.scales[li][0, 0, o]) for o, v in enumerate(z)]
             a = z
         out.append(a)
     return np.array(out)

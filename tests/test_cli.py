@@ -115,6 +115,48 @@ def test_replay_checks_the_original_epoch_header_before_re_running(
     ) == 2
 
 
+@pytest.mark.parametrize("form", ["same", "slash", "relative"])
+def test_replay_into_the_original_directory_is_a_config_error(
+    run_dir, tmp_path, monkeypatch, capsys, form
+):
+    # replaying over the originals would compare each file with itself
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("replay re-ran the experiment")
+
+    target = run_dir / "metrics.json"
+    doc = json.loads(target.read_text())
+    doc["clean"]["error"] = 0.5
+    target.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    altered = target.read_bytes()
+    monkeypatch.setattr(experiment, "run_experiment", no_rerun)
+    monkeypatch.chdir(tmp_path)
+    out = {"same": str(run_dir), "slash": f"{run_dir}/", "relative": "./run/"}[form]
+    assert cli.main(["replay", "--manifest", str(run_dir / "manifest.json"),
+                     "--out", out]) == 2
+    assert "original run directory" in capsys.readouterr().err
+    assert target.read_bytes() == altered
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "replay"])
+def test_out_naming_an_existing_file_is_a_config_error(
+    request, tmp_path, monkeypatch, capsys, command
+):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    if command == "replay":
+        manifest = request.getfixturevalue("run_dir") / "manifest.json"
+        argv = ["replay", "--manifest", str(manifest)]
+    else:
+        argv = [command, "--n", "160", "--hidden", "8"]
+    monkeypatch.setattr(experiment, "build_dataset", no_stage)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert "cannot create run directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_compare_checks_every_method_before_training(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"attack": {"loss": "euat"}, "protocols": ["clean", "attack"]}))
@@ -267,6 +309,17 @@ OUT_OF_RANGE = {
     "model-string": ([], {"model": "x"}, "model"),
     "attack-number": ([], {"attack": 3}, "attack"),
     "corruption-null": ([], {"corruption": None}, "corruption"),
+    # a dataset kind or file path of the wrong JSON type
+    "kind-list": ([], {"dataset": {"kind": ["x"]}}, "kind"),
+    "kind-number": ([], {"dataset": {"kind": 3}}, "kind"),
+    "images_path-int": (
+        [], {"dataset": {"kind": "idx", "images_path": 10**6, "labels_path": "l"}},
+        "images_path",
+    ),
+    "labels_path-list": (
+        [], {"dataset": {"kind": "idx", "images_path": "i", "labels_path": ["l"]}},
+        "labels_path",
+    ),
 }
 
 

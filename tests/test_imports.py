@@ -11,7 +11,9 @@ Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 gradient runs the one softmax-pass loop of ``uncertainty``. For the same
 reason only they call ``forward``: every gradient record is one stacked
 forward of ``uncertainty``. ``training`` keeps a ``forward`` binding for the
-benchmark's tracer but calls nothing through it.
+benchmark's tracer but calls nothing through it. Only they name
+``MaskStack`` and ``sample_mask`` too: every dropout mask is drawn by
+``uncertainty._mc_passes``, so a new mask stream changes those two alone.
 
 Only ``robustness`` names ``ce_input_grad``: every gradient-sign attack,
 of any predictor and in adversarial training, is one ``robustness.fgsm``
@@ -118,6 +120,26 @@ def test_only_nn_and_uncertainty_name_backward(path):
 @pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
 def test_only_nn_and_uncertainty_name_softmax(path):
     assert name_references(path.read_text(), "softmax") == []
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("name", ["MaskStack", "sample_mask"])
+def test_only_nn_and_uncertainty_name_the_masks(path, name):
+    assert name_references(path.read_text(), name) == []
+
+
+def test_mask_detector_flags_names_attributes_and_imports():
+    source = (
+        "from .nn import MaskStack, sample_mask\n"
+        "from . import nn\n"
+        "def f(model, seed):\n"
+        "    mask = nn.sample_mask(model, seed)  # sample_mask in a comment\n"
+        "    return MaskStack(None, 1), nn.MaskStack, sample_mask\n"
+        "masks = 'MaskStack'\n"
+    )
+    assert name_references(source, "MaskStack") == [1, 5, 5]
+    assert name_references(source, "sample_mask") == [1, 4, 5]
+    assert name_references((PACKAGE / "uncertainty.py").read_text(), "MaskStack") != []
 
 
 def test_backward_detector_flags_names_attributes_and_imports():

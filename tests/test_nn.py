@@ -36,9 +36,9 @@ class TestForward:
         )
         x = gen.normal(size=(5, 3))
         plain, _ = nn.forward(model, x)
-        mask = nn.DropoutMask([np.full(4, 2.0)], seed=0)
+        mask = nn.MaskStack([np.full((1, 1, 4), 2.0)], 1)
         scaled, _ = nn.forward(model, x, mask)
-        assert np.allclose(scaled, 2.0 * plain, rtol=0, atol=1e-12)
+        assert np.allclose(scaled[0], 2.0 * plain, rtol=0, atol=1e-12)
 
     def test_matches_naive_matmul_oracle(self):
         model = tiny_model(seed=3)
@@ -51,7 +51,8 @@ class TestForward:
         mask = nn.sample_mask(model, seed=9)
         x = np.random.default_rng(12).normal(size=(4, 3))
         logits, _ = nn.forward(model, x, mask)
-        assert np.max(np.abs(logits - naive_forward(model, x, mask))) < 1e-12
+        assert logits.shape == (1, 4, 2)
+        assert np.max(np.abs(logits[0] - naive_forward(model, x, mask))) < 1e-12
 
     def test_shape_mismatch_reports_dimensions(self):
         model = tiny_model()
@@ -88,41 +89,26 @@ class TestInfer:
 
 
 class TestInputLayer:
+    """The cache-free passes of ``uncertainty`` share one unmasked first
+    layer, ``_layer_loop(model.layers[:1], x, None, 0)``, after
+    ``_check_pass``; ``forward`` computes its own."""
+
     def test_shared_layer_gives_identical_pass(self):
-        # the cache-free passes start from the shared layer, forward does not
         model = tiny_model(seed=6, dropout=0.3)
         x = np.random.default_rng(13).normal(size=(5, 3))
         mask = nn.sample_mask(model, seed=2)
         logits, cache = nn.forward(model, x, mask)
-        first = nn.input_layer(model, x)
-        assert np.array_equal(first.act, cache.acts[0])
-        shared_logits = nn._layer_loop(model.layers, first.act, mask.scales, 1)
+        first = nn._layer_loop(model.layers[:1], x, None, 0)
+        assert np.array_equal(first, cache.acts[0])
+        shared_logits = nn._layer_loop(model.layers, first, mask.scales, 1)
         assert np.array_equal(shared_logits, logits)
 
     def test_checks_batch_before_matmul(self):
         model = tiny_model()
         with pytest.raises(nn.EngineError, match="4 features"):
-            nn.input_layer(model, np.zeros((2, 4)))
+            nn._check_pass(model, np.zeros((2, 4)), None)
         with pytest.raises(nn.EngineError, match="2-d"):
-            nn.input_layer(model, np.zeros((2, 2, 3)))
-
-    def test_other_batch_rejected(self):
-        model = tiny_model(seed=7)
-        first = nn.input_layer(model, np.zeros((2, 3)))
-        with pytest.raises(nn.EngineError, match="another batch"):
-            nn._check_pass(model, np.zeros((2, 3)), None, first)
-
-    def test_other_model_state_rejected(self):
-        model = tiny_model(seed=8)
-        x = np.zeros((2, 3))
-        first = nn.input_layer(model, x)
-        with pytest.raises(nn.EngineError, match="model state"):
-            nn._check_pass(tiny_model(seed=8), x, None, first)
-        state = nn.OptimizerState.for_model(model, lr=0.1)
-        zero = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-        assert nn.sgd_step(model, zero, state)
-        with pytest.raises(nn.EngineError, match="model state"):
-            nn._check_pass(model, x, None, first)
+            nn._check_pass(model, np.zeros((2, 2, 3)), None)
 
 
 class TestSoftmax:
@@ -194,7 +180,7 @@ class TestBackward:
             return float((logits * w_out).sum())
 
         _, cache = nn.forward(model, x, mask)
-        analytic, _ = nn.backward(cache, w_out)
+        analytic, _ = nn.backward(cache, w_out[np.newaxis])
         numeric = fd_param_grads(loss, model)
         assert max_rel_error(flatten_grads(analytic), numeric) < 1e-4
 
@@ -300,7 +286,7 @@ class TestDropoutMask:
 
     def test_mask_shape_validated(self):
         model = tiny_model(seed=19, dropout=0.3)
-        bad = nn.DropoutMask([np.ones(2)], seed=0)
+        bad = nn.MaskStack([np.ones((1, 1, 2))], 1)
         with pytest.raises(nn.EngineError):
             nn.forward(model, np.zeros((1, 3)), bad)
 
@@ -316,11 +302,12 @@ class TestMaskStream:
     def assert_reference(model, seed):
         mask = nn.sample_mask(model, seed)
         expected = reference_mask(model, seed)
-        assert mask.seed == seed
+        assert mask.passes == 1
         assert len(mask.scales) == len(expected)
         for got, want in zip(mask.scales, expected):
             assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+            assert got.shape == (1, 1, len(want))
+            assert np.array_equal(got[0, 0], want)
 
     @pytest.mark.parametrize("sizes, rate", MODELS)
     def test_matches_fresh_generator(self, sizes, rate):
@@ -397,7 +384,7 @@ def test_mask_average_converges_to_plain_pass_on_linear_net():
     x = gen.normal(size=(1, 3))
     plain, _ = nn.forward(model, x)
     draws = np.array(
-        [nn.forward(model, x, nn.sample_mask(model, rng.derive_seed(0, i)))[0][0]
+        [nn.forward(model, x, nn.sample_mask(model, rng.derive_seed(0, i)))[0][0, 0]
          for i in range(4000)]
     )
     mc_err = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))

@@ -6,7 +6,6 @@ tests force the pool's width through its factory, ``uncertainty._new_pool``,
 so they run the pooled path on any machine: a width of 1 is the serial path.
 """
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -37,11 +36,13 @@ def pool_of(monkeypatch):
 
 
 def serial_mean(passes, x):
-    """The serial sum, in pass order, of ``softmax(forward(...))``."""
+    """The serial sum, in pass order, of ``softmax(forward(...))``: per
+    ``(model, mask)`` one evaluation-mode pass, or one masked pass from a
+    one-pass ``sample_mask`` stack."""
     acc = None
     for model, mask in passes:
         logits, _ = nn.forward(model, x, mask)
-        p = nn.softmax(logits)
+        p = nn.softmax(logits if mask is None else logits[0])
         acc = p if acc is None else acc + p
     return acc / len(passes)
 
@@ -148,7 +149,7 @@ class TestFailurePaths:
 
         def first_keeping_unit_0(seed):
             masks = mc_masks(model, 6, seed)
-            return next((i for i, m in enumerate(masks) if m.scales[0][0]), None)
+            return next((i for i, m in enumerate(masks) if m.scales[0][0, 0, 0]), None)
 
         seed = next(s for s in range(100) if (first_keeping_unit_0(s) or 0) >= 2)
         first_bad = first_keeping_unit_0(seed)
@@ -178,11 +179,10 @@ class TestFailurePaths:
         with pytest.raises(nn.EngineError, match="mask layer 0"):
             uncertainty._mean_of_passes(
                 [(model, nn.sample_mask(model, 0)), (model, bad_mask)], x)
-        real_input_layer = nn.input_layer
-        monkeypatch.setattr(nn, "input_layer", lambda m, batch: dataclasses.replace(
-            real_input_layer(m, batch), model_version=m.version - 1))
-        with pytest.raises(nn.EngineError, match="another batch or model state"):
-            uncertainty.mc_predict_probs(model, x, 6, seed=0)
+        # an ensemble's members each compute their own first layer in the pool
+        narrow = nn.MlpModel.init([5, 16, 3], 0.5, seed=2)
+        with pytest.raises(nn.EngineError, match="features"):
+            uncertainty.eval_predict([model, narrow], x)
         assert spy.submitted == 0
 
     def test_a_raising_pass_never_hangs_the_pool(self, pool_of, monkeypatch):

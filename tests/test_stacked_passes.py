@@ -3,11 +3,11 @@ time.
 
 A prediction with gradient records runs the MC passes of one model as one
 ``nn.forward`` over a ``MaskStack`` and one ``nn.backward`` over the pass
-axis. The reference here records one mask at a time, as separate
-``(rows, width)`` passes, and sums every cross-pass quantity in pass order:
-the mean probabilities, the parameter gradients and the input gradient. A
-flat ``(N * rows)`` gemm or any other summation order changes low bits and
-fails these tests.
+axis. The reference here records one mask at a time, each pass a stack of
+one, and sums every cross-pass quantity in pass order: the mean
+probabilities, the parameter gradients and the input gradient. A flat
+``(N * rows)`` gemm or any other summation order changes low bits and fails
+these tests.
 """
 
 import numpy as np
@@ -27,16 +27,27 @@ CASES = [
 STACKS = [(0.3, 1), (0.3, 6), (0.3, 20), (0.0, 6)]
 
 
+def one_pass_stacks(runs):
+    """Every pass of the ``(model, MaskStack)`` runs as its own
+    ``(model, one-pass MaskStack)``, in pass order."""
+    passes = []
+    for model, stack in runs:
+        for p in range(stack.passes):
+            scales = None if stack.scales is None else [s[p:p + 1] for s in stack.scales]
+            passes.append((model, nn.MaskStack(scales, 1)))
+    return passes
+
+
 def per_pass_reference(passes, x):
-    """One ``nn.forward`` per ``(model, mask)`` pass, each its own record,
-    and the mean of their softmaxes summed in pass order."""
+    """One ``nn.forward`` per ``(model, one-pass mask)`` pass, each its own
+    record, and the mean of their softmaxes summed in pass order."""
     records = []
     for model, mask in passes:
         logits, cache = nn.forward(model, x, mask)
         records.append((nn.softmax(logits), cache))
     acc = None
     for p, _ in records:
-        acc = p if acc is None else acc + p
+        acc = p[0] if acc is None else acc + p[0]
     return uncertainty.PredictiveDistribution(acc / len(records), len(records), records)
 
 
@@ -48,7 +59,7 @@ def per_pass_grads(passes, x, d_mean):
     for model, mask in passes:
         logits, cache = nn.forward(model, x, mask)
         p = nn.softmax(logits)
-        grads, xg = nn.backward(cache, p * (gp - (gp * p).sum(axis=1, keepdims=True)))
+        grads, xg = nn.backward(cache, p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
         if total is None:
             total, input_grad = grads, xg
         else:
@@ -71,7 +82,7 @@ def assert_matches_reference(dist, passes, x, labels, gen):
     per_pass = [p for stack, _ in dist.grad_passes for p in stack]
     assert len(per_pass) == len(passes)
     for p, (ref_p, _) in zip(per_pass, ref.grad_passes):
-        assert np.array_equal(p, ref_p)
+        assert np.array_equal(p, ref_p[0])
 
     d_mean = gen.normal(size=dist.probs.shape)
     grads, input_grad = dist.backprop_mean_prob_grad(d_mean)
@@ -102,7 +113,7 @@ class TestMcStack:
         x = gen.random((rows, sizes[0]))
         labels = gen.integers(0, sizes[-1], size=rows)
         dist = uncertainty.mc_predict(model, x, n_samples, 5, keep_grad_records=True)
-        passes = uncertainty._mc_passes(model, n_samples, 5)
+        passes = one_pass_stacks(uncertainty._mc_passes(model, n_samples, 5))
         assert_matches_reference(dist, passes, x, labels, gen)
 
     def test_width_one_layer_sums_in_pass_order(self):
@@ -113,7 +124,7 @@ class TestMcStack:
         gen = np.random.default_rng(20)
         x = gen.random((37, 3))
         dist = uncertainty.mc_predict(model, x, 20, 5, keep_grad_records=True)
-        passes = uncertainty._mc_passes(model, 20, 5)
+        passes = one_pass_stacks(uncertainty._mc_passes(model, 20, 5))
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=37), gen)
 
     def test_single_layer_net_repeats_its_one_pass(self):
@@ -124,7 +135,7 @@ class TestMcStack:
         x = gen.random((9, 5))
         dist = uncertainty.mc_predict(model, x, 6, 3, keep_grad_records=True)
         assert dist.grad_passes[0][0].shape == (6, 9, 3)
-        passes = uncertainty._mc_passes(model, 6, 3)
+        passes = one_pass_stacks(uncertainty._mc_passes(model, 6, 3))
         assert_matches_reference(dist, passes, x, gen.integers(0, 3, size=9), gen)
 
 
@@ -135,7 +146,7 @@ class TestEnsembleRecords:
         x = gen.random((64, 16))
         dist = uncertainty.eval_predict(members, x, keep_grad_records=True)
         assert [p.shape for p, _ in dist.grad_passes] == [(1, 64, 2)] * 3
-        passes = [(m, None) for m in members]
+        passes = [(m, nn.MaskStack(None, 1)) for m in members]
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=64), gen)
 
     def test_repeated_member_keeps_every_pass(self):
@@ -144,7 +155,7 @@ class TestEnsembleRecords:
         x = gen.random((37, 2))
         dist = uncertainty.eval_predict([member, member], x, keep_grad_records=True)
         assert dist.sample_count == 2
-        passes = [(member, None)] * 2
+        passes = [(member, nn.MaskStack(None, 1))] * 2
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=37), gen)
 
 
@@ -175,32 +186,27 @@ class TestOneCallPerRecord:
         assert len(forwards) == len(backwards) == members
 
     def test_mask_shapes_checked_once_per_call(self, monkeypatch):
+        # with gradient records and without: one check of the call's one stack
         model = nn.MlpModel.init([4, 16, 16, 3], 0.3, seed=9)
         x = np.random.default_rng(10).random((8, 4))
         checks = count_calls(monkeypatch, nn, "_check_mask")
         uncertainty.mc_predict(model, x, 20, 11, keep_grad_records=True)
         assert len(checks) == 1
+        uncertainty.mc_predict_probs(model, x, 20, 11)
+        assert len(checks) == 2
 
 
 class TestStackValidation:
     def test_wrong_width_in_a_stack_names_the_layer(self):
         model = nn.MlpModel.init([3, 5, 4, 2], 0.3, seed=12)
-        stack = nn.stack_masks([nn.sample_mask(model, s) for s in range(3)])
+        (_, stack), = uncertainty._mc_passes(model, 3, 0)
         stack.scales[1] = stack.scales[1][..., :3]
         with pytest.raises(nn.EngineError, match="mask layer 1"):
             nn.forward(model, np.zeros((2, 3)), stack)
 
-    def test_masks_of_other_shapes_do_not_stack(self):
-        model = nn.MlpModel.init([3, 5, 2], 0.3, seed=13)
-        other = nn.MlpModel.init([3, 6, 2], 0.3, seed=13)
-        good = nn.sample_mask(model, 0)
-        for bad in (nn.sample_mask(other, 1), None):
-            with pytest.raises(nn.EngineError, match="do not match"):
-                nn.stack_masks([good, bad])
-
     def test_stacked_upstream_shape_checked(self):
         model = nn.MlpModel.init([3, 5, 2], 0.3, seed=14)
-        stack = nn.stack_masks([nn.sample_mask(model, s) for s in range(4)])
+        (_, stack), = uncertainty._mc_passes(model, 4, 0)
         logits, cache = nn.forward(model, np.zeros((2, 3)), stack)
         assert logits.shape == (4, 2, 2)
         with pytest.raises(nn.EngineError, match="shape"):

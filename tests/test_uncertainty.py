@@ -25,7 +25,7 @@ class TestMcPredict:
         dist = uncertainty.mc_predict(model, x, n_samples=1, seed=77)
         mask = nn.sample_mask(model, rng.derive_seed(77, "mc-pass", 0))
         logits, _ = nn.forward(model, x, mask)
-        assert np.array_equal(dist.probs, nn.softmax(logits))
+        assert np.array_equal(dist.probs, nn.softmax(logits[0]))
 
     def test_four_samples_equal_hand_average(self):
         model = model_with(dropout=0.3, seed=2)
@@ -35,7 +35,7 @@ class TestMcPredict:
         for i in range(4):
             mask = nn.sample_mask(model, rng.derive_seed(5, "mc-pass", i))
             logits, _ = nn.forward(model, x, mask)
-            acc += nn.softmax(logits)
+            acc += nn.softmax(logits[0])
         assert np.allclose(dist.probs, acc / 4.0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -84,7 +84,9 @@ class TestMcPredict:
 
 
 def reference_passes(model, x, n_samples, seed):
-    """MC passes with a full nn.forward each, as before the shared layer."""
+    """MC passes with a full nn.forward each, as before the shared layer: an
+    evaluation-mode pass without dropout, else one per one-pass mask, whose
+    probabilities are (1, rows, classes)."""
     if model.dropout_rate == 0.0:
         masks = [None]
     else:
@@ -99,10 +101,15 @@ def reference_passes(model, x, n_samples, seed):
     return passes
 
 
+def one_pass(probs):
+    """The (rows, classes) probabilities of a one-pass record."""
+    return probs.reshape(-1, probs.shape[-1])
+
+
 def reference_mean(passes):
     acc = None
     for p, _ in passes:
-        acc = p if acc is None else acc + p
+        acc = one_pass(p) if acc is None else acc + one_pass(p)
     return acc / len(passes)
 
 
@@ -133,7 +140,7 @@ class TestSharedInputLayer:
         assert np.array_equal(dist.probs, mean)
         per_pass = [p for stack, _ in dist.grad_passes for p in stack]
         for p, (ref_p, _) in zip(per_pass, ref, strict=True):
-            assert np.array_equal(p, ref_p)
+            assert np.array_equal(p, one_pass(ref_p))
         assert dist.sample_count == len(ref)
 
         upstream = gen.normal(size=dist.probs.shape)
