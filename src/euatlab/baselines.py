@@ -39,10 +39,6 @@ class IsotonicMap:
             np.interp(confidence, self.breakpoints, self.levels), 0.0, 1.0
         )
 
-    @property
-    def strictly_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.levels) > 0))
-
 
 def isotonic_fit(confidences: np.ndarray, correctness: np.ndarray) -> IsotonicMap:
     """Pool-adjacent-violators solution: the monotone least-squares fit of

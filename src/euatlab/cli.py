@@ -8,12 +8,11 @@ Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned
 threshold, or a run directory that lacks an original ``replay`` compares
 or whose ``per_epoch.csv`` has no ``wall_time`` header; a config or config
-section that is not a JSON object; a non-integer or boolean integer
-field; a non-number or boolean ``dataset.noise``, ``val_fraction`` or
-``test_fraction``; a non-string ``dataset.kind``, or an ``images_path``
-or ``labels_path`` that is neither a string nor null; an ``--out`` that
-cannot be created as a directory; ``replay`` into the original run's
-directory; an out-of-range setting: ``mc_samples``,
+section that is not a JSON object, an unknown field, or a value of another
+JSON type than its field declares: ``true`` is not a number, ``300.0`` is
+not an integer, and ``null`` fits only a field declared optional; an
+``--out`` that cannot be created as a directory; ``replay`` into the
+original run's directory; an out-of-range setting: ``mc_samples``,
 ``ensemble_members``, ``ece_bins``, ``histogram_bins`` or
 ``train_mc_samples`` below 1, a negative epoch count, a hidden width
 below 1, a dropout rate or momentum outside [0, 1), a ``class_count``

@@ -17,9 +17,10 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,10 +43,58 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _require_int(name: str, value):
-    # JSON gives 300.0 or true where an integer belongs
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _check_json_type(name: str, kind, value):
+    """Raise ``ConfigError`` unless ``value`` has the JSON type that ``kind``
+    (``int``, ``float``, ``bool``, ``str``, ``X | None`` or ``list[X]``)
+    declares: ``true`` is never a number, ``300.0`` is not an integer and
+    ``null`` fits only a declared ``None``."""
+    args = get_args(kind)
+    optional = type(None) in args
+    if optional:
+        if value is None:
+            return
+        (kind,) = (a for a in args if a is not type(None))
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        for item in value:
+            _check_json_type(name, get_args(kind)[0], item)
+        return
+    if isinstance(value, bool):
+        fits = kind is bool
+    else:
+        fits = isinstance(value, (int, float) if kind is float else kind)
+    if not fits:
+        null = " or null" if optional else ""
+        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+
+
+def _build_config(cls, doc: dict):
+    """``cls(**doc)`` with every field of ``doc`` checked against its
+    declared type; a field declared as a config class is built from its own
+    JSON object. An unknown field, a wrong JSON type or a range check's
+    ``ValueError`` raises ``ConfigError``."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in doc.items():
+        if name not in hints:
+            raise ConfigError(f"unknown config field {name!r}")
+        if is_dataclass(hints[name]):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
+            value = _build_config(hints[name], value)
+        else:
+            _check_json_type(name, hints[name], value)
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -62,20 +111,6 @@ class DatasetConfig:
     labels_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str):
-            raise ConfigError(f"kind must be a string, got {self.kind!r}")
-        for name in ("images_path", "labels_path"):
-            value = getattr(self, name)  # an integer path would open a descriptor
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string or null, got {value!r}")
-        for name in ("n", "class_count", "dim"):
-            _require_int(name, getattr(self, name))
-        for name in ("noise", "val_fraction", "test_fraction"):
-            value = getattr(self, name)  # JSON gives "x", null or true for a number
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.binary_positive_class is not None:
-            _require_int("binary_positive_class", self.binary_positive_class)
         if self.class_count < 2:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
 
@@ -86,8 +121,6 @@ class ModelConfig:
     dropout_rate: float = 0.3
 
     def __post_init__(self):
-        for w in self.hidden:
-            _require_int("hidden", w)
         if any(w < 1 for w in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -121,11 +154,7 @@ class ExperimentConfig:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {p!r}")
-        _require_int("seed", self.seed)
-        for name in ("pretrain_epochs", "euat_epochs", "batch_size", "train_mc_samples"):
-            _require_int(name, getattr(self.schedule, name))
         for name in ("mc_samples", "ensemble_members", "ece_bins", "histogram_bins"):
-            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.ce_pe_lambda < np.inf:
@@ -154,23 +183,7 @@ class ExperimentConfig:
         if isinstance(doc.get("corruption"), dict):
             doc["corruption"] = dict(doc["corruption"])
             doc["corruption"].pop("seed", None)
-        try:
-            for key, sub in (
-                ("dataset", DatasetConfig),
-                ("model", ModelConfig),
-                ("schedule", TrainingSchedule),
-                ("attack", AttackConfig),
-                ("corruption", CorruptionConfig),
-            ):
-                if key in doc:
-                    if not isinstance(doc[key], dict):
-                        raise ConfigError(f"config section {key!r} must be a JSON object")
-                    doc[key] = sub(**doc[key])
-            return cls(**doc)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build_config(cls, doc)
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:

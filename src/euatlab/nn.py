@@ -121,19 +121,6 @@ class MlpModel:
         clone.version = self.version
         return clone
 
-    def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
-
-    def parameters_equal(self, other: "MlpModel") -> bool:
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(self.parameter_arrays(), other.parameter_arrays())
-        )
-
 
 @dataclass
 class MaskStack:

@@ -36,6 +36,14 @@ def naive_forward(model, batch, mask=None):
     return np.array(out)
 
 
+def parameters_equal(a, b):
+    """Whether two models hold bit-identical weights and biases."""
+    return len(a.layers) == len(b.layers) and all(
+        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+        for la, lb in zip(a.layers, b.layers)
+    )
+
+
 def fd_param_grads(loss_fn, model, h=1e-5):
     """Central finite differences of ``loss_fn(model)`` w.r.t. every
     parameter entry, in [W0, b0, W1, b1, ...] order."""

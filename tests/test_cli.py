@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -320,6 +321,21 @@ OUT_OF_RANGE = {
         [], {"dataset": {"kind": "idx", "images_path": "i", "labels_path": ["l"]}},
         "labels_path",
     ),
+    # any other value of the wrong JSON type for its declared field
+    "epsilon-bool": (
+        [], {"attack": {"epsilon": True}, "protocols": ["clean", "attack"]}, "epsilon"
+    ),
+    "adversarial_training-string": ([], {"adversarial_training": "no"},
+                                    "adversarial_training"),
+    "momentum-bool": ([], {"schedule": {"momentum": False}}, "momentum"),
+    "pretrain_lr-bool": ([], {"schedule": {"pretrain_lr": True}}, "pretrain_lr"),
+    "ce_pe_lambda-string": ([], {"ce_pe_lambda": "x"}, "ce_pe_lambda"),
+    "clip_min-string": ([], {"attack": {"clip_min": "x"}}, "clip_min"),
+    "euat_lr-string": ([], {"schedule": {"euat_lr": "x"}}, "euat_lr"),
+    "dropout_rate-null": ([], {"model": {"dropout_rate": None}}, "dropout_rate"),
+    "protocols-string": ([], {"protocols": "clean"}, "protocols"),
+    "hidden-int": ([], {"model": {"hidden": 8}}, "hidden"),
+    "output_dir-int": ([], {"output_dir": 5}, "output_dir"),
 }
 
 
@@ -337,6 +353,35 @@ def test_out_of_range_config_is_rejected_before_any_stage(tmp_path, capsys, case
     )
     assert code == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def leaf_fields() -> list[str]:
+    """The dotted name (``field`` or ``section.field``) of every config field
+    that holds a value rather than a section."""
+    config = experiment.ExperimentConfig()
+    leaves = []
+    for f in dataclasses.fields(config):
+        section = getattr(config, f.name)
+        if dataclasses.is_dataclass(section):
+            leaves += [f"{f.name}.{sub.name}" for sub in dataclasses.fields(section)]
+        else:
+            leaves.append(f.name)
+    return leaves
+
+
+@pytest.mark.parametrize("path", leaf_fields())
+def test_every_config_field_checks_its_json_type(tmp_path, capsys, path):
+    # a JSON object fits no declared field type, so every field, also one
+    # added later, must reject it while the config is built
+    section, _, name = path.rpartition(".")
+    doc = {section: {name: {}}} if section else {name: {}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    code = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert f"{name} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
-"""Every public top-level function of the package is used inside it.
+"""Every public top-level function, and every method and property of a
+package class, is used inside the package.
 
-A function counts as used when some ``Name`` or ``Attribute`` in the
-package source names it, or when a module's ``__all__`` lists it (the
+A function or method counts as used when some ``Name`` or ``Attribute`` in
+the package source names it, or when a module's ``__all__`` lists it (the
 declared public API); its own ``def``, imports of it and mentions in
-docstrings do not count. A function that only tests call is dead weight on
-the run path: delete it, or list it in ``ALLOWED`` with the reason it stays.
+docstrings do not count. Dunder methods are called by the language and are
+skipped. A function that only tests call is dead weight on the run path:
+delete it, move it to the tests' ``oracles``, or list it in ``ALLOWED``
+with the reason it stays.
 """
 
 import ast
@@ -23,14 +26,16 @@ ALLOWED = {
 
 
 def unused_public_functions(sources: dict[str, str]) -> list[str]:
-    """``module.function`` of every public top-level function that no name,
-    attribute or ``__all__`` entry in ``sources`` (module name -> source
-    text) refers to."""
+    """``module.function`` of every public top-level function, and
+    ``module.Class.method`` of every method or property but the dunders,
+    that no name, attribute or ``__all__`` entry in ``sources`` (module
+    name -> source text) refers to."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, functions):
                 if not node.name.startswith("_"):
                     defined.append((module, node.name))
             elif isinstance(node, ast.Assign) and any(
@@ -42,6 +47,13 @@ def unused_public_functions(sources: dict[str, str]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (f"{module}.{node.name}", fn.name)
+                    for fn in node.body
+                    if isinstance(fn, functions)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                )
     return sorted(f"{m}.{name}" for m, name in defined if name not in used)
 
 
@@ -83,3 +95,30 @@ def test_detector_ignores_definitions_imports_and_docstrings():
         ),
     }
     assert unused_public_functions(sources) == ["a.dead", "b.main"]
+
+
+def test_detector_covers_methods_and_properties_but_not_dunders():
+    sources = {
+        "a": (
+            "class Model:\n"
+            "    def __init__(self):\n"
+            "        self.called()\n"
+            "    def called(self):\n"
+            "        '''dead() is mentioned here only'''\n"
+            "    def dead(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def read(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def unread(self):\n"
+            "        pass\n"
+            "def run(model):\n"
+            "    return model.read\n"
+        ),
+    }
+    assert unused_public_functions(sources) == [
+        "a.Model._private", "a.Model.dead", "a.Model.unread", "a.run"
+    ]

@@ -40,6 +40,11 @@ parallel path, on the one pass pool.
 No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
 the pure-Python encoder, while ``experiment._indented`` re-indents the
 C encoder's compact text into the same bytes.
+
+No config class checks a JSON type in its ``__post_init__`` (no
+``isinstance`` call there): ``ExperimentConfig.from_dict`` checks every
+field against its declared type, and ``__post_init__`` keeps the range
+checks only.
 """
 
 import ast
@@ -337,3 +342,54 @@ def test_pool_detector_flags_imports_and_names():
     )
     assert pool_references(source) == [1, 2, 3, 5]
     assert pool_references((PACKAGE / "uncertainty.py").read_text()) != []
+
+
+CONFIG_CLASSES = (
+    "DatasetConfig", "ModelConfig", "ExperimentConfig",
+    "TrainingSchedule", "AttackConfig", "CorruptionConfig",
+)
+
+
+def post_init_type_checks(source: str) -> list[tuple[str, int]]:
+    """(class, line) of every ``isinstance`` call inside the ``__post_init__``
+    of one of ``CONFIG_CLASSES``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in CONFIG_CLASSES):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                found.extend(
+                    (cls.name, node.lineno) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                )
+    return found
+
+
+def test_config_classes_check_no_json_type_after_construction():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    defined = {
+        node.name for source in sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert set(CONFIG_CLASSES) <= defined
+    assert [hit for source in sources for hit in post_init_type_checks(source)] == []
+
+
+def test_post_init_detector_flags_isinstance_in_config_classes_only():
+    source = (
+        "class ModelConfig:\n"
+        "    def __post_init__(self):\n"
+        "        if self.width < 1:\n"
+        "            raise ValueError('width')\n"
+        "        for w in self.hidden:\n"
+        "            if not isinstance(w, int):\n"
+        "                raise ValueError('hidden')\n"
+        "    def to_dict(self):\n"
+        "        return isinstance(self, dict)\n"
+        "class Other:\n"
+        "    def __post_init__(self):\n"
+        "        assert isinstance(self.x, int)\n"
+    )
+    assert post_init_type_checks(source) == [("ModelConfig", 6)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from euatlab import data, experiment, losses, nn, robustness, training, uncertainty
+from oracles import parameters_equal
 
 
 def linear_model(k=3, d=4, seed=0):
@@ -182,7 +183,7 @@ class TestAdversarialTraining:
             model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14,
             attack=attack,
         )
-        assert plain.model.parameters_equal(attacked.model)
+        assert parameters_equal(plain.model, attacked.model)
         assert plain.loss_trajectory == attacked.loss_trajectory
 
     def test_zero_epsilon_euat_phase_identical(self):
@@ -202,7 +203,7 @@ class TestAdversarialTraining:
             pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=18,
             attack=attack,
         )
-        assert plain.model.parameters_equal(attacked.model)
+        assert parameters_equal(plain.model, attacked.model)
 
     @pytest.mark.parametrize("dim", [2, 6])
     def test_trained_rows_stay_within_epsilon_of_clean_rows(self, monkeypatch, dim):
