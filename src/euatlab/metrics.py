@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .uncertainty import normalized_entropy
 
@@ -114,6 +113,24 @@ def error_rate(records: EvalRecords) -> float:
     return float(np.mean(~records.correct))
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tie group sharing the mean of its
+    positions; all NaN when any value is NaN.
+
+    The ranks are half-integers, exact in float64, and equal
+    ``scipy.stats.rankdata`` (method "average") element for element.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    if np.isnan(values).any():
+        ranks[:] = np.nan
+    return ranks
+
+
 def uauc(records: EvalRecords) -> float | None:
     """AUC of uncertainty as a score for predicting incorrectness.
 
@@ -126,7 +143,7 @@ def uauc(records: EvalRecords) -> float | None:
     n_right = int(np.sum(correct))
     if n_wrong == 0 or n_right == 0:
         return None
-    ranks = rankdata(records.uncertainty)
+    ranks = _midranks(records.uncertainty)
     wrong_rank_sum = ranks[~correct].sum()
     return float((wrong_rank_sum - n_wrong * (n_wrong + 1) / 2.0) / (n_wrong * n_right))
 

@@ -30,8 +30,10 @@ class AttackConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.clip_min >= self.clip_max:
-            raise ValueError("clip_min must be below clip_max")
+        if not self.clip_min < self.clip_max:
+            raise ValueError(
+                f"clip_min must be below clip_max, got {self.clip_min} and {self.clip_max}"
+            )
         if self.loss not in ("ce", "euat"):
             raise ValueError(f"attack loss must be 'ce' or 'euat', got {self.loss!r}")
 

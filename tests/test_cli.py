@@ -331,6 +331,15 @@ OUT_OF_RANGE = {
     "pretrain_lr-bool": ([], {"schedule": {"pretrain_lr": True}}, "pretrain_lr"),
     "ce_pe_lambda-string": ([], {"ce_pe_lambda": "x"}, "ce_pe_lambda"),
     "clip_min-string": ([], {"attack": {"clip_min": "x"}}, "clip_min"),
+    # a NaN clip bound fails the range check, not the attack stage
+    "clip_min-nan": (
+        [], {"attack": {"clip_min": float("nan")}, "protocols": ["clean", "attack"]},
+        "clip_min",
+    ),
+    "clip_max-nan": (
+        [], {"attack": {"clip_max": float("nan")}, "protocols": ["clean", "attack"]},
+        "clip_max",
+    ),
     "euat_lr-string": ([], {"schedule": {"euat_lr": "x"}}, "euat_lr"),
     "dropout_rate-null": ([], {"model": {"dropout_rate": None}}, "dropout_rate"),
     "protocols-string": ([], {"protocols": "clean"}, "protocols"),

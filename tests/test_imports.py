@@ -3,7 +3,10 @@
 Package modules import each other at module top only: an import of
 ``euatlab`` (or a relative import) inside a function body hides a
 dependency from the module header and usually papers over an import cycle.
-Lazy third-party imports are not covered here.
+The syntax rules do not cover lazy third-party imports; one process test
+does, for ``scipy.stats``: a fresh interpreter that imports ``euatlab``,
+builds both presets and trains a small run through ``cli.main`` must not
+load it (uAUC ranks in numpy, the blob helpers use ``scipy.special``).
 
 Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 ``softmax``: every gradient through the softmax takes the one VJP in
@@ -48,6 +51,9 @@ checks only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -393,3 +399,34 @@ def test_post_init_detector_flags_isinstance_in_config_classes_only():
         "        assert isinstance(self.x, int)\n"
     )
     assert post_init_type_checks(source) == [("ModelConfig", 6)]
+
+
+SCIPY_STATS_FREE_RUN = """
+import json, sys
+from pathlib import Path
+
+from euatlab import cli, presets
+
+presets.gaussian_trend_config()
+presets.binary_flipping_config()
+out = Path(sys.argv[1])
+code = cli.main(
+    ["train", "--dataset", "gaussian_blobs", "--n", "160", "--noise", "0.08",
+     "--method", "euat", "--hidden", "8", "--pretrain-epochs", "2",
+     "--euat-epochs", "2", "--batch-size", "32", "--mc-samples", "4",
+     "--out", str(out)]
+)
+assert code == 0, code
+assert "uauc" in json.loads((out / "manifest.json").read_text())["reports"]["clean"]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+assert loaded == [], loaded
+"""
+
+
+def test_a_run_never_loads_scipy_stats(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_STATS_FREE_RUN, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

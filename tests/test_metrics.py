@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import wasserstein_distance
+from scipy.stats import rankdata, wasserstein_distance
 
 from euatlab import metrics
 from oracles import ece_recount, pairwise_auc, transport_w1
@@ -115,6 +115,37 @@ class TestUauc:
 
     def test_degenerate_returns_none(self):
         assert metrics.uauc(make_records([True, True], [0.1, 0.2])) is None
+
+    def test_nan_uncertainty_gives_nan(self):
+        r = make_records([True, False, True, False], [0.1, np.nan, 0.3, 0.4])
+        assert np.isnan(metrics.uauc(r))
+
+
+def midrank_cases():
+    gen = np.random.default_rng(19)
+    cases = {
+        "ties": np.array([0.3, 0.1, 0.3, 0.2, 0.1, 0.3]),
+        "all-equal": np.full(7, 0.25),
+        "one-row": np.array([0.4]),
+        "infinities": np.array([np.inf, 0.2, -np.inf, np.inf, 0.0, -np.inf]),
+        "signed-zeros": np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.5]),
+    }
+    for n in (100, 450, 2000):
+        cases[f"random-{n}"] = gen.random(n)
+        cases[f"random-ties-{n}"] = gen.integers(0, 9, size=n) / 8.0
+    return cases
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("case", sorted(midrank_cases()))
+    def test_equals_scipy_rankdata(self, case):
+        values = midrank_cases()[case]
+        assert np.array_equal(metrics._midranks(values), rankdata(values))
+
+    def test_nan_makes_every_rank_nan(self):
+        values = np.array([0.2, np.nan, 0.1])
+        assert np.isnan(metrics._midranks(values)).all()
+        assert np.isnan(rankdata(values)).all()
 
 
 class TestEce:
