@@ -19,7 +19,10 @@ below 1, a dropout rate or momentum outside [0, 1), a ``class_count``
 below 2, a negative, NaN or infinite ``ce_pe_lambda``, learning rate,
 weight decay, epsilon or sigma; an empty train, validation or test
 split; the ``flip`` protocol or ``flip_gain`` objective on a non-binary
-task; an empty or repeated ``compare --methods`` list), 3 data error
+task; ``calibrated_ce`` on fewer than 2 validation rows; an attack clip
+range that excludes a row it attacks: of the test split for the
+``attack`` protocol, of the train split for ``adversarial_training``; an
+empty or repeated ``compare --methods`` list), 3 data error
 (also a loaded dataset with fewer than two classes, a NaN or
 out-of-range split fraction, a non-finite noise level), 4 engine error
 (an ``nn.EngineError``: a training failure such as a non-finite forward

@@ -213,6 +213,18 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
             "the flip protocol and the flip_gain objective need a binary task, "
             f"got {ds.class_count} classes"
         )
+    val_rows = len(ds.splits["validation"])
+    if config.method == "calibrated_ce" and val_rows < 2:
+        raise ConfigError(f"calibrated_ce needs >= 2 validation rows, got {val_rows}")
+    # fgsm refuses rows outside its clip range: check each split it attacks
+    lo, hi = config.attack.clip_min, config.attack.clip_max
+    attacked = {"test": "attack" in config.protocols, "train": config.adversarial_training}
+    for name in [name for name, on in attacked.items() if on]:
+        ids = ds.splits[name]
+        low, high = ds.inputs.min(axis=1)[ids].min(), ds.inputs.max(axis=1)[ids].max()
+        if low < lo or high > hi:
+            raise ConfigError(f"the attack clips to [clip_min, clip_max] = [{lo}, {hi}], "
+                              f"but the {name} split spans [{low}, {high}]")
     return ds
 
 

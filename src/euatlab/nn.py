@@ -6,13 +6,12 @@ sampled per hidden *unit* and shared across the rows of a batch, so a mask
 is one realization of a thinned network; evaluation-mode forward passes use
 no mask and no rescaling (inverted dropout scales at sampling time). The
 one mask type is :class:`MaskStack`, the masks of N passes: ``sample_mask``
-draws one pass, and a stack runs its passes as one ``forward``.
+draws those of an MC call, and a stack runs its passes as one ``forward``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,35 +131,29 @@ class MaskStack:
     passes: int
 
 
-# one mask generator per thread, re-keyed by every sample_mask call
-_mask_generators = threading.local()
+def sample_mask(model: MlpModel, seed: int, passes: int) -> MaskStack:
+    """The one layout of the mask stream: the Bernoulli(1-p) keep decisions
+    per hidden unit of an MC call's ``passes`` passes, pre-scaled, as one
+    stack (one unmasked pass without dropout); the same seed, the same bits.
 
-
-def sample_mask(model: MlpModel, seed: int) -> MaskStack:
-    """Sample Bernoulli(1-p) keep decisions per hidden unit, pre-scaled: the
-    mask of one pass, as a one-pass stack with ``(1, 1, width)`` scales.
-
-    The same seed always reproduces the same mask bit-exactly: the draws
-    are those of ``rng.substream(seed, "dropout-mask")``, one ``random``
-    call of ``width`` draws per hidden layer in layer order.
-
-    Building a Philox generator costs several times more than the draws of
-    a small net, so each thread keeps one generator and every call re-keys
-    it with ``rng.philox_state`` of the derived key, the full state of a
-    fresh generator. That is safe because the generator is never live for
-    two streams at once: it is re-keyed before the first draw, all draws
-    are made before the function returns, nothing in between can call
-    ``sample_mask`` again, other threads have their own generator, and no
-    other stream uses it.
+    Pass ``i`` draws what ``rng.substream(derive_seed(seed, "mc-pass", i),
+    "dropout-mask")`` would: one ``random(width)`` per hidden layer in layer
+    order, into row ``i``. Building a Philox costs more than a small net's
+    draws, so one generator is re-keyed per pass to ``rng.philox_state``.
     """
+    if passes < 1:
+        raise ValueError(f"n_samples must be >= 1, got {passes}")
     p = model.dropout_rate
-    gen = getattr(_mask_generators, "gen", None)
-    if gen is None:
-        gen = _mask_generators.gen = rng.generator(0)
-    gen.bit_generator.state = rng.philox_state(rng.derive_seed(seed, "dropout-mask"))
-    scales = [(gen.random((1, 1, width)) >= p) / (1.0 - p)
-              for width in model.hidden_widths]
-    return MaskStack(scales, 1)
+    if p == 0.0:
+        return MaskStack(None, 1)
+    gen = rng.generator(0)
+    draws = [np.empty((passes, 1, width)) for width in model.hidden_widths]
+    for i in range(passes):
+        key = rng.derive_seed(rng.derive_seed(seed, "mc-pass", i), "dropout-mask")
+        gen.bit_generator.state = rng.philox_state(key)
+        for layer in draws:
+            gen.random(out=layer[i, 0])
+    return MaskStack([(layer >= p) / (1.0 - p) for layer in draws], passes)
 
 
 def _check_mask(model: MlpModel, mask: MaskStack):

@@ -1,8 +1,9 @@
 """Seedable random streams.
 
 All randomness in the package flows from a single 64-bit root seed through
-named substreams (``data``, ``init``, ``masks``, ``shuffle``, ``attack``, ...)
-so that individual components can be re-seeded or varied independently.
+named substreams (``data``, ``init-model``, ``sgd-shuffle``, ``mc-pass``
+and ``dropout-mask``, ``gaussian-corrupt``, ...) so that individual
+components can be re-seeded or varied independently.
 
 The generator is numpy's Philox counter-based bit generator; substream keys
 are derived by hashing ``root_seed`` together with the stream name, which

@@ -3,8 +3,8 @@
 A prediction is the average of N softmaxed stochastic forward passes, each
 under a fresh dropout mask, or of one unmasked pass per model (evaluation
 mode, or a deep ensemble); both run the one pass loop of this module, which
-takes the passes as ``(model, nn.MaskStack)`` runs: one run of N masks for
-an MC call, one unmasked run per model for ``eval_predict``. The
+takes the passes as ``(model, nn.MaskStack)`` runs: one ``sample_mask``
+stack for an MC call, one unmasked run per model for ``eval_predict``. The
 uncertainty score used throughout the package is the predictive entropy of
 that averaged distribution, normalized by ln(class_count) so it lives in
 [0, 1] regardless of the label space.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from . import nn, rng
+from . import nn
 
 DEFAULT_MC_SAMPLES = 20
 
@@ -90,21 +90,6 @@ class PredictiveDistribution:
                     tb += gb
                 input_grad += xg
         return total, input_grad
-
-
-def _mc_passes(model: nn.MlpModel, n_samples: int, seed: int) -> list:
-    """The one ``(model, MaskStack)`` run of an MC call: pass ``i`` uses the
-    mask seeded by ``derive_seed(seed, "mc-pass", i)``, and the N one-pass
-    masks are concatenated in pass order; with dropout_rate == 0 the run is
-    a single unmasked pass."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if model.dropout_rate == 0.0:
-        return [(model, nn.MaskStack(None, 1))]
-    masks = [nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
-             for i in range(n_samples)]
-    scales = [np.concatenate(layer) for layer in zip(*(m.scales for m in masks))]
-    return [(model, nn.MaskStack(scales, n_samples))]
 
 
 _pool: tuple[ThreadPoolExecutor, int] | None = None
@@ -259,12 +244,12 @@ def mc_predict(
 ) -> PredictiveDistribution:
     """Average ``n_samples`` masked softmax passes over the batch ``inputs``.
 
-    Deterministic given the seed; pass seeds are derived per sample index.
-    With dropout_rate == 0 a single deterministic pass is returned, which
+    Deterministic given the seed, which keys ``nn.sample_mask``. With
+    dropout_rate == 0 a single deterministic pass is returned, which
     collapses bit-exactly to the evaluation-mode prediction for any N.
     """
-    passes = _mc_passes(model, n_samples, seed)
-    return _mean_of_passes(passes, inputs, keep_grad_records)
+    runs = [(model, nn.sample_mask(model, seed, n_samples))]
+    return _mean_of_passes(runs, inputs, keep_grad_records)
 
 
 def mc_predict_probs(
@@ -274,7 +259,8 @@ def mc_predict_probs(
     seed: int = 0,
 ) -> np.ndarray:
     """Averaged probabilities only, without gradient records."""
-    return _mean_of_passes(_mc_passes(model, n_samples, seed), inputs).probs
+    runs = [(model, nn.sample_mask(model, seed, n_samples))]
+    return _mean_of_passes(runs, inputs).probs
 
 
 def eval_predict(

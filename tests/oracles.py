@@ -14,7 +14,7 @@ import numpy as np
 
 def naive_forward(model, batch, mask=None):
     """Loop-based forward pass: explicit matmul, relu, inverted dropout
-    under the one-pass ``mask`` of ``nn.sample_mask``."""
+    under a one-pass ``mask``, a ``MaskStack`` of ``(1, 1, width)`` scales."""
     batch = np.asarray(batch, dtype=np.float64)
     out = []
     for row in batch:

@@ -408,6 +408,59 @@ def test_empty_split_is_a_config_error_before_training(tmp_path, split):
     assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
 
 
+DATASET_STAGE_ERRORS = {
+    # id: (config, what the error names); each run used to train and then
+    # fail with a traceback
+    "calibrated_ce-one-validation-row": (
+        {"method": "calibrated_ce",
+         "dataset": {"kind": "two_moons", "n": 100, "val_fraction": 0.01}},
+        "calibrated_ce needs >= 2 validation rows, got 1"),
+    "clip_min-attack-protocol": (
+        {"attack": {"clip_min": 0.5}, "protocols": ["clean", "attack"],
+         "dataset": {"n": 160}},
+        "[clip_min, clip_max] = [0.5, 1.0], but the test split spans ["),
+    "clip_max-adversarial-training": (
+        {"attack": {"clip_max": 0.5}, "adversarial_training": True,
+         "dataset": {"n": 160}},
+        "[clip_min, clip_max] = [0.0, 0.5], but the train split spans ["),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_STAGE_ERRORS)
+def test_unrunnable_dataset_fails_before_training(tmp_path, capsys, case):
+    doc, message = DATASET_STAGE_ERRORS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--config", str(path), "--hidden", "8", "--pretrain-epochs", "1",
+         "--euat-epochs", "1", "--mc-samples", "2", "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
+
+
+def test_attack_eval_checks_the_clip_range_before_attacking(tmp_path, monkeypatch):
+    # the stored config is valid (no attack protocol at training time);
+    # attack-eval adds the protocol and is checked like train
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"attack": {"clip_min": 0.5}}))
+    out = tmp_path / "run"
+    assert cli.main(
+        ["train", "--config", str(path), "--n", "160", "--hidden", "8",
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--mc-samples", "2",
+         "--out", str(out)]
+    ) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("attack-eval predicted before checking the clip range")
+
+    monkeypatch.setattr(experiment.Predictor, "probs", refuse)
+    assert cli.main(["attack-eval", "--run-dir", str(out)]) == 2
+
+
 BAD_NUMBERS = {
     # id: (flags, config file or None, exit code)
     "lr-negative": (["--lr", "-1"], None, 2),

@@ -15,8 +15,10 @@ gradient runs the one softmax-pass loop of ``uncertainty``. For the same
 reason only they call ``forward``: every gradient record is one stacked
 forward of ``uncertainty``. ``training`` keeps a ``forward`` binding for the
 benchmark's tracer but calls nothing through it. Only they name
-``MaskStack`` and ``sample_mask`` too: every dropout mask is drawn by
-``uncertainty._mc_passes``, so a new mask stream changes those two alone.
+``MaskStack`` and ``sample_mask`` too: every MC call takes its masks from
+one ``nn.sample_mask`` call. The stream tags ``"mc-pass"`` and
+``"dropout-mask"`` occur as string literals in ``nn`` alone, so a new mask
+stream changes the body of ``sample_mask`` and nothing else.
 
 Only ``robustness`` names ``ce_input_grad``: every gradient-sign attack,
 of any predictor and in adversarial training, is one ``robustness.fgsm``
@@ -151,6 +153,40 @@ def test_mask_detector_flags_names_attributes_and_imports():
     assert name_references(source, "MaskStack") == [1, 5, 5]
     assert name_references(source, "sample_mask") == [1, 4, 5]
     assert name_references((PACKAGE / "uncertainty.py").read_text(), "MaskStack") != []
+
+
+MASK_STREAM_TAGS = ("mc-pass", "dropout-mask")
+
+
+def string_literals(source: str, values) -> list[tuple[str, int]]:
+    """(value, line) of every string constant equal to one of ``values``."""
+    return sorted(
+        (node.value, node.lineno) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in values
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "nn.py"),
+    ids=lambda p: p.name,
+)
+def test_only_nn_names_the_mask_stream_tags(path):
+    assert string_literals(path.read_text(), MASK_STREAM_TAGS) == []
+
+
+def test_stream_tag_detector_flags_string_constants_only():
+    source = (
+        "from . import rng\n"
+        "def f(seed, i):\n"
+        "    rng.derive_seed(seed, 'mc-pass', i)  # 'dropout-mask' in a comment\n"
+        "    tag = \"dropout-mask\"\n"
+        "    return f'{tag}', 'mc-pass-v2', mc_pass\n"
+        "MC = 'mc-pass'\n"
+    )
+    assert string_literals(source, MASK_STREAM_TAGS) == [
+        ("dropout-mask", 4), ("mc-pass", 3), ("mc-pass", 6)]
+    assert len(string_literals((PACKAGE / "nn.py").read_text(), MASK_STREAM_TAGS)) == 2
 
 
 def test_backward_detector_flags_names_attributes_and_imports():

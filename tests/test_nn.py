@@ -49,7 +49,7 @@ class TestForward:
 
     def test_masked_matches_naive_oracle(self):
         model = tiny_model(seed=4, dropout=0.4)
-        mask = nn.sample_mask(model, seed=9)
+        mask = nn.sample_mask(model, 9, 1)
         x = np.random.default_rng(12).normal(size=(4, 3))
         logits, _ = nn.forward(model, x, mask)
         assert logits.shape == (1, 4, 2)
@@ -97,7 +97,7 @@ class TestInputLayer:
     def test_shared_layer_gives_identical_pass(self):
         model = tiny_model(seed=6, dropout=0.3)
         x = np.random.default_rng(13).normal(size=(5, 3))
-        mask = nn.sample_mask(model, seed=2)
+        mask = nn.sample_mask(model, 2, 1)
         logits, cache = nn.forward(model, x, mask)
         first = nn._layer_loop(model.layers[:1], x, None, 0)
         assert np.array_equal(first, cache.acts[0])
@@ -171,7 +171,7 @@ class TestBackward:
 
     def test_masked_backward_matches_finite_differences(self):
         model = tiny_model(seed=8, dropout=0.3)
-        mask = nn.sample_mask(model, seed=21)
+        mask = nn.sample_mask(model, 21, 1)
         gen = np.random.default_rng(42)
         x = gen.normal(size=(3, 3))
         w_out = gen.normal(size=(3, 2))
@@ -260,28 +260,28 @@ class TestSgd:
 
 class TestDropoutMask:
     def test_zero_rate_gives_all_keep_scale_one(self):
+        # without dropout every unit is kept unscaled: one unmasked pass
         model = tiny_model(seed=15, dropout=0.0)
-        mask = nn.sample_mask(model, seed=3)
-        for scale in mask.scales:
-            assert np.array_equal(scale, np.ones_like(scale))
+        for passes in (1, 6, 20):
+            assert nn.sample_mask(model, 3, passes) == nn.MaskStack(None, 1)
 
     def test_same_seed_is_bit_identical(self):
         model = tiny_model(seed=16, dropout=0.3)
-        a = nn.sample_mask(model, seed=999)
-        b = nn.sample_mask(model, seed=999)
+        a = nn.sample_mask(model, 999, 6)
+        b = nn.sample_mask(model, 999, 6)
         for sa, sb in zip(a.scales, b.scales):
             assert np.array_equal(sa, sb)
 
     def test_entries_are_zero_or_inverse_keep(self):
         model = tiny_model(seed=17, dropout=0.25)
-        mask = nn.sample_mask(model, seed=5)
+        mask = nn.sample_mask(model, 5, 6)
         allowed = {0.0, 1.0 / 0.75}
         for scale in mask.scales:
             assert set(np.unique(scale)) <= allowed
 
     def test_empirical_keep_rate(self):
         model = nn.MlpModel.init([1, 100_000, 2], dropout_rate=0.3, seed=18)
-        mask = nn.sample_mask(model, seed=7)
+        mask = nn.sample_mask(model, 7, 1)
         keep_rate = np.mean(mask.scales[0] > 0)
         assert abs(keep_rate - 0.7) < 0.01
 
@@ -293,28 +293,41 @@ class TestDropoutMask:
 
 
 class TestMaskStream:
-    """``sample_mask`` draws what a fresh generator on the mask's own
-    substream draws, whatever ran before it and on whichever thread."""
+    """Pass ``i`` of ``sample_mask(model, seed, n)`` draws what a fresh
+    generator on the substream of ``derive_seed(seed, "mc-pass", i)`` draws,
+    whatever ran before it and on whichever thread."""
 
     MODELS = [([3, 1, 2], 0.5), ([2, 8, 2], 0.1), ([4, 64, 64, 2], 0.15),
               ([5, 256, 8, 1, 3], 0.3), ([2, 8, 2], 0.0), ([2, 64, 2], 0.9)]
 
     @staticmethod
-    def assert_reference(model, seed):
-        mask = nn.sample_mask(model, seed)
-        expected = reference_mask(model, seed)
-        assert mask.passes == 1
-        assert len(mask.scales) == len(expected)
-        for got, want in zip(mask.scales, expected):
-            assert got.dtype == np.float64
-            assert got.shape == (1, 1, len(want))
-            assert np.array_equal(got[0, 0], want)
+    def assert_reference(model, seed, passes):
+        mask = nn.sample_mask(model, seed, passes)
+        if model.dropout_rate == 0.0:
+            assert mask == nn.MaskStack(None, 1)
+            return
+        assert mask.passes == passes
+        assert len(mask.scales) == len(model.hidden_widths)
+        for i in range(passes):
+            expected = reference_mask(model, rng.derive_seed(seed, "mc-pass", i))
+            for got, want in zip(mask.scales, expected):
+                assert got.dtype == np.float64
+                assert got.shape == (passes, 1, len(want))
+                assert np.array_equal(got[i, 0], want)
 
     @pytest.mark.parametrize("sizes, rate", MODELS)
     def test_matches_fresh_generator(self, sizes, rate):
         model = nn.MlpModel.init(sizes, dropout_rate=rate, seed=1)
-        for seed in [0, 1, 2**63, 2**64 - 1] + list(range(100, 160)):
-            self.assert_reference(model, seed)
+        for passes in (1, 6, 20):
+            for seed in [0, 1, 2**63, 2**64 - 1] + list(range(100, 160)):
+                self.assert_reference(model, seed, passes)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_fewer_than_one_pass_rejected(self, rate):
+        model = nn.MlpModel.init([2, 8, 2], dropout_rate=rate, seed=1)
+        for passes in (0, -1):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                nn.sample_mask(model, 0, passes)
 
     def test_interleaved_with_other_substreams(self):
         model = nn.MlpModel.init([4, 64, 64, 2], dropout_rate=0.2, seed=2)
@@ -324,7 +337,7 @@ class TestMaskStream:
         got = []
         for i in range(40):
             got.append(held.random(5))
-            self.assert_reference(model, rng.derive_seed(3, "mc-pass", i))
+            self.assert_reference(model, i, 3)
             rng.substream(i, "other").random(3)
             got.append(held.random(3))
         assert np.array_equal(np.concatenate(got), expected)
@@ -338,7 +351,7 @@ class TestMaskStream:
             start.wait()
             try:
                 for seed in range(offset, offset + 300):
-                    self.assert_reference(model, seed)
+                    self.assert_reference(model, seed, 3)
             except AssertionError as exc:
                 failures.append(exc)
 
@@ -384,10 +397,7 @@ def test_mask_average_converges_to_plain_pass_on_linear_net():
     )
     x = gen.normal(size=(1, 3))
     plain, _ = nn.forward(model, x)
-    draws = np.array(
-        [nn.forward(model, x, nn.sample_mask(model, rng.derive_seed(0, i)))[0][0, 0]
-         for i in range(4000)]
-    )
+    draws = nn.forward(model, x, nn.sample_mask(model, 0, 4000))[0][:, 0]
     mc_err = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - plain[0]) < 3.0 * mc_err + 1e-12)
 

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from euatlab import cli, experiment, nn, rng, uncertainty
+from euatlab import cli, experiment, nn, uncertainty
 
 
 @pytest.fixture()
@@ -38,7 +38,7 @@ def pool_of(monkeypatch):
 def serial_mean(passes, x):
     """The serial sum, in pass order, of ``softmax(forward(...))``: per
     ``(model, mask)`` one evaluation-mode pass, or one masked pass from a
-    one-pass ``sample_mask`` stack."""
+    one-pass stack."""
     acc = None
     for model, mask in passes:
         logits, _ = nn.forward(model, x, mask)
@@ -48,7 +48,9 @@ def serial_mean(passes, x):
 
 
 def mc_masks(model, n, seed):
-    return [nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i)) for i in range(n)]
+    """The N masks of an MC call, each as a one-pass stack."""
+    stack = nn.sample_mask(model, seed, n)
+    return [nn.MaskStack([s[i:i + 1] for s in stack.scales], 1) for i in range(n)]
 
 
 def pooled_count():
@@ -175,10 +177,10 @@ class TestFailurePaths:
         with pytest.raises(nn.EngineError, match="features"):
             uncertainty.mc_predict_probs(model, np.ones((8, 5)), 6, seed=0)
         other = nn.MlpModel.init([4, 12, 3], 0.5, seed=2)
-        bad_mask = nn.sample_mask(other, 1)
+        bad_mask = nn.sample_mask(other, 1, 1)
         with pytest.raises(nn.EngineError, match="mask layer 0"):
             uncertainty._mean_of_passes(
-                [(model, nn.sample_mask(model, 0)), (model, bad_mask)], x)
+                [(model, nn.sample_mask(model, 0, 1)), (model, bad_mask)], x)
         # an ensemble's members each compute their own first layer in the pool
         narrow = nn.MlpModel.init([5, 16, 3], 0.5, seed=2)
         with pytest.raises(nn.EngineError, match="features"):

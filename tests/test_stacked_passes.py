@@ -113,7 +113,7 @@ class TestMcStack:
         x = gen.random((rows, sizes[0]))
         labels = gen.integers(0, sizes[-1], size=rows)
         dist = uncertainty.mc_predict(model, x, n_samples, 5, keep_grad_records=True)
-        passes = one_pass_stacks(uncertainty._mc_passes(model, n_samples, 5))
+        passes = one_pass_stacks([(model, nn.sample_mask(model, 5, n_samples))])
         assert_matches_reference(dist, passes, x, labels, gen)
 
     def test_width_one_layer_sums_in_pass_order(self):
@@ -124,7 +124,7 @@ class TestMcStack:
         gen = np.random.default_rng(20)
         x = gen.random((37, 3))
         dist = uncertainty.mc_predict(model, x, 20, 5, keep_grad_records=True)
-        passes = one_pass_stacks(uncertainty._mc_passes(model, 20, 5))
+        passes = one_pass_stacks([(model, nn.sample_mask(model, 5, 20))])
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=37), gen)
 
     def test_single_layer_net_repeats_its_one_pass(self):
@@ -135,7 +135,7 @@ class TestMcStack:
         x = gen.random((9, 5))
         dist = uncertainty.mc_predict(model, x, 6, 3, keep_grad_records=True)
         assert dist.grad_passes[0][0].shape == (6, 9, 3)
-        passes = one_pass_stacks(uncertainty._mc_passes(model, 6, 3))
+        passes = one_pass_stacks([(model, nn.sample_mask(model, 3, 6))])
         assert_matches_reference(dist, passes, x, gen.integers(0, 3, size=9), gen)
 
 
@@ -199,14 +199,14 @@ class TestOneCallPerRecord:
 class TestStackValidation:
     def test_wrong_width_in_a_stack_names_the_layer(self):
         model = nn.MlpModel.init([3, 5, 4, 2], 0.3, seed=12)
-        (_, stack), = uncertainty._mc_passes(model, 3, 0)
+        stack = nn.sample_mask(model, 0, 3)
         stack.scales[1] = stack.scales[1][..., :3]
         with pytest.raises(nn.EngineError, match="mask layer 1"):
             nn.forward(model, np.zeros((2, 3)), stack)
 
     def test_stacked_upstream_shape_checked(self):
         model = nn.MlpModel.init([3, 5, 2], 0.3, seed=14)
-        (_, stack), = uncertainty._mc_passes(model, 4, 0)
+        stack = nn.sample_mask(model, 0, 4)
         logits, cache = nn.forward(model, np.zeros((2, 3)), stack)
         assert logits.shape == (4, 2, 2)
         with pytest.raises(nn.EngineError, match="shape"):

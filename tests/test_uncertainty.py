@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from euatlab import nn, rng, uncertainty
+from euatlab import nn, uncertainty
 
 
 def model_with(dropout=0.3, seed=0, sizes=(3, 8, 4)):
     return nn.MlpModel.init(list(sizes), dropout_rate=dropout, seed=seed)
+
+
+def one_pass_masks(model, seed, n_samples):
+    """The masks of an MC call, each as a one-pass stack."""
+    stack = nn.sample_mask(model, seed, n_samples)
+    return [nn.MaskStack([s[i:i + 1] for s in stack.scales], 1)
+            for i in range(n_samples)]
 
 
 class TestMcPredict:
@@ -23,7 +30,7 @@ class TestMcPredict:
         model = model_with(dropout=0.4, seed=1)
         x = np.random.default_rng(1).normal(size=(2, 3))
         dist = uncertainty.mc_predict(model, x, n_samples=1, seed=77)
-        mask = nn.sample_mask(model, rng.derive_seed(77, "mc-pass", 0))
+        mask = nn.sample_mask(model, 77, 1)
         logits, _ = nn.forward(model, x, mask)
         assert np.array_equal(dist.probs, nn.softmax(logits[0]))
 
@@ -32,8 +39,7 @@ class TestMcPredict:
         x = np.random.default_rng(2).normal(size=(3, 3))
         dist = uncertainty.mc_predict(model, x, n_samples=4, seed=5)
         acc = np.zeros((3, 4))
-        for i in range(4):
-            mask = nn.sample_mask(model, rng.derive_seed(5, "mc-pass", i))
+        for mask in one_pass_masks(model, 5, 4):
             logits, _ = nn.forward(model, x, mask)
             acc += nn.softmax(logits[0])
         assert np.allclose(dist.probs, acc / 4.0, atol=1e-15)
@@ -90,10 +96,7 @@ def reference_passes(model, x, n_samples, seed):
     if model.dropout_rate == 0.0:
         masks = [None]
     else:
-        masks = [
-            nn.sample_mask(model, rng.derive_seed(seed, "mc-pass", i))
-            for i in range(n_samples)
-        ]
+        masks = one_pass_masks(model, seed, n_samples)
     passes = []
     for mask in masks:
         logits, cache = nn.forward(model, x, mask)
