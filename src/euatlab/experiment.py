@@ -743,16 +743,19 @@ def compare_methods(
 ) -> dict:
     """Run several methods on the identical dataset/seed and tabulate the
     clean-test metrics side by side (one row per metric). An empty or
-    repeated method list, or an ``output_dir`` that cannot be created,
-    raises ``ConfigError`` before anything is run."""
+    repeated method list, an ``output_dir`` that cannot be created, or a
+    method whose config or dataset fails its checks raises before any
+    method trains or writes a file."""
     if not methods or len(set(methods)) != len(methods):
         raise ConfigError(f"compare needs distinct methods, got {methods}")
-    configs = []  # every method's config is checked before any training
+    configs = []  # every method's config and dataset is checked before any training
     for method in methods:
         doc = config.to_dict()
         doc["method"] = method
         configs.append(ExperimentConfig.from_dict(doc))
     out_dir = _make_dir(output_dir)
+    for sub in configs:
+        build_dataset(sub)
     columns = {
         sub.method: run_experiment(sub, out_dir / sub.method)["reports"]["clean"]
         for sub in configs

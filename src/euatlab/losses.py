@@ -11,6 +11,12 @@ predictive entropy. CE+PE weighs every row by w = lambda. The error-driven
 composite treats the two halves of a batch differently: rows flagged as
 current mispredictions take w = -1 (pushing their uncertainty up),
 correctly predicted rows w = +1 (pushing it down).
+
+Every loss has one contract: ``loss(batch, dist) -> LossResult``, where
+``dist`` is the MC prediction of ``batch.inputs`` (``ce_pe_loss`` takes
+``lam`` after them, so training binds it with ``functools.partial``).
+``_weighted_ce_entropy`` builds every ``LossResult``; the losses choose the
+weights and check their inputs.
 """
 
 from __future__ import annotations
@@ -50,10 +56,12 @@ class LabeledBatch:
 
 
 @dataclass
-class EuatLossResult:
+class LossResult:
+    """What every loss returns: the batch mean, the per-row CE + w * H it
+    averages, the parameter gradients of the mean and its input gradient."""
+
     value: float
-    correct_sum: float  # sum of (CE + H) over CORRECT_SET rows
-    wrong_sum: float  # sum of (CE - H) over WRONG_SET rows
+    per_row: np.ndarray
     grads: list[tuple[np.ndarray, np.ndarray]]
     input_grad: np.ndarray
 
@@ -84,12 +92,9 @@ def _entropy_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _weighted_ce_entropy(
     dist: PredictiveDistribution, labels: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> LossResult:
     """The one loss core: per-row CE + w * H of the averaged distribution,
-    with the gradients of their batch mean through every retained pass.
-
-    Returns the row values, the per-layer gradients and the input gradient.
-    """
+    with the gradients of their batch mean through every retained pass."""
     if dist.grad_passes is None:
         raise ValueError(
             "loss gradients need per-sample records; predict with "
@@ -100,37 +105,25 @@ def _weighted_ce_entropy(
     values = ce_vals + w * h_vals
     d_probs = (ce_grad + w[:, None] * h_grad) / len(values)
     grads, input_grad = dist.backprop_mean_prob_grad(d_probs)
-    return values, grads, input_grad
+    return LossResult(float(values.mean()), values, grads, input_grad)
 
 
 def ce_pe_loss(
-    dist: PredictiveDistribution, labels: np.ndarray, lam: float
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Cross-entropy plus ``lam`` times predictive entropy, batch mean;
-    ``lam = 0`` is plain cross-entropy."""
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    w = np.full(dist.probs.shape[0], float(lam))
-    values, grads, _ = _weighted_ce_entropy(dist, labels, w)
-    return float(values.mean()), grads
+    batch: LabeledBatch, dist: PredictiveDistribution, lam: float
+) -> LossResult:
+    """Cross-entropy plus ``lam`` times predictive entropy over ``dist``, the
+    MC prediction of ``batch.inputs``; ``lam = 0`` is plain cross-entropy."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    return _weighted_ce_entropy(dist, batch.labels, np.full(len(batch), float(lam)))
 
 
-def euat_loss(batch: LabeledBatch, dist: PredictiveDistribution) -> EuatLossResult:
+def euat_loss(batch: LabeledBatch, dist: PredictiveDistribution) -> LossResult:
     """Error-driven composite over ``dist``, the MC prediction of
-    ``batch.inputs``: mean over rows of CE - H on WRONG_SET rows and CE + H
-    on CORRECT_SET rows, with gradients through all retained passes.
-
-    The two partial sums are reported separately alongside the mean.
-    """
+    ``batch.inputs``: CE - H on WRONG_SET rows and CE + H on CORRECT_SET
+    rows. A branch's sum is ``per_row[batch.membership == CORRECT_SET].sum()``
+    (or ``WRONG_SET``)."""
     if batch.membership is None:
         raise ValueError("error-driven loss needs per-row membership flags")
-    correct = batch.membership == CORRECT_SET
-    w = np.where(correct, 1.0, -1.0)
-    values, grads, input_grad = _weighted_ce_entropy(dist, batch.labels, w)
-    return EuatLossResult(
-        value=float(values.mean()),
-        correct_sum=float(values[correct].sum()),
-        wrong_sum=float(values[batch.membership == WRONG_SET].sum()),
-        grads=grads,
-        input_grad=input_grad,
-    )
+    w = np.where(batch.membership == CORRECT_SET, 1.0, -1.0)
+    return _weighted_ce_entropy(dist, batch.labels, w)

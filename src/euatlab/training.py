@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -264,8 +265,9 @@ class _Run:
 
     def fit(self, batches, epoch: int, tag: str, n_mc: int, loss, attack) -> bool:
         """One epoch of steps: per batch an optional attack, ``n_mc`` passes
-        masked by ``derive_seed(seed, tag, epoch, b)`` and a step on ``loss``.
-        Appends the epoch's mean loss; False (``diverged`` set) ends training."""
+        masked by ``derive_seed(seed, tag, epoch, b)`` and a step on
+        ``loss(batch, dist)``'s ``LossResult``. Appends the epoch's mean
+        loss; False (``diverged`` set) ends training."""
         total, rows = 0.0, 0
         for b, batch in enumerate(batches):
             if attack is not None:
@@ -273,12 +275,12 @@ class _Run:
                 batch = LabeledBatch(xb, batch.labels, batch.membership)
             seed = rng.derive_seed(self.seed, tag, epoch, b)
             dist = mc_predict(self.work, batch.inputs, n_mc, seed, keep_grad_records=True)
-            value, grads = loss(batch, dist)
-            if not (np.isfinite(value) and sgd_step(self.work, grads, self.state)):
+            res = loss(batch, dist)
+            if not (np.isfinite(res.value) and sgd_step(self.work, res.grads, self.state)):
                 logger.warning("divergence at epoch %d batch %d; stopping", epoch, b)
                 self.outcome.diverged = True
                 return False
-            total += value * len(batch)
+            total += res.value * len(batch)
             rows += len(batch)
         self.outcome.loss_trajectory.append(total / rows)
         return True
@@ -327,9 +329,7 @@ def ce_family_train(
     )
     n, size, mc = len(labels), schedule.batch_size, schedule.train_mc_samples
     select = val_inputs is not None
-
-    def loss(batch, dist):
-        return ce_pe_loss(dist, batch.labels, lam)
+    loss = partial(ce_pe_loss, lam=lam)
 
     def record(epoch, start):
         run.record(epoch, np.mean(predict_labels(run.work, inputs) != labels), start)
@@ -378,11 +378,6 @@ def euat_train(
     n = len(labels)
     start = time.perf_counter()
     run.record(0, len(partition(work, inputs, labels, epoch=0).wrong) / n, start)
-
-    def loss(batch, dist):
-        res = euat_loss(batch, dist)
-        return res.value, res.grads
-
     epoch = skip_counter = 0
     while epoch < schedule.euat_epochs and skip_counter < MAX_CONSECUTIVE_SKIPS:
         epoch += 1
@@ -416,7 +411,7 @@ def euat_train(
                 if n_correct != half or np.sum(batch.membership == WRONG_SET) != half:
                     raise EngineError(f"epoch {epoch} batch {b}: {n_correct} "
                                       f"correct rows, expected {half} of each side")
-        if not run.fit(batches, epoch, "euat-mask", n_mc, loss, attack):
+        if not run.fit(batches, epoch, "euat-mask", n_mc, euat_loss, attack):
             return run.outcome
         run.record(epoch, train_error, start)
     return run.outcome

@@ -58,14 +58,14 @@ def test_criterion_1_gradient_suite():
 
         batch = losses.LabeledBatch(x, y, membership)
         cases = {
-            "ce": (lambda m: losses.ce_pe_loss(dist(m), y, 0.0)[0],
-                   losses.ce_pe_loss(dist(model), y, 0.0)[1]),
-            "entropy": (lambda m: entropy_term(dist(m), y)[0],
-                        entropy_term(dist(model), y)[1]),
+            "ce": (lambda m: losses.ce_pe_loss(batch, dist(m), 0.0).value,
+                   losses.ce_pe_loss(batch, dist(model), 0.0).grads),
+            "entropy": (lambda m: entropy_term(batch, dist(m))[0],
+                        entropy_term(batch, dist(model))[1]),
             "euat": (lambda m: losses.euat_loss(batch, dist(m)).value,
                      losses.euat_loss(batch, dist(model)).grads),
-            "ce_pe": (lambda m: losses.ce_pe_loss(dist(m), y, 0.5)[0],
-                      losses.ce_pe_loss(dist(model), y, 0.5)[1]),
+            "ce_pe": (lambda m: losses.ce_pe_loss(batch, dist(m), 0.5).value,
+                      losses.ce_pe_loss(batch, dist(model), 0.5).grads),
         }
         for label, (loss_fn, grads) in cases.items():
             err = max_rel_error(flatten_grads(grads), fd_param_grads(loss_fn, model))

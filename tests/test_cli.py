@@ -169,6 +169,20 @@ def test_compare_checks_every_method_before_training(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_compare_checks_every_method_dataset_before_training(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"dataset": {"kind": "two_moons", "n": 100, "val_fraction": 0.01}}))
+    out = tmp_path / "cmp"
+    assert cli.main(
+        ["compare", "--config", str(path), "--hidden", "8", "--pretrain-epochs", "1",
+         "--euat-epochs", "1", "--mc-samples", "2",
+         "--methods", "euat,calibrated_ce", "--out", str(out)]
+    ) == 2
+    assert "calibrated_ce needs >= 2 validation rows, got 1" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("methods", ["", "ce,ce"], ids=["empty", "repeated"])
 def test_compare_rejects_an_empty_or_repeated_method_list(tmp_path, methods):
     out = tmp_path / "cmp"

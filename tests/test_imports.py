@@ -36,7 +36,10 @@ name ``ce_family_train`` and ``euat_train``.
 
 In ``training``, ``sgd_step`` and ``mc_predict`` are called only inside
 ``_Run.fit``: CE-family and error-driven epochs step through one update
-loop.
+loop. ``training`` calls neither loss: ``euat_loss`` and
+``partial(ce_pe_loss, lam=lam)`` are handed to ``_Run.fit`` as they are, so
+no adapter stands between a loss and the update loop. Every
+``LossResult`` is built in ``losses._weighted_ce_entropy``.
 
 Only ``uncertainty`` imports ``concurrent.futures`` or names
 ``ThreadPoolExecutor``: the MC passes of a prediction are the package's one
@@ -291,6 +294,97 @@ def test_call_detector_names_the_enclosing_method():
         ("_Run.fit", "mc_predict", 4),
         ("_Run.fit", "sgd_step", 4),
         ("_Run.step", "sgd_step", 7),
+    ]
+
+
+def calls_by_function(source: str, names) -> list[tuple[str, str, int]]:
+    """(enclosing module-level function or "", name, line) of every call of
+    one of ``names``, as a bare name or an attribute."""
+    tree = ast.parse(source)
+    owner = {
+        id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        (owner.get(id(node), ""), name, node.lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in names
+    )
+
+
+def test_every_loss_result_is_built_by_the_loss_core():
+    builders = [
+        (path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+        for fn, _, _ in calls_by_function(path.read_text(), ("LossResult",))
+    ]
+    assert builders == [("losses.py", "_weighted_ce_entropy")]
+
+
+def test_function_call_detector_names_the_enclosing_function():
+    source = (
+        "from .losses import LossResult\n"
+        "def _weighted_ce_entropy(dist, labels, w):\n"
+        "    def inner():\n"
+        "        return losses.LossResult(0.0, w, [], w)\n"
+        "    return LossResult(0.0, w, [], w)\n"
+        "def euat_loss(batch, dist):\n"
+        "    return LossResult, LossResult(1.0, None, [], None)\n"
+        "RESULT = LossResult(0.0, None, [], None)\n"
+    )
+    assert calls_by_function(source, ("LossResult",)) == [
+        ("", "LossResult", 8),
+        ("_weighted_ce_entropy", "LossResult", 4),
+        ("_weighted_ce_entropy", "LossResult", 5),
+        ("euat_loss", "LossResult", 7),
+    ]
+
+
+LOSSES = ("ce_pe_loss", "euat_loss")
+
+
+def loss_uses(source: str) -> list[tuple[str, str, int]]:
+    """(how, loss, line) of every use of a loss name, as a bare name or an
+    attribute: "handed" when it is a positional argument of a ``fit`` or
+    ``partial`` call, "other" (a call, an assignment, a return) otherwise.
+    Imports are not uses."""
+    tree = ast.parse(source)
+    handed = {
+        id(arg) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("fit", "partial")
+        for arg in node.args
+    }
+    return sorted(
+        ("handed" if id(node) in handed else "other", name, node.lineno)
+        for node in ast.walk(tree)
+        if (name := getattr(node, "id", getattr(node, "attr", None))) in LOSSES
+        and isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_training_hands_each_loss_to_the_update_loop_uncalled():
+    uses = loss_uses((PACKAGE / "training.py").read_text())
+    assert [(how, name) for how, name, _ in uses] == [
+        ("handed", "ce_pe_loss"), ("handed", "euat_loss")]
+
+
+def test_loss_use_detector_flags_adapters_and_calls():
+    source = (
+        "from .losses import ce_pe_loss, euat_loss\n"
+        "def train(run, batches, lam, batch, dist):\n"
+        "    def loss(batch, dist):\n"
+        "        return ce_pe_loss(batch, dist, lam)\n"
+        "    run.fit(batches, 1, 'sgd-mask', 1, partial(ce_pe_loss, lam=lam), None)\n"
+        "    run.fit(batches, 1, 'euat-mask', 1, euat_loss, None)\n"
+        "    res = losses.euat_loss(batch, dist)  # euat_loss in a comment\n"
+        "    return run.fit(batches, 1, 'x', 1, loss, None), euat_loss\n"
+    )
+    assert loss_uses(source) == [
+        ("handed", "ce_pe_loss", 5),
+        ("handed", "euat_loss", 6),
+        ("other", "ce_pe_loss", 4),
+        ("other", "euat_loss", 7),
+        ("other", "euat_loss", 8),
     ]
 
 

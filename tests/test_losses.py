@@ -23,12 +23,17 @@ def dist_for_logits(logit_row, keep=True):
     ), model
 
 
-def entropy_term(dist, labels):
+def zero_batch(labels):
+    """The batch of ``len(labels)`` zero inputs a ``logit_model`` predicts."""
+    return losses.LabeledBatch(np.zeros((len(labels), 1)), labels)
+
+
+def entropy_term(batch, dist):
     """The entropy term alone, value and gradients: CE+PE at lambda 1
     minus plain CE (lambda 0)."""
-    v1, g1 = losses.ce_pe_loss(dist, labels, 1.0)
-    v0, g0 = losses.ce_pe_loss(dist, labels, 0.0)
-    return v1 - v0, [(w1 - w0, b1 - b0) for (w1, b1), (w0, b0) in zip(g1, g0)]
+    r1, r0 = losses.ce_pe_loss(batch, dist, 1.0), losses.ce_pe_loss(batch, dist, 0.0)
+    grads = [(w1 - w0, b1 - b0) for (w1, b1), (w0, b0) in zip(r1.grads, r0.grads)]
+    return r1.value - r0.value, grads
 
 
 def euat(batch, model, n_samples, seed):
@@ -50,23 +55,23 @@ def rand_setup(seed, sizes=(3, 6, 4), dropout=0.3, rows=4, n_samples=3):
 class TestCeLoss:
     def test_certain_correct_prediction_is_zero(self):
         dist, _ = dist_for_logits([1000.0, 0.0])
-        value, _ = losses.ce_pe_loss(dist, np.array([0]), 0.0)
+        value = losses.ce_pe_loss(zero_batch([0]), dist, 0.0).value
         assert value == 0.0
 
     def test_uniform_gives_log_k(self):
         dist, _ = dist_for_logits([0.0, 0.0, 0.0, 0.0])
-        value, _ = losses.ce_pe_loss(dist, np.array([2]), 0.0)
+        value = losses.ce_pe_loss(zero_batch([2]), dist, 0.0).value
         assert value == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_probability_point_two(self):
         dist, _ = dist_for_logits([math.log(0.2), math.log(0.8)])
-        value, _ = losses.ce_pe_loss(dist, np.array([0]), 0.0)
+        value = losses.ce_pe_loss(zero_batch([0]), dist, 0.0).value
         assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_missing_grad_records_rejected(self):
         dist, _ = dist_for_logits([0.0, 1.0], keep=False)
         with pytest.raises(ValueError, match="per-sample records"):
-            losses.ce_pe_loss(dist, np.array([0]), 0.0)
+            losses.ce_pe_loss(zero_batch([0]), dist, 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradient_matches_finite_differences(self, seed):
@@ -74,24 +79,24 @@ class TestCeLoss:
 
         def loss(m):
             d = uncertainty.mc_predict(m, x, n, seed=9, keep_grad_records=True)
-            return losses.ce_pe_loss(d, y, 0.0)[0]
+            return losses.ce_pe_loss(losses.LabeledBatch(x, y), d, 0.0).value
 
         dist = uncertainty.mc_predict(model, x, n, seed=9, keep_grad_records=True)
-        _, grads = losses.ce_pe_loss(dist, y, 0.0)
+        grads = losses.ce_pe_loss(losses.LabeledBatch(x, y), dist, 0.0).grads
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
 
 class TestEntropyTerm:
     def test_one_hot_zero_value_and_zero_gradient(self):
         dist, _ = dist_for_logits([1000.0, 0.0])
-        value, grads = entropy_term(dist, np.array([0]))
+        value, grads = entropy_term(zero_batch([0]), dist)
         assert value == 0.0
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
 
     def test_uniform_is_log_k_with_vanishing_gradient(self):
         dist, _ = dist_for_logits([0.0, 0.0, 0.0])
-        value, grads = entropy_term(dist, np.array([1]))
+        value, grads = entropy_term(zero_batch([1]), dist)
         assert value == pytest.approx(math.log(3.0), abs=1e-12)
         for gw, gb in grads:
             assert np.max(np.abs(gw)) < 1e-12
@@ -103,33 +108,39 @@ class TestEntropyTerm:
 
         def loss(m):
             d = uncertainty.mc_predict(m, x, n, seed=5, keep_grad_records=True)
-            return entropy_term(d, y)[0]
+            return entropy_term(losses.LabeledBatch(x, y), d)[0]
 
         dist = uncertainty.mc_predict(model, x, n, seed=5, keep_grad_records=True)
-        _, grads = entropy_term(dist, y)
+        _, grads = entropy_term(losses.LabeledBatch(x, y), dist)
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
 
 class TestCePeLoss:
     def test_uniform_with_unit_lambda(self):
         dist, _ = dist_for_logits([0.0] * 5)
-        value, _ = losses.ce_pe_loss(dist, np.array([1]), lam=1.0)
+        value = losses.ce_pe_loss(zero_batch([1]), dist, lam=1.0).value
         assert value == pytest.approx(2.0 * math.log(5.0), abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         dist, _ = dist_for_logits([0.0, 0.0])
         with pytest.raises(ValueError):
-            losses.ce_pe_loss(dist, np.array([0]), lam=-0.5)
+            losses.ce_pe_loss(zero_batch([0]), dist, lam=-0.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        dist, _ = dist_for_logits([0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            losses.ce_pe_loss(zero_batch([0]), dist, lam=lam)
 
     def test_gradient_matches_finite_differences(self):
         model, x, y, n = rand_setup(5)
 
         def loss(m):
             d = uncertainty.mc_predict(m, x, n, seed=8, keep_grad_records=True)
-            return losses.ce_pe_loss(d, y, lam=0.7)[0]
+            return losses.ce_pe_loss(losses.LabeledBatch(x, y), d, lam=0.7).value
 
         dist = uncertainty.mc_predict(model, x, n, seed=8, keep_grad_records=True)
-        _, grads = losses.ce_pe_loss(dist, y, lam=0.7)
+        grads = losses.ce_pe_loss(losses.LabeledBatch(x, y), dist, lam=0.7).grads
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
 
@@ -169,17 +180,18 @@ class TestEuatLoss:
             h = -sum(pk * math.log(max(pk, 1e-12)) for pk in p)
             rows.append(ce + h if membership[r] == losses.CORRECT_SET else ce - h)
         assert res.value == pytest.approx(np.mean(rows), abs=1e-12)
-        correct_sum = sum(v for v, m in zip(rows, membership) if m == 1)
-        wrong_sum = sum(v for v, m in zip(rows, membership) if m == 0)
-        assert res.correct_sum == pytest.approx(correct_sum, abs=1e-12)
-        assert res.wrong_sum == pytest.approx(wrong_sum, abs=1e-12)
+        assert res.per_row.shape == (6,)
+        for got, want in zip(res.per_row, rows):
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_partial_sums_add_up(self):
         model, x, y, n = rand_setup(7, rows=5)
         batch = self.batch(x, y, [1, 0, 0, 1, 1])
         res = euat(batch, model, n, 2)
+        assert res.value == res.per_row.mean()
+        correct = batch.membership == losses.CORRECT_SET
         assert res.value == pytest.approx(
-            (res.correct_sum + res.wrong_sum) / 5.0, abs=1e-12
+            (res.per_row[correct].sum() + res.per_row[~correct].sum()) / 5.0, abs=1e-12
         )
 
     def test_lower_bound_minus_log_k(self):
@@ -213,7 +225,7 @@ def test_entropy_ascent_on_wrong_only_batch():
     values = []
     for _ in range(15):
         dist = uncertainty.mc_predict(model, x, 1, seed=0, keep_grad_records=True)
-        h, grads = entropy_term(dist, np.zeros(4, dtype=np.int64))
+        h, grads = entropy_term(losses.LabeledBatch(x, np.zeros(4, dtype=np.int64)), dist)
         values.append(h)
         ascent = [(-gw, -gb) for gw, gb in grads]
         assert nn.sgd_step(model, ascent, state)

@@ -90,16 +90,16 @@ def assert_matches_reference(dist, passes, x, labels, gen):
     assert_grads_equal(grads, ref_grads)
     assert np.array_equal(input_grad, ref_input_grad)
 
-    value, grads = losses.ce_pe_loss(dist, labels, 0.5)
-    ref_value, ref_grads = losses.ce_pe_loss(ref, labels, 0.5)
-    assert value == ref_value
-    assert_grads_equal(grads, ref_grads)
+    batch = losses.LabeledBatch(x, labels)
+    got, want = losses.ce_pe_loss(batch, dist, 0.5), losses.ce_pe_loss(batch, ref, 0.5)
+    assert got.value == want.value
+    assert_grads_equal(got.grads, want.grads)
 
     membership = gen.integers(0, 2, size=len(labels)).astype(np.int8)
     batch = losses.LabeledBatch(x, labels, membership)
     got, want = losses.euat_loss(batch, dist), losses.euat_loss(batch, ref)
-    assert (got.value, got.correct_sum, got.wrong_sum) == (
-        want.value, want.correct_sum, want.wrong_sum)
+    assert got.value == want.value
+    assert np.array_equal(got.per_row, want.per_row)
     assert_grads_equal(got.grads, want.grads)
     assert np.array_equal(got.input_grad, want.input_grad)
 
