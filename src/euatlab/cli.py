@@ -6,11 +6,12 @@ the resolved config is written verbatim into the run manifest.
 
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned
-threshold, or a run directory that lacks an original ``replay`` compares
-or whose ``per_epoch.csv`` has no ``wall_time`` header; a config or config
-section that is not a JSON object, an unknown field, or a value of another
-JSON type than its field declares: ``true`` is not a number, ``300.0`` is
-not an integer, and ``null`` fits only a field declared optional; an
+threshold in [0, 1], or a run directory that lacks an original
+``replay`` compares or whose ``per_epoch.csv`` has no ``wall_time``
+header; a config or config section that is not a JSON object, an
+unknown field, or a value of another JSON type than its field declares:
+``true`` is not a number, ``300.0`` is not an integer, and ``null`` fits
+only a field declared optional; an
 ``--out`` that cannot be created as a directory; ``replay`` into the
 original run's directory; an out-of-range setting: ``mc_samples``,
 ``ensemble_members``, ``ece_bins``, ``histogram_bins`` or
@@ -23,7 +24,8 @@ task; ``calibrated_ce`` on fewer than 2 validation rows; an attack clip
 range that excludes a row it attacks: of the test split for the
 ``attack`` protocol, of the train split for ``adversarial_training``; an
 empty or repeated ``compare --methods`` list), 3 data error
-(also a loaded dataset with fewer than two classes, a NaN or
+(also a loaded dataset with fewer than two classes, an IDX image file
+whose header declares 0 rows or 0 columns per image, a NaN or
 out-of-range split fraction, a non-finite noise level), 4 engine error
 (an ``nn.EngineError``: a training failure such as a non-finite forward
 pass, or a bad checkpoint).
@@ -178,7 +180,9 @@ def _loaded_run(args, protocol=None):
 
 def cmd_evaluate(args) -> int:
     config, predictor, dataset, threshold = _loaded_run(args)
-    _, _, report = experiment.clean_eval(predictor, dataset, threshold, config, args.split)
+    _, _, report = experiment.protocol_eval(
+        "clean", predictor, dataset, threshold, config, args.split
+    )
     _print_report(report, f"{config.method}: {args.split} metrics")
     return EXIT_OK
 
@@ -186,7 +190,9 @@ def cmd_evaluate(args) -> int:
 def cmd_protocol_eval(args) -> int:
     protocol, _, title, _ = PROTOCOL_COMMANDS[args.command]
     config, predictor, dataset, threshold = _loaded_run(args, protocol)
-    report = experiment.protocol_eval(protocol, predictor, dataset, threshold, config)
+    _, _, report = experiment.protocol_eval(
+        protocol, predictor, dataset, threshold, config
+    )
     _print_report(report, f"{config.method}: {title}")
     return EXIT_OK
 

@@ -58,18 +58,6 @@ class Dataset:
         ids = self.splits[name]
         return self.inputs[ids], self.labels[ids]
 
-    @property
-    def train(self):
-        return self.split("train")
-
-    @property
-    def validation(self):
-        return self.split("validation")
-
-    @property
-    def test(self):
-        return self.split("test")
-
 
 def split_indices(
     n: int, seed: int, val_fraction: float = 0.1, test_fraction: float = 0.2
@@ -227,7 +215,8 @@ def load_idx(
 
     Pixels are scaled to [0, 1] and flattened row-major to one feature
     vector per image. A file shorter or longer than its header declares
-    raises ``DataError`` code ``truncated`` or ``trailing_bytes``.
+    raises ``DataError`` code ``truncated`` or ``trailing_bytes``; a header
+    that declares 0 rows or 0 columns per image, code ``empty_image``.
     """
     with open(images_path, "rb") as fh:
         magic, n_images, n_rows, n_cols = struct.unpack(
@@ -236,6 +225,11 @@ def load_idx(
         if magic != IDX_IMAGE_MAGIC:
             raise DataError(
                 f"{images_path}: bad image magic 0x{magic:08x}", code="bad_magic"
+            )
+        if n_rows == 0 or n_cols == 0:
+            raise DataError(
+                f"{images_path}: empty images ({n_rows} x {n_cols} pixels)",
+                code="empty_image",
             )
         raw = _read_body(fh, 16, n_images * n_rows * n_cols, images_path)
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0

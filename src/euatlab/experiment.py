@@ -279,8 +279,8 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     """Train the configured method on the dataset's train/validation splits;
     an ensemble divides the total epoch budget across its members, so every
     method consumes the same number of gradient samples."""
-    x_train, y_train = dataset.train
-    x_val, y_val = dataset.validation
+    x_train, y_train = dataset.split("train")
+    x_val, y_val = dataset.split("validation")
     schedule = config.schedule
     attack = config.attack if config.adversarial_training else None
     n_mc = config.mc_samples
@@ -340,23 +340,9 @@ def tune_on_validation(
     predictor: Predictor, dataset: Dataset, config: ExperimentConfig
 ) -> float:
     records = predictor.records(
-        *dataset.validation, rng.derive_seed(config.seed, "threshold-eval")
+        *dataset.split("validation"), rng.derive_seed(config.seed, "threshold-eval")
     )
     return metrics.tune_threshold(records, config.threshold_objective)
-
-
-def clean_eval(
-    predictor: Predictor,
-    dataset: Dataset,
-    threshold: float,
-    config: ExperimentConfig,
-    split: str = "test",
-) -> tuple[EvalRecords, np.ndarray, dict]:
-    """Records, probabilities and metric report of one split."""
-    inputs, labels = dataset.split(split)
-    probs = predictor.probs(inputs, rng.derive_seed(config.seed, "test-eval"))
-    records = records_from_probs(probs, labels)
-    return records, probs, metrics.summarize(records, threshold, config.ece_bins)
 
 
 def protocol_eval(
@@ -365,53 +351,44 @@ def protocol_eval(
     dataset: Dataset,
     threshold: float,
     config: ExperimentConfig,
-) -> dict:
-    """The report of the ``flip``, ``ood`` or ``attack`` protocol on the
-    test split; ``ood`` and ``attack`` score a Gaussian-corrupted or a
-    gradient-sign attacked copy of it with the metric suite."""
-    x_test, y_test = dataset.test
-    if name == "flip":
-        return flip_eval(
-            predictor, x_test, y_test, threshold,
-            rng.derive_seed(config.seed, "flip-eval"), config.ece_bins,
-        )
+    split: str = "test",
+) -> tuple[EvalRecords, np.ndarray, dict]:
+    """Records, probabilities and report of one protocol on one split.
+
+    ``clean`` scores the split's rows, ``ood`` a Gaussian-corrupted and
+    ``attack`` a gradient-sign attacked copy of them, each with the metric
+    suite. ``flip`` (binary tasks only) inverts the predicted class wherever
+    normalized entropy exceeds the threshold and reports both error rates
+    plus F1, precision, TPR and TNR of the flipped predictions, with the
+    metric suite under ``"metrics"``.
+    """
+    inputs, labels = dataset.split(split)
+    extra = {}
     if name == "ood":
         sigma = config.corruption.sigma
-        shifted = gaussian_corrupt(
-            x_test, sigma, rng.derive_seed(config.seed, "ood-noise")
+        inputs = gaussian_corrupt(
+            inputs, sigma, rng.derive_seed(config.seed, "ood-noise")
         )
         extra = {"sigma": sigma}
-    else:
-        shifted = predictor.attacked(x_test, y_test, config.attack)
+    elif name == "attack":
+        clean = inputs
+        inputs = predictor.attacked(clean, labels, config.attack)
         extra = {
             "epsilon": config.attack.epsilon,
-            "linf": float(np.max(np.abs(shifted - x_test))),
+            "linf": float(np.max(np.abs(inputs - clean))),
         }
-    records = predictor.records(
-        shifted, y_test, rng.derive_seed(config.seed, f"{name}-eval")
-    )
-    return {**metrics.summarize(records, threshold, config.ece_bins), **extra}
-
-
-def flip_eval(
-    predictor: Predictor,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    threshold: float,
-    seed: int,
-    ece_bins: int = 15,
-) -> dict:
-    """Binary protocol: invert the predicted class wherever normalized
-    entropy exceeds the threshold; report both error rates plus F1,
-    precision, TPR, TNR of the flipped predictions and the metric suite."""
-    probs = predictor.probs(inputs, seed)
-    if probs.shape[1] != 2:
+    tag = "test-eval" if name == "clean" else f"{name}-eval"
+    probs = predictor.probs(inputs, rng.derive_seed(config.seed, tag))
+    if name == "flip" and probs.shape[1] != 2:
         raise ConfigError("flip evaluation needs a binary task")
     records = records_from_probs(probs, labels)
-    pred = records.pred_label
-    flipped = np.where(records.uncertainty > threshold, 1 - pred, pred)
-    labels = np.asarray(labels, dtype=np.int64)
+    report = metrics.summarize(records, threshold, config.ece_bins)
+    if name != "flip":
+        return records, probs, {**report, **extra}
 
+    pred, labels = records.pred_label, records.true_label
+    uncertain = records.uncertainty > threshold
+    flipped = np.where(uncertain, 1 - pred, pred)
     tp = int(np.sum((flipped == 1) & (labels == 1)))
     tn = int(np.sum((flipped == 0) & (labels == 0)))
     fp = int(np.sum((flipped == 1) & (labels == 0)))
@@ -420,17 +397,16 @@ def flip_eval(
     tpr = tp / (tp + fn) if tp + fn else 0.0
     tnr = tn / (tn + fp) if tn + fp else 0.0
     f1 = 2 * precision * tpr / (precision + tpr) if precision + tpr else 0.0
-
-    return {
+    return records, probs, {
         "threshold": float(threshold),
         "error_without_flip": float(np.mean(pred != labels)),
         "error_with_flip": float(np.mean(flipped != labels)),
-        "flipped_count": int(np.sum(records.uncertainty > threshold)),
+        "flipped_count": int(np.sum(uncertain)),
         "f1": f1,
         "precision": precision,
         "tpr": tpr,
         "tnr": tnr,
-        "metrics": metrics.summarize(records, threshold, ece_bins),
+        "metrics": report,
     }
 
 
@@ -613,11 +589,13 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     manifest["tuned_threshold"] = threshold
 
     evaluation = (trained.predictor, dataset, threshold, config)
-    records, probs, clean_report = stage("evaluate", partial(clean_eval, *evaluation))
+    records, probs, clean_report = stage(
+        "evaluate", partial(protocol_eval, "clean", *evaluation)
+    )
     reports = {"clean": clean_report}
     for name in PROTOCOLS[1:]:
         if name in config.protocols:
-            reports[name] = stage(name, partial(protocol_eval, name, *evaluation))
+            reports[name] = stage(name, partial(protocol_eval, name, *evaluation))[2]
 
     def persist():
         metrics_bytes = _json_bytes(reports)
@@ -665,14 +643,17 @@ def _load_manifest(path) -> tuple[dict, ExperimentConfig]:
 
 def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     """Reload the config, trained predictor, and manifest of a finished run;
-    a bad manifest (also one without a numeric ``tuned_threshold``) raises
-    ``ConfigError``, a bad checkpoint ``EngineError``."""
+    a bad manifest (also one without a numeric ``tuned_threshold`` in
+    [0, 1]) raises ``ConfigError``, a bad checkpoint ``EngineError``."""
     run_dir = Path(run_dir)
     manifest, config = _load_manifest(run_dir / "manifest.json")
     threshold = manifest.get("tuned_threshold")
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+    # every comparison with NaN is False, so a NaN threshold fails too
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not 0 <= threshold <= 1):
         raise ConfigError(
             f"manifest {run_dir / 'manifest.json'} has no numeric tuned_threshold"
+            f" in [0, 1], got {threshold!r}"
         )
     path = run_dir / "checkpoint.json"
     try:

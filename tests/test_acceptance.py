@@ -188,11 +188,12 @@ def test_criterion_4_algorithm_structure():
         pretrain_epochs=5, euat_epochs=4, pretrain_lr=0.1, euat_lr=0.0, batch_size=32
     )
     pre = training.ce_family_train(
-        nn.MlpModel.init([2, 8, 2], 0.2, seed=6), *ds.train, schedule,
+        nn.MlpModel.init([2, 8, 2], 0.2, seed=6), *ds.split("train"), schedule,
         epochs=schedule.pretrain_epochs, seed=7,
     )
     out = training.euat_train(
-        pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=8
+        pre.model, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+        n_mc=4, seed=8
     )
     frozen_ok = parameters_equal(out.model, pre.model)
 
@@ -333,7 +334,7 @@ def test_criterion_7_attack_contract():
             from euatlab.experiment import train_method
 
             trained = train_method(config, dataset)
-            x_test, y_test = dataset.test
+            x_test, y_test = dataset.split("test")
             eval_seed = rng.derive_seed(seed, "attack-compare")
             clean = trained.predictor.records(x_test, y_test, eval_seed)
             adv_x = trained.predictor.attacked(x_test, y_test, config.attack)

@@ -182,7 +182,7 @@ class TestEnsemble:
         seed = rng.derive_seed(config.seed, "ensemble-member", 0)
         ce = train_ce_family(
             nn.MlpModel.init([2, 8, 2], 0.3, seed=seed),
-            *ds.train, *ds.validation, config.schedule, seed=seed,
+            *ds.split("train"), *ds.split("validation"), config.schedule, seed=seed,
         )
         assert ens.seeds == [seed]
         assert parameters_equal(ens.members[0], ce.model)
@@ -191,16 +191,17 @@ class TestEnsemble:
         ds = self.setup_data(seed=1)
         members = [
             training.ce_family_train(
-                nn.MlpModel.init([2, 8, 2], 0.3, seed=7), *ds.train,
+                nn.MlpModel.init([2, 8, 2], 0.3, seed=7), *ds.split("train"),
                 small_schedule(), epochs=2, seed=7,
-                val_inputs=ds.validation[0], val_labels=ds.validation[1],
+                val_inputs=ds.split("validation")[0],
+                val_labels=ds.split("validation")[1],
             ).model
             for _ in range(3)
         ]
         ens = baselines.Ensemble(members, [7, 7, 7])
         assert parameters_equal(ens.members[0], ens.members[1])
         assert parameters_equal(ens.members[0], ens.members[2])
-        x = ds.test[0][:5]
+        x = ds.split("test")[0][:5]
         single = uncertainty.eval_predict([ens.members[0]], x).probs
         combined = uncertainty.eval_predict(ens.members, x).probs
         assert np.allclose(combined, single, atol=1e-15)
@@ -269,11 +270,13 @@ class TestCeFamily:
         ds = data.generate_dataset("gaussian_blobs", 200, 0.08, seed=3)
         schedule = small_schedule()
         a = train_ce_family(
-            nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.train, *ds.validation,
+            nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.split("train"),
+            *ds.split("validation"),
             schedule, seed=11,
         )
         b = train_ce_family(
-            nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.train, *ds.validation,
+            nn.MlpModel.init([2, 8, 2], 0.3, seed=9), *ds.split("train"),
+            *ds.split("validation"),
             schedule, seed=11, lam=0.0,
         )
         assert a.loss_trajectory == b.loss_trajectory
@@ -284,11 +287,13 @@ class TestCeFamily:
         ds = data.generate_dataset("gaussian_blobs", 200, 0.08, seed=4)
         schedule = small_schedule()
         a = train_ce_family(
-            nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
+            nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.split("train"),
+            *ds.split("validation"),
             schedule, seed=1,
         )
         b = train_ce_family(
-            nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
+            nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.split("train"),
+            *ds.split("validation"),
             schedule, seed=1, lam=1.0,
         )
         assert [set(r) for r in a.report] == [set(r) for r in b.report]
@@ -297,6 +302,7 @@ class TestCeFamily:
         ds = data.generate_dataset("gaussian_blobs", 100, 0.08, seed=5)
         with pytest.raises(ValueError):
             train_ce_family(
-                nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.train, *ds.validation,
+                nn.MlpModel.init([2, 8, 2], 0.3, seed=1), *ds.split("train"),
+                *ds.split("validation"),
                 small_schedule(), seed=1, lam=-1.0,
             )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import pytest
@@ -261,6 +262,22 @@ def test_idx_without_two_classes_fails_before_training(tmp_path, n, exit_code):
          "--pretrain-epochs", "1", "--euat-epochs", "1", "--out", str(out)]
     )
     assert code == exit_code
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
+
+
+def test_idx_with_empty_images_is_a_data_error(tmp_path):
+    # 60 images of 0 x 28 pixels: the inputs would have no features
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 60, 0, 28))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 60) + bytes([0, 1] * 30))
+    out = tmp_path / "x"
+    code = cli.main(
+        ["train", "--dataset", "idx", "--images", str(images), "--labels", str(labels),
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--out", str(out)]
+    )
+    assert code == 3
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert [(s["stage"], s["status"]) for s in stages] == [("dataset", "failed")]
 
@@ -659,7 +676,8 @@ def test_unknown_checkpoint_kind_is_a_bad_checkpoint(run_dir):
     assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
 
 
-@pytest.mark.parametrize("threshold", [None, "0.5", [0.5], True])
+# a number outside [0, 1], NaN included, is no threshold either
+@pytest.mark.parametrize("threshold", [None, "0.5", [0.5], True, 2.0, math.nan, -0.5])
 def test_manifest_without_numeric_threshold_is_a_config_error(run_dir, threshold):
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text())

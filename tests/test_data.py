@@ -170,6 +170,13 @@ class TestIdxLoader:
             data.load_idx(ipath, lpath)
         assert exc.value.code == "bad_magic"
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_images_rejected(self, tmp_path, rows, cols):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((60, rows, cols)), [0, 1] * 30)
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "empty_image"
+
 
 class TestBinaryTask:
     def balanced_ten_class(self):

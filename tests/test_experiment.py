@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import checkpoint_reference
 
-from euatlab import experiment, metrics, nn, training
+from euatlab import experiment, metrics, nn, rng, training
+from euatlab.data import Dataset
 from euatlab.experiment import ConfigError, ExperimentConfig, Predictor
 
 
@@ -116,7 +117,7 @@ class TestRunExperiment:
         config, predictor, loaded = experiment.load_run(tmp_path)
         assert loaded["tuned_threshold"] == manifest["tuned_threshold"]
         dataset = experiment.build_dataset(config)
-        probs = predictor.probs(dataset.test[0][:4], seed=0)
+        probs = predictor.probs(dataset.split("test")[0][:4], seed=0)
         assert probs.shape == (4, 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -257,12 +258,19 @@ class TestCompare:
         assert (tmp_path / "ce" / "metrics.json").exists()
 
 
+def flip_report(predictor, x, y, threshold, config):
+    """The ``flip`` report of ``protocol_eval`` on a dataset whose one
+    split, ``test``, holds every row of ``x``."""
+    dataset = Dataset(x, y, {"test": np.arange(len(y))})
+    return experiment.protocol_eval("flip", predictor, dataset, threshold, config)[2]
+
+
 class TestFlipEval:
     def test_never_flipping_threshold(self):
         predictor = constant_logit_predictor([0.4, 0.0])
         x = np.zeros((10, 1))
         y = np.array([0] * 6 + [1] * 4)
-        report = experiment.flip_eval(predictor, x, y, threshold=1.0, seed=0)
+        report = flip_report(predictor, x, y, 1.0, ExperimentConfig(seed=0))
         assert report["error_with_flip"] == report["error_without_flip"]
         assert report["flipped_count"] == 0
 
@@ -270,7 +278,7 @@ class TestFlipEval:
         predictor = constant_logit_predictor([0.4, 0.0])  # predicts 0, H > 0
         x = np.zeros((8, 1))
         y = np.ones(8, dtype=np.int64)
-        report = experiment.flip_eval(predictor, x, y, threshold=0.0, seed=0)
+        report = flip_report(predictor, x, y, 0.0, ExperimentConfig(seed=0))
         assert report["error_without_flip"] == 1.0
         assert report["error_with_flip"] == 0.0
 
@@ -281,9 +289,10 @@ class TestFlipEval:
         x = gen.random((20, 3))
         y = gen.integers(0, 2, size=20)
         t = 0.6
-        report = experiment.flip_eval(predictor, x, y, threshold=t, seed=1)
+        config = ExperimentConfig(seed=1)
+        report = flip_report(predictor, x, y, t, config)
 
-        probs = predictor.probs(x, seed=1)
+        probs = predictor.probs(x, seed=rng.derive_seed(config.seed, "flip-eval"))
         pred = probs.argmax(axis=1)
         h = [-sum(p * math.log(p) for p in row) / math.log(2) for row in probs]
         flipped = [1 - p if u > t else p for p, u in zip(pred, h)]
@@ -302,8 +311,9 @@ class TestFlipEval:
     def test_non_binary_rejected(self):
         predictor = constant_logit_predictor([0.0, 0.0, 0.0])
         with pytest.raises(ConfigError):
-            experiment.flip_eval(
-                predictor, np.zeros((2, 1)), np.zeros(2, dtype=int), 0.5, 0
+            flip_report(
+                predictor, np.zeros((2, 1)), np.zeros(2, dtype=int), 0.5,
+                ExperimentConfig(seed=0),
             )
 
     def test_predictions_at_or_below_threshold_never_change(self):
@@ -313,9 +323,10 @@ class TestFlipEval:
         x = gen.random((30, 3))
         y = gen.integers(0, 2, size=30)
         t = 0.8
-        probs = predictor.probs(x, seed=2)
+        config = ExperimentConfig(seed=2)
+        probs = predictor.probs(x, seed=rng.derive_seed(config.seed, "flip-eval"))
         records = metrics.records_from_probs(probs, y)
-        report = experiment.flip_eval(predictor, x, y, threshold=t, seed=2)
+        report = flip_report(predictor, x, y, t, config)
         untouched = records.uncertainty <= t
         # rows at or below the threshold contribute identical correctness
         n_same = int(np.sum(records.correct[untouched]))
@@ -352,7 +363,7 @@ class TestOodAndAttack:
         dataset = experiment.build_dataset(config)
         trained = experiment.train_method(config, dataset)
         threshold = experiment.tune_on_validation(trained.predictor, dataset, config)
-        report = experiment.protocol_eval(
+        _, _, report = experiment.protocol_eval(
             "ood", trained.predictor, dataset, threshold, config
         )
         assert report["sigma"] == config.corruption.sigma
@@ -363,7 +374,7 @@ class TestOodAndAttack:
             config = smoke_config(method)
             dataset = experiment.build_dataset(config)
             trained = experiment.train_method(config, dataset)
-            x_test, y_test = dataset.test
+            x_test, y_test = dataset.split("test")
             adv = trained.predictor.attacked(x_test, y_test, config.attack)
             assert np.max(np.abs(adv - x_test)) <= config.attack.epsilon
             assert adv.min() >= 0.0 and adv.max() <= 1.0

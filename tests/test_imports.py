@@ -339,6 +339,17 @@ def test_function_call_detector_names_the_enclosing_function():
     ]
 
 
+def test_every_metric_report_is_summarized_in_one_of_two_places():
+    # the run report of every protocol and the per-epoch report row
+    callers = [
+        (path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+        for fn, _, _ in calls_by_function(path.read_text(), ("summarize",))
+    ]
+    assert callers == [
+        ("experiment.py", "protocol_eval"), ("training.py", "_report_row")
+    ]
+
+
 LOSSES = ("ce_pe_loss", "euat_loss")
 
 

@@ -177,10 +177,12 @@ class TestAdversarialTraining:
         model = nn.MlpModel.init([2, 8, 2], 0.3, seed=13)
         attack = robustness.AttackConfig(epsilon=0.0)
         plain = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs,
+            seed=14
         )
         attacked = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=14,
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs,
+            seed=14,
             attack=attack,
         )
         assert parameters_equal(plain.model, attacked.model)
@@ -192,15 +194,17 @@ class TestAdversarialTraining:
                                              pretrain_lr=0.1, euat_lr=0.01,
                                              batch_size=32)
         pre = training.ce_family_train(
-            nn.MlpModel.init([2, 8, 2], 0.3, seed=16), *ds.train,
+            nn.MlpModel.init([2, 8, 2], 0.3, seed=16), *ds.split("train"),
             schedule, epochs=schedule.pretrain_epochs, seed=17,
         ).model
         attack = robustness.AttackConfig(epsilon=0.0)
         plain = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=18
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=18
         )
         attacked = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=18,
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=18,
             attack=attack,
         )
         assert parameters_equal(plain.model, attacked.model)
@@ -214,7 +218,7 @@ class TestAdversarialTraining:
         schedule = training.TrainingSchedule(pretrain_epochs=6, euat_epochs=4,
                                              pretrain_lr=0.1, euat_lr=0.01,
                                              batch_size=32)
-        x, y = ds.train
+        x, y = ds.split("train")
         pre = training.ce_family_train(
             nn.MlpModel.init([dim, 16, 2], 0.3, seed=12), x, y,
             schedule, epochs=schedule.pretrain_epochs, seed=13,
@@ -229,7 +233,7 @@ class TestAdversarialTraining:
         monkeypatch.setattr(training, "euat_loss", spy)
         attack = robustness.AttackConfig(epsilon=eps)
         training.euat_train(
-            pre, x, y, *ds.validation, schedule=schedule, n_mc=4, seed=14,
+            pre, x, y, *ds.split("validation"), schedule=schedule, n_mc=4, seed=14,
             attack=attack,
         )
         assert trained
@@ -301,5 +305,5 @@ class TestAdversarialTrainDispatch:
             trained = experiment.train_method(resolved, dataset)
             assert resolved.adversarial_training
             assert resolved.attack.epsilon == 0.01
-            probs = trained.predictor.probs(dataset.test[0][:3], seed=0)
+            probs = trained.predictor.probs(dataset.split("test")[0][:3], seed=0)
             assert probs.shape == (3, 2)

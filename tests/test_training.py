@@ -40,10 +40,10 @@ class TestPartition:
         w = 2.0 * centers
         b = -np.sum(centers**2, axis=1)
         model = nn.MlpModel([nn.DenseLayer(w, b, "identity")], 0.0)
-        part = training.partition(model, *ds.train, epoch=3)
+        part = training.partition(model, *ds.split("train"), epoch=3)
         assert len(part.wrong) == 0
         assert part.epoch == 3
-        assert len(part.correct) == len(ds.train[1])
+        assert len(part.correct) == len(ds.split("train")[1])
 
     def test_constant_model_on_balanced_three_classes(self):
         n = 300
@@ -243,7 +243,7 @@ class TestPretrain:
         model = nn.MlpModel.init([2, 8, 2], dropout_rate=0.3, seed=1)
         schedule = training.TrainingSchedule(pretrain_epochs=0)
         out = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=0
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=0
         )
         assert parameters_equal(out.model, model)
         assert out.loss_trajectory == []
@@ -253,9 +253,9 @@ class TestPretrain:
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=2)
         schedule = training.TrainingSchedule(pretrain_epochs=30, pretrain_lr=0.1)
         out = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=3
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=3
         )
-        x, y = ds.train
+        x, y = ds.split("train")
         err = float(np.mean(training.predict_labels(out.model, x) != y))
         assert err < 0.05
 
@@ -266,7 +266,7 @@ class TestPretrain:
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.0, seed=4)
         schedule = training.TrainingSchedule(pretrain_epochs=30, pretrain_lr=0.1)
         out = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=5
         )
         traj = np.array(out.loss_trajectory)
         smooth = np.convolve(traj, np.ones(5) / 5, mode="valid")
@@ -277,10 +277,10 @@ class TestPretrain:
         model = nn.MlpModel.init([2, 8, 2], dropout_rate=0.3, seed=6)
         schedule = training.TrainingSchedule(pretrain_epochs=5)
         a = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=7
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=7
         )
         b = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=7
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=7
         )
         assert parameters_equal(a.model, b.model)
         assert a.loss_trajectory == b.loss_trajectory
@@ -295,7 +295,8 @@ class TestEuatTrain:
             selection_metric="uauc",
         )
         pre = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=seed
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs,
+            seed=seed
         )
         return ds, pre.model, schedule
 
@@ -310,7 +311,8 @@ class TestEuatTrain:
             euat_epochs=10, selection_metric="error", batch_size=8
         )
         out = training.euat_train(
-            model, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=1
+            model, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=1
         )
         assert parameters_equal(out.model, model)
         skipped = [row for row in out.report if row.get("skipped")]
@@ -325,10 +327,11 @@ class TestEuatTrain:
         model = nn.MlpModel.init([2, 16, 2], dropout_rate=0.3, seed=0)
         schedule = training.TrainingSchedule(pretrain_epochs=20, euat_epochs=5)
         pre = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=0
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=0
         )
         out = training.euat_train(
-            pre.model, *ds.train, *val.validation, schedule=schedule, n_mc=8, seed=1
+            pre.model, *ds.split("train"), *val.split("validation"), schedule=schedule,
+            n_mc=8, seed=1
         )
         assert all(row["skipped"] for row in out.report[1:])
         assert max(row["uauc"] for row in out.report[1:]) > out.report[0]["uauc"]
@@ -338,7 +341,8 @@ class TestEuatTrain:
     def test_returned_model_attains_best_epoch_score(self):
         ds, pre, schedule = self.small_setup(seed=5)
         out = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=8, seed=2
         )
         best = out.report[out.best_epoch]
         scores = [
@@ -348,7 +352,8 @@ class TestEuatTrain:
         # re-evaluating the returned checkpoint at the winning epoch's seed
         # reproduces the recorded score
         records = training.evaluate_records(
-            out.model, *ds.validation, 8, rng.derive_seed(2, "val-eval", out.best_epoch)
+            out.model, *ds.split("validation"), 8,
+            rng.derive_seed(2, "val-eval", out.best_epoch),
         )
         assert metrics.uauc(records) == pytest.approx(
             best["uauc"], abs=1e-12
@@ -358,14 +363,16 @@ class TestEuatTrain:
         ds, pre, schedule = self.small_setup(seed=6)
         schedule.euat_lr = 0.0
         out = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=3
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=3
         )
         assert parameters_equal(out.model, pre)
 
     def test_report_schema(self):
         ds, pre, schedule = self.small_setup(seed=7)
         out = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=4
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=4
         )
         for row in out.report:
             for col in training.REPORT_COLUMNS:
@@ -378,10 +385,12 @@ class TestEuatTrain:
     def test_seeded_determinism(self):
         ds, pre, schedule = self.small_setup(seed=8)
         a = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=5
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=5
         )
         b = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=5
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=5
         )
         assert parameters_equal(a.model, b.model)
         assert a.best_epoch == b.best_epoch
@@ -406,7 +415,8 @@ class TestEuatTrain:
         monkeypatch.setattr(training, "balanced_batches", counting_balanced_batches)
         monkeypatch.setattr(training, "euat_loss", recording_euat_loss)
         out = training.euat_train(
-            pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=2
+            pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=4, seed=2
         )
         trained = [row for row in out.report[1:] if not row["skipped"]]
         assert len(out.loss_trajectory) == len(trained) == len(batch_counts) > 0
@@ -434,7 +444,8 @@ class TestEuatTrain:
         half = schedule.batch_size // 2
         with pytest.raises(nn.EngineError, match=f"expected {half} of each side"):
             training.euat_train(
-                pre, *ds.train, *ds.validation, schedule=schedule, n_mc=4, seed=6
+                pre, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+                n_mc=4, seed=6
             )
 
 
@@ -474,17 +485,20 @@ class TestDivergence:
         best = out.report[out.best_epoch]
         assert best["uauc"] == max(row["uauc"] for row in out.report)
         val_seed = rng.derive_seed(seed, "val-eval", out.best_epoch)
-        records = training.evaluate_records(out.model, *ds.validation, n_mc, val_seed)
+        records = training.evaluate_records(
+            out.model, *ds.split("validation"), n_mc, val_seed
+        )
         assert metrics.uauc(records) == best["uauc"]
 
     def test_euat_keeps_best_model(self, monkeypatch):
         ds, model, schedule = self.make()
         pre = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=5
         )
         refuse_steps_from(monkeypatch, 4)
         out = training.euat_train(
-            pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
+            pre.model, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=8, seed=2
         )
         assert out.best_epoch < 3
         self.assert_selected_model_kept(out, ds, 8, 2, diverge_epoch=4)
@@ -493,8 +507,9 @@ class TestDivergence:
         ds, model, schedule = self.make()
         refuse_steps_from(monkeypatch, 7)
         out = training.ce_family_train(
-            model, *ds.train, schedule, epochs=8, seed=5,
-            val_inputs=ds.validation[0], val_labels=ds.validation[1], n_mc_eval=8,
+            model, *ds.split("train"), schedule, epochs=8, seed=5,
+            val_inputs=ds.split("validation")[0], val_labels=ds.split("validation")[1],
+            n_mc_eval=8,
         )
         assert out.best_epoch < 6
         assert len(out.loss_trajectory) == 6
@@ -503,7 +518,7 @@ class TestDivergence:
     def test_non_finite_loss_ends_training(self, monkeypatch):
         ds, model, schedule = self.make()
         pre = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=5
         )
         euat_loss = training.euat_loss
         calls = []
@@ -517,12 +532,14 @@ class TestDivergence:
 
         monkeypatch.setattr(training, "euat_loss", poisoned_euat_loss)
         out = training.euat_train(
-            pre.model, *ds.train, *ds.validation, schedule=schedule, n_mc=8, seed=2
+            pre.model, *ds.split("train"), *ds.split("validation"), schedule=schedule,
+            n_mc=8, seed=2
         )
         assert out.diverged
         assert len(calls) == 9
         records = training.evaluate_records(
-            out.model, *ds.validation, 8, rng.derive_seed(2, "val-eval", out.best_epoch)
+            out.model, *ds.split("validation"), 8,
+            rng.derive_seed(2, "val-eval", out.best_epoch),
         )
         assert metrics.uauc(records) == out.report[out.best_epoch]["uauc"]
 
@@ -539,7 +556,7 @@ class TestDivergence:
 
         monkeypatch.setattr(training, "sgd_step", sgd_step_refusing_the_eleventh)
         out = training.ce_family_train(
-            model, *ds.train, schedule, epochs=schedule.pretrain_epochs, seed=5
+            model, *ds.split("train"), schedule, epochs=schedule.pretrain_epochs, seed=5
         )
         assert out.diverged
         assert out.report == [] and out.best_epoch is None
