@@ -16,8 +16,7 @@ from .losses import ce_pe_loss, euat_loss
 from .metrics import EvalRecords, build_ucm, ece, tune_threshold, uauc, wasserstein1
 from .nn import MlpModel
 from .training import TrainingSchedule, euat_train
-from .uncertainty import eval_predict, mc_predict
-from .uncertainty import normalized_entropy, predictive_entropy
+from .uncertainty import eval_predict, mc_predict, normalized_entropy
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "metrics",
     "nn",
     "normalized_entropy",
-    "predictive_entropy",
     "rng",
     "robustness",
     "run_experiment",

@@ -5,7 +5,7 @@ Every baseline trains in ``experiment.train_method``: the CE and CE+PE
 baselines and each ensemble member are ``training.ce_family_train`` with
 validation data (lambda = 0 for CE), so all share the validation-based
 model selection. An ensemble predicts through
-``uncertainty.eval_predict`` over its members.
+``uncertainty.eval_predict_probs`` over its members.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ class IsotonicMap:
         self.levels = np.asarray(self.levels, dtype=np.float64)
         if self.breakpoints.shape != self.levels.shape:
             raise ValueError("breakpoints and levels must have equal length")
+        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.levels).all()):
+            raise ValueError("breakpoints and levels must be finite")
         if np.any(np.diff(self.breakpoints) < 0):
             raise ValueError("breakpoints must be ascending")
         if np.any(np.diff(self.levels) < -1e-15):

@@ -28,7 +28,8 @@ empty or repeated ``compare --methods`` list), 3 data error
 whose header declares 0 rows or 0 columns per image, a NaN or
 out-of-range split fraction, a non-finite noise level), 4 engine error
 (an ``nn.EngineError``: a training failure such as a non-finite forward
-pass, or a bad checkpoint).
+pass, or a bad checkpoint, also one of another kind than the run's method
+writes or with a non-finite calibration breakpoint or level).
 Every report comes from ``experiment``: ``evaluate`` and the protocol
 subcommands print what ``train`` stores for the same config.
 A run whose training diverged keeps its selected model, exits 0 and

@@ -32,9 +32,11 @@ from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_di
 from .robustness import AttackConfig, CorruptionConfig, fgsm, gaussian_corrupt
 from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
 from .training import ce_family_train, euat_train
-from .uncertainty import eval_predict, mc_predict_probs, pool_use
+from .uncertainty import eval_predict_probs, mc_predict_probs, pool_use
 
 METHODS = ("euat", "ce", "ce_pe", "calibrated_ce", "ensemble")
+# the checkpoint kind a method writes, "mlp" if not listed
+CHECKPOINT_KINDS = {"ensemble": "ensemble", "calibrated_ce": "calibrated"}
 
 PROTOCOLS = ("clean", "flip", "ood", "attack")
 
@@ -250,7 +252,7 @@ class Predictor:
 
     def probs(self, inputs: np.ndarray, seed: int) -> np.ndarray:
         if self.ensemble is not None:
-            p = eval_predict(self.ensemble.members, inputs).probs
+            p = eval_predict_probs(self.ensemble.members, inputs)
         else:
             p = mc_predict_probs(self.model, inputs, self.n_mc, seed)
         if self.calibration is not None:
@@ -288,6 +290,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
     train_selected = partial(
         ce_family_train, inputs=x_train, labels=y_train, schedule=schedule,
         attack=attack, val_inputs=x_val, val_labels=y_val, n_mc_eval=n_mc,
+        ece_bins=config.ece_bins,
     )
 
     if config.method == "ensemble":
@@ -316,7 +319,7 @@ def train_method(config: ExperimentConfig, dataset: Dataset) -> TrainedMethod:
         )
         out = euat_train(
             pre.model, x_train, y_train, x_val, y_val, schedule,
-            n_mc, seed, attack=attack,
+            n_mc, seed, attack=attack, ece_bins=config.ece_bins,
         )
         out.loss_trajectory = pre.loss_trajectory + out.loss_trajectory
         out.diverged = out.diverged or pre.diverged
@@ -515,8 +518,13 @@ def predictor_checkpoint(predictor: Predictor) -> str:
     )
 
 
-def predictor_from_checkpoint(doc: dict, n_mc: int) -> Predictor:
-    kind = doc.get("kind")
+def predictor_from_checkpoint(doc: dict, config: ExperimentConfig) -> Predictor:
+    """The predictor of ``doc``, a checkpoint of the kind ``config.method``
+    writes; another kind raises ``EngineError``."""
+    kind, n_mc = doc.get("kind"), config.mc_samples
+    expected = CHECKPOINT_KINDS.get(config.method, "mlp")
+    if kind != expected:
+        raise EngineError(f"kind {kind!r}, but method {config.method!r} writes {expected!r}")
     if kind == "ensemble":
         members = [model_from_checkpoint_dict(m) for m in doc["members"]]
         return Predictor(ensemble=Ensemble(members, doc["seeds"]), n_mc=n_mc)
@@ -529,8 +537,6 @@ def predictor_from_checkpoint(doc: dict, n_mc: int) -> Predictor:
             ),
             n_mc=n_mc,
         )
-    if kind != "mlp":
-        raise EngineError(f"unknown checkpoint kind {kind!r}")
     return Predictor(model=model_from_checkpoint_dict(doc), n_mc=n_mc)
 
 
@@ -658,7 +664,7 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     path = run_dir / "checkpoint.json"
     try:
         checkpoint = json.loads(path.read_text())
-        predictor = predictor_from_checkpoint(checkpoint, config.mc_samples)
+        predictor = predictor_from_checkpoint(checkpoint, config)
     # ValueError includes json.JSONDecodeError; a non-object fails .get()
     except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise EngineError(f"bad checkpoint {path}: {exc}") from exc

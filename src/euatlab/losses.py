@@ -95,11 +95,6 @@ def _weighted_ce_entropy(
 ) -> LossResult:
     """The one loss core: per-row CE + w * H of the averaged distribution,
     with the gradients of their batch mean through every retained pass."""
-    if dist.grad_passes is None:
-        raise ValueError(
-            "loss gradients need per-sample records; predict with "
-            "keep_grad_records=True"
-        )
     ce_vals, ce_grad = _ce_rows(dist.probs, labels)
     h_vals, h_grad = _entropy_rows(dist.probs)
     values = ce_vals + w * h_vals

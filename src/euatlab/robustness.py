@@ -53,7 +53,7 @@ def ce_input_grad(
     """Evaluation-mode CE input gradient of the mean softmax of ``models``
     (one model, or every ensemble member), through the shared softmax VJP."""
     labels = np.asarray(labels, dtype=np.int64)
-    dist = eval_predict(models, inputs, keep_grad_records=True)
+    dist = eval_predict(models, inputs)
     mean = dist.probs
     rows = np.arange(len(labels))
     d_mean = np.zeros_like(mean)
@@ -64,7 +64,7 @@ def ce_input_grad(
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
     # deterministic variant: one unmasked pass, membership from the argmax
     # of its logits (the evaluation-mode predictions), slice 0 of its stack
-    dist = eval_predict([model], inputs, keep_grad_records=True)
+    dist = eval_predict([model], inputs)
     _, cache = dist.grad_passes[0]
     correct = cache.logits[0].argmax(axis=1) == labels
     membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)

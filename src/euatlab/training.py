@@ -230,8 +230,8 @@ def selection_score(row: dict, metric: str) -> float:
     return -np.inf if value is None else float(value)
 
 
-def _report_row(epoch, train_error, records, wall_time, skipped=False) -> dict:
-    report = metrics.summarize(records, metrics.tune_threshold(records, "ua"))
+def _report_row(epoch, train_error, records, wall_time, ece_bins, skipped=False) -> dict:
+    report = metrics.summarize(records, metrics.tune_threshold(records, "ua"), ece_bins)
     return {
         "epoch": epoch,
         "train_error": float(train_error),
@@ -250,7 +250,7 @@ class _Run:
     """The work copy, optimizer state and outcome of one training loop, with
     the update loop, selection and divergence policy both loops share."""
 
-    def __init__(self, model, lr, schedule, seed, val_inputs, val_labels, n_mc):
+    def __init__(self, model, lr, schedule, seed, val_inputs, val_labels, n_mc, ece_bins):
         self.work = model.copy()
         self.state = OptimizerState.for_model(
             self.work, lr, schedule.momentum, schedule.weight_decay
@@ -261,6 +261,7 @@ class _Run:
         self.seed = seed
         self.val = (val_inputs, val_labels)
         self.n_mc = n_mc
+        self.ece_bins = ece_bins
         self.best_score = -np.inf
 
     def fit(self, batches, epoch: int, tag: str, n_mc: int, loss, attack) -> bool:
@@ -274,7 +275,7 @@ class _Run:
                 xb = fgsm([self.work], batch.inputs, batch.labels, attack)
                 batch = LabeledBatch(xb, batch.labels, batch.membership)
             seed = rng.derive_seed(self.seed, tag, epoch, b)
-            dist = mc_predict(self.work, batch.inputs, n_mc, seed, keep_grad_records=True)
+            dist = mc_predict(self.work, batch.inputs, n_mc, seed)
             res = loss(batch, dist)
             if not (np.isfinite(res.value) and sgd_step(self.work, res.grads, self.state)):
                 logger.warning("divergence at epoch %d batch %d; stopping", epoch, b)
@@ -291,7 +292,7 @@ class _Run:
         seed = rng.derive_seed(self.seed, "val-eval", epoch)
         records = evaluate_records(self.work, *self.val, self.n_mc, seed)
         wall_time = time.perf_counter() - start
-        row = _report_row(epoch, train_error, records, wall_time, skipped)
+        row = _report_row(epoch, train_error, records, wall_time, self.ece_bins, skipped)
         self.outcome.report.append(row)
         if skipped:
             return
@@ -314,19 +315,20 @@ def ce_family_train(
     val_inputs: np.ndarray | None = None,
     val_labels: np.ndarray | None = None,
     n_mc_eval: int = 20,
+    ece_bins: int = 15,
 ) -> TrainOutcome:
     """Minibatch SGD on CE + lam * PE at ``schedule.pretrain_lr``.
 
     With validation data every epoch is scored and the best checkpoint is
-    returned; without it, the last one. With ``attack``, every mini-batch
-    is replaced by its ``fgsm`` attack on the work copy before the update.
-    A divergence ends training (see the module docstring).
+    returned (its report rows bin their ECE in ``ece_bins``); without it,
+    the last one. With ``attack``, every mini-batch is replaced by its
+    ``fgsm`` attack on the work copy before the update. A divergence ends
+    training (see the module docstring).
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    run = _Run(
-        model, schedule.pretrain_lr, schedule, seed, val_inputs, val_labels, n_mc_eval
-    )
+    run = _Run(model, schedule.pretrain_lr, schedule, seed, val_inputs, val_labels,
+               n_mc_eval, ece_bins)
     n, size, mc = len(labels), schedule.batch_size, schedule.train_mc_samples
     select = val_inputs is not None
     loss = partial(ce_pe_loss, lam=lam)
@@ -361,9 +363,10 @@ def euat_train(
     n_mc: int,
     seed: int,
     attack: AttackConfig | None = None,
+    ece_bins: int = 15,
 ) -> TrainOutcome:
     """Error-driven training of a pre-trained model with validation-based
-    checkpoint selection.
+    checkpoint selection; the report rows bin their ECE in ``ece_bins``.
 
     Epochs where either partition side is empty are skipped (nothing to
     balance); three consecutive skips end training early. When ``attack``
@@ -373,7 +376,8 @@ def euat_train(
     rows. A divergence ends training (see the module docstring); a full
     batch without balanced halves raises ``nn.EngineError``.
     """
-    run = _Run(model, schedule.euat_lr, schedule, seed, val_inputs, val_labels, n_mc)
+    run = _Run(model, schedule.euat_lr, schedule, seed, val_inputs, val_labels, n_mc,
+               ece_bins)
     work = run.work
     n = len(labels)
     start = time.perf_counter()

@@ -9,9 +9,11 @@ uncertainty score used throughout the package is the predictive entropy of
 that averaged distribution, normalized by ln(class_count) so it lives in
 [0, 1] regardless of the label space.
 
-The passes of a prediction without gradient records are independent, so
-when they are large enough they run on a process-wide thread pool, one
-thread per CPU the process may use (BLAS itself stays single-threaded).
+``mc_predict`` and ``eval_predict`` feed a gradient, so their
+``PredictiveDistribution`` keeps the passes' records; ``mc_predict_probs``
+and ``eval_predict_probs`` only score and return the probabilities, from
+independent passes that, when large enough, run on a process-wide thread
+pool, one thread per CPU the process may use (BLAS stays single-threaded).
 Each pass makes the same gemm and ufunc calls on the same operands as a
 serial one, and the calling thread checks, softmaxes and sums the logits
 in pass order, so the probabilities are bit-identical.
@@ -41,24 +43,23 @@ POOL_MIN_WORK = 2_000_000
 
 @dataclass
 class PredictiveDistribution:
-    """Class probabilities averaged over softmax passes.
+    """Class probabilities averaged over softmax passes, and their records.
 
-    ``probs`` has shape (rows, class_count). When gradients are needed
-    ``grad_passes`` keeps one ``(probs, cache)`` record per run of passes,
-    each from one ``nn.forward``: its probabilities are (passes, rows,
-    class_count), in pass order, so losses can backpropagate through the
-    average.
+    ``probs`` has shape (rows, class_count). ``grad_passes`` keeps one
+    ``(probs, cache)`` record per run of passes, each from one
+    ``nn.forward``: its probabilities are (passes, rows, class_count), in
+    pass order, so losses can backpropagate through the average.
     """
 
     probs: np.ndarray
     sample_count: int
-    grad_passes: list[tuple[np.ndarray, "nn.ForwardCache"]] | None = field(
-        default=None, repr=False
-    )
+    grad_passes: list[tuple[np.ndarray, "nn.ForwardCache"]] = field(repr=False)
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not self.grad_passes:
+            raise ValueError("a predictive distribution needs its gradient records")
 
     def backprop_mean_prob_grad(
         self, d_mean_probs: np.ndarray
@@ -69,11 +70,6 @@ class PredictiveDistribution:
 
         Returns per-layer (d_weights, d_bias) plus the input gradient.
         """
-        if not self.grad_passes:
-            raise ValueError(
-                "distribution has no gradient records; predict with "
-                "keep_grad_records=True"
-            )
         gp = d_mean_probs * (1.0 / self.sample_count)
         total: list[tuple[np.ndarray, np.ndarray]] | None = None
         input_grad = None
@@ -205,34 +201,34 @@ def _pass_logits(runs: list, x: np.ndarray) -> list[np.ndarray]:
     return [done[i % workers][i // workers] for i in range(len(passes))]
 
 
-def _mean_of_passes(
-    runs: list, inputs: np.ndarray, keep_grad_records: bool = False
-) -> PredictiveDistribution:
-    """The one softmax-pass loop: mean softmax of every pass of the
-    ``(model, MaskStack)`` runs over the 2-d batch ``inputs``, summed in
-    pass order, keeping the ``(probs, cache)`` record of each run when
-    asked.
-
-    With records, each run is one stacked ``nn.forward`` and one softmax:
-    one for an MC call, one per member of an ensemble. Without, the passes
-    come from :func:`_pass_logits` and a non-finite pass raises here, the
-    first in pass order.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    if keep_grad_records:
-        records = []
-        for m, stack in runs:
-            logits, cache = nn.forward(m, x, stack)
-            records.append((nn.softmax(logits), cache))
-        probs = (p for stacked, _ in records for p in stacked)
-    else:
-        records = None
-        probs = (nn.softmax(nn._check_logits(l)) for l in _pass_logits(runs, x))
+def _pass_order_mean(runs: list, probs) -> np.ndarray:
+    """The one pass-order sum: the mean of ``probs``, the (rows,
+    class_count) probabilities of every pass of the ``runs`` in pass order."""
     acc = None
     for p in probs:
         acc = p if acc is None else acc + p
-    count = sum(stack.passes for _, stack in runs)
-    return PredictiveDistribution(acc / count, count, records)
+    return acc / sum(stack.passes for _, stack in runs)
+
+
+def _recorded_mean(runs: list, inputs: np.ndarray) -> PredictiveDistribution:
+    """Mean softmax of every pass of the ``(model, MaskStack)`` runs over the
+    2-d batch ``inputs``, with the ``(probs, cache)`` record of each run: one
+    stacked ``nn.forward`` and one softmax per run, one for an MC call, one
+    per member of an ensemble."""
+    x = np.asarray(inputs, dtype=np.float64)
+    records = []
+    for m, stack in runs:
+        logits, cache = nn.forward(m, x, stack)
+        records.append((nn.softmax(logits), cache))
+    probs = _pass_order_mean(runs, (p for stacked, _ in records for p in stacked))
+    return PredictiveDistribution(probs, sum(len(p) for p, _ in records), records)
+
+
+def _mean_probs(runs: list, inputs: np.ndarray) -> np.ndarray:
+    """The probabilities of :func:`_recorded_mean`, from the record-free
+    passes of :func:`_pass_logits`; the first non-finite pass raises."""
+    logits = _pass_logits(runs, np.asarray(inputs, dtype=np.float64))
+    return _pass_order_mean(runs, (nn.softmax(nn._check_logits(l)) for l in logits))
 
 
 def mc_predict(
@@ -240,7 +236,6 @@ def mc_predict(
     inputs: np.ndarray,
     n_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    keep_grad_records: bool = False,
 ) -> PredictiveDistribution:
     """Average ``n_samples`` masked softmax passes over the batch ``inputs``.
 
@@ -248,8 +243,7 @@ def mc_predict(
     dropout_rate == 0 a single deterministic pass is returned, which
     collapses bit-exactly to the evaluation-mode prediction for any N.
     """
-    runs = [(model, nn.sample_mask(model, seed, n_samples))]
-    return _mean_of_passes(runs, inputs, keep_grad_records)
+    return _recorded_mean([(model, nn.sample_mask(model, seed, n_samples))], inputs)
 
 
 def mc_predict_probs(
@@ -258,21 +252,27 @@ def mc_predict_probs(
     n_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> np.ndarray:
-    """Averaged probabilities only, without gradient records."""
-    runs = [(model, nn.sample_mask(model, seed, n_samples))]
-    return _mean_of_passes(runs, inputs).probs
+    """The probabilities of :func:`mc_predict`, without gradient records."""
+    return _mean_probs([(model, nn.sample_mask(model, seed, n_samples))], inputs)
 
 
-def eval_predict(
-    models: list[nn.MlpModel], inputs: np.ndarray, keep_grad_records: bool = False
-) -> PredictiveDistribution:
+def _eval_runs(models: list[nn.MlpModel]) -> list:
+    """One unmasked run per model, for both evaluation-mode predictions."""
+    if not models:
+        raise ValueError("an evaluation-mode prediction needs at least one model")
+    return [(m, nn.MaskStack(None, 1)) for m in models]
+
+
+def eval_predict(models: list[nn.MlpModel], inputs: np.ndarray) -> PredictiveDistribution:
     """Average one unmasked (evaluation-mode) softmax pass per model over the
     batch ``inputs``: a single model's deterministic prediction, or a deep
     ensemble's, whose uncertainty is the entropy of the members' mean."""
-    if not models:
-        raise ValueError("eval_predict needs at least one model")
-    runs = [(m, nn.MaskStack(None, 1)) for m in models]
-    return _mean_of_passes(runs, inputs, keep_grad_records)
+    return _recorded_mean(_eval_runs(models), inputs)
+
+
+def eval_predict_probs(models: list[nn.MlpModel], inputs: np.ndarray) -> np.ndarray:
+    """The probabilities of :func:`eval_predict`, without gradient records."""
+    return _mean_probs(_eval_runs(models), inputs)
 
 
 def entropy(probs: np.ndarray):
@@ -282,16 +282,9 @@ def entropy(probs: np.ndarray):
     return float(h) if np.ndim(h) == 0 else h
 
 
-def predictive_entropy(dist: PredictiveDistribution | np.ndarray):
-    """Entropy of the MC-averaged distribution; in [0, ln(class_count)]."""
-    probs = dist.probs if isinstance(dist, PredictiveDistribution) else dist
-    return entropy(probs)
-
-
-def normalized_entropy(dist: PredictiveDistribution | np.ndarray):
-    """Predictive entropy divided by ln(class_count); in [0, 1]."""
-    probs = dist.probs if isinstance(dist, PredictiveDistribution) else dist
+def normalized_entropy(probs: np.ndarray):
+    """Entropy of the probabilities ``probs`` over ln(class_count); in [0, 1]."""
     k = np.asarray(probs).shape[-1]
     if k < 2:
         raise ValueError(f"normalized entropy needs >= 2 classes, got {k}")
-    return predictive_entropy(probs) / np.log(k)
+    return entropy(probs) / np.log(k)

@@ -54,7 +54,7 @@ def test_criterion_1_gradient_suite():
         n_mc, mc_seed = 3, int(gen.integers(1 << 30))
 
         def dist(m):
-            return uncertainty.mc_predict(m, x, n_mc, mc_seed, keep_grad_records=True)
+            return uncertainty.mc_predict(m, x, n_mc, mc_seed)
 
         batch = losses.LabeledBatch(x, y, membership)
         cases = {
@@ -128,9 +128,9 @@ def test_criterion_3_mc_dropout_invariants():
         x = gen.normal(size=(40, 4))
         dist = uncertainty.mc_predict(model, x, n_samples=15, seed=9)
         ok &= bool(np.max(np.abs(dist.probs.sum(axis=1) - 1.0)) < 1e-9)
-        h = uncertainty.predictive_entropy(dist)
+        h = uncertainty.entropy(dist.probs)
         ok &= bool(np.all(h >= 0.0) and np.all(h <= np.log(5) + 1e-12))
-        u = uncertainty.normalized_entropy(dist)
+        u = uncertainty.normalized_entropy(dist.probs)
         ok &= bool(np.all(u >= 0.0) and np.all(u <= 1.0))
 
     model = nn.MlpModel.init([4, 12, 5], dropout_rate=0.0, seed=4)

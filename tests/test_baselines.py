@@ -51,6 +51,15 @@ class TestIsotonicFit:
             baselines.isotonic_fit(np.array([0.5]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["breakpoints", "levels"])
+def test_non_finite_isotonic_map_rejected(field, bad):
+    doc = {"breakpoints": np.array([0.0, 1.0]), "levels": np.array([0.0, 1.0])}
+    doc[field][1 if bad > 0 else 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        baselines.IsotonicMap(**doc)
+
+
 class TestIsotonicApply:
     def identity_map(self):
         return baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -202,8 +211,8 @@ class TestEnsemble:
         assert parameters_equal(ens.members[0], ens.members[1])
         assert parameters_equal(ens.members[0], ens.members[2])
         x = ds.split("test")[0][:5]
-        single = uncertainty.eval_predict([ens.members[0]], x).probs
-        combined = uncertainty.eval_predict(ens.members, x).probs
+        single = uncertainty.eval_predict_probs([ens.members[0]], x)
+        combined = uncertainty.eval_predict_probs(ens.members, x)
         assert np.allclose(combined, single, atol=1e-15)
 
     def test_prediction_is_hand_averaged_member_mean(self):
@@ -224,13 +233,13 @@ class TestEnsemble:
         members = [nn.MlpModel.init([4, 16, 3], 0.3, seed=s) for s in range(n_members)]
         ens = baselines.Ensemble(members, list(range(n_members)))
         x = np.random.default_rng(9).random((25, 4))
-        dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
+        dist = uncertainty.eval_predict(ens.members, x)
         assert (dist.probs == reference_ensemble_probs(ens, x)).all()
         assert (Predictor(ensemble=ens).probs(x, seed=0) == dist.probs).all()
         for member, (stack, _) in zip(members, dist.grad_passes, strict=True):
             single = reference_ensemble_probs(baselines.Ensemble([member], [0]), x)
             assert stack.shape == (1, *single.shape) and (stack[0] == single).all()
-        one = uncertainty.eval_predict(ens.members, x[:1], keep_grad_records=True)
+        one = uncertainty.eval_predict(ens.members, x[:1])
         assert (one.probs == reference_ensemble_probs(ens, x[:1])).all()
         assert [p.shape for p, _ in one.grad_passes] == [(1, 1, 3)] * n_members
         with pytest.raises(nn.EngineError, match="2-d"):
@@ -241,13 +250,13 @@ class TestEnsemble:
         b = nn.MlpModel([nn.DenseLayer(np.zeros((2, 1)), np.array([0.0, 40.0]), "identity")], 0.0)
         dist = uncertainty.eval_predict([a, b], np.zeros((1, 1)))
         assert np.allclose(dist.probs, [[0.5, 0.5]], atol=1e-12)
-        assert uncertainty.predictive_entropy(dist)[0] == pytest.approx(math.log(2.0))
+        assert uncertainty.entropy(dist.probs)[0] == pytest.approx(math.log(2.0))
 
     def test_ensemble_entropy_jensen(self):
         members = [nn.MlpModel.init([2, 6, 4], 0.0, seed=s) for s in (5, 6, 7)]
         ens = baselines.Ensemble(members, [5, 6, 7])
         x = np.random.default_rng(8).random((20, 2))
-        dist = uncertainty.eval_predict(ens.members, x, keep_grad_records=True)
+        dist = uncertainty.eval_predict(ens.members, x)
         h_mean = uncertainty.entropy(dist.probs)
         per_member = np.concatenate([p for p, _ in dist.grad_passes])
         mean_h = uncertainty.entropy(per_member).mean(axis=0)

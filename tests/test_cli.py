@@ -668,12 +668,69 @@ def test_truncated_checkpoint_is_a_bad_checkpoint(run_dir):
     assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
 
 
+def test_truncated_checkpoint_of_the_method_kind_is_a_bad_checkpoint(run_dir):
+    # the kind matches the euat run's method, so the missing fields fail
+    (run_dir / "checkpoint.json").write_text('{"kind": "mlp"}')
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
 def test_unknown_checkpoint_kind_is_a_bad_checkpoint(run_dir):
     path = run_dir / "checkpoint.json"
     doc = json.loads(path.read_text())
     doc["kind"] = "weird"
     path.write_text(json.dumps(doc))
     assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+
+
+def checkpoint_of_kind(doc, kind, levels=(0.0, 1.0), breakpoints=(0.0, 1.0)):
+    """The run's ``mlp`` checkpoint ``doc`` as a checkpoint of ``kind``."""
+    if kind == "calibrated":
+        calibration = {"breakpoints": list(breakpoints), "levels": list(levels)}
+        return {"base": doc, "calibration": calibration, "kind": "calibrated"}
+    if kind == "ensemble":
+        return {"kind": "ensemble", "members": [doc, doc], "seeds": [0, 1]}
+    return doc
+
+
+def rewrite_run(run_dir, method, kind, **calibration):
+    """Set the run's method (with the ``euat`` attack loss where the method
+    allows it) and rewrite its checkpoint as one of ``kind``."""
+    manifest_path, path = run_dir / "manifest.json", run_dir / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["method"] = method
+    if method not in ("calibrated_ce", "ensemble"):
+        manifest["config"]["attack"]["loss"] = "euat"
+    manifest_path.write_text(json.dumps(manifest))
+    doc = checkpoint_of_kind(json.loads(path.read_text()), kind, **calibration)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("method, kind", [
+    ("euat", "ensemble"), ("euat", "calibrated"), ("ce", "ensemble"),
+    ("calibrated_ce", "mlp"), ("calibrated_ce", "ensemble"),
+    ("ensemble", "mlp"), ("ensemble", "calibrated"),
+])
+def test_checkpoint_of_another_method_is_a_bad_checkpoint(run_dir, capsys, method, kind):
+    # an ensemble checkpoint under a euat run once crashed attack-eval
+    # (exit 1) and made evaluate print the ensemble's numbers (exit 0)
+    rewrite_run(run_dir, method, kind)
+    capsys.readouterr()
+    for command in ("attack-eval", "evaluate"):
+        assert cli.main([command, "--run-dir", str(run_dir)]) == 4, command
+        err = capsys.readouterr().err
+        assert err.startswith("engine error: bad checkpoint")
+        assert repr(kind) in err and repr(method) in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["levels", "breakpoints"])
+def test_non_finite_calibration_map_is_a_bad_checkpoint(run_dir, capsys, field, bad):
+    # a NaN level once made evaluate exit 0 and print nan metrics
+    rewrite_run(run_dir, "calibrated_ce", "calibrated", **{field: (0.0, bad)})
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: bad checkpoint") and "finite" in err
 
 
 # a number outside [0, 1], NaN included, is no threshold either

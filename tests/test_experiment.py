@@ -357,6 +357,22 @@ def test_euat_loss_trajectory_joins_pretraining_and_error_driven_epochs(monkeypa
     assert np.all(np.isfinite(out.loss_trajectory))
 
 
+@pytest.mark.parametrize("method", ["euat", "ce"])
+def test_per_epoch_ece_uses_the_configured_bins(tmp_path, monkeypatch, method):
+    # every report, the per-epoch rows included, bins its ECE in ece_bins
+    real, bins = metrics.summarize, []
+
+    def summarize_spy(records, threshold, ece_bins=15):
+        bins.append(ece_bins)
+        return real(records, threshold, ece_bins)
+
+    monkeypatch.setattr(metrics, "summarize", summarize_spy)
+    experiment.run_experiment(smoke_config(method, ece_bins=5), tmp_path)
+    # the clean report, the epoch-0 row and one row per trained epoch
+    assert len(bins) >= 4
+    assert set(bins) == {5}
+
+
 class TestOodAndAttack:
     def test_ood_report_contains_sigma(self, tmp_path):
         config = smoke_config()

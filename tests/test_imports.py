@@ -39,7 +39,10 @@ In ``training``, ``sgd_step`` and ``mc_predict`` are called only inside
 loop. ``training`` calls neither loss: ``euat_loss`` and
 ``partial(ce_pe_loss, lam=lam)`` are handed to ``_Run.fit`` as they are, so
 no adapter stands between a loss and the update loop. Every
-``LossResult`` is built in ``losses._weighted_ce_entropy``.
+``LossResult`` is built in ``losses._weighted_ce_entropy``, and every
+``PredictiveDistribution`` in ``uncertainty._recorded_mean``, the body of
+``mc_predict`` and ``eval_predict``: a distribution always carries the
+gradient records of its passes, and a score without them is an array.
 
 Only ``uncertainty`` imports ``concurrent.futures`` or names
 ``ThreadPoolExecutor``: the MC passes of a prediction are the package's one
@@ -336,6 +339,33 @@ def test_function_call_detector_names_the_enclosing_function():
         ("_weighted_ce_entropy", "LossResult", 4),
         ("_weighted_ce_entropy", "LossResult", 5),
         ("euat_loss", "LossResult", 7),
+    ]
+
+
+def test_every_predictive_distribution_is_built_with_its_records():
+    builders = [
+        (path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+        for fn, _, _ in calls_by_function(path.read_text(), ("PredictiveDistribution",))
+    ]
+    assert builders == [("uncertainty.py", "_recorded_mean")]
+
+
+def test_function_call_detector_gives_a_method_no_enclosing_function():
+    source = (
+        "from .uncertainty import PredictiveDistribution\n"
+        "def _recorded_mean(runs, x):\n"
+        "    return uncertainty.PredictiveDistribution(x, 1, runs)\n"
+        "class Distribution:\n"
+        "    def without_records(self):\n"
+        "        return PredictiveDistribution(self.probs, 1, [])\n"
+        "def eval_predict_probs(models, x):\n"
+        "    build = lambda: PredictiveDistribution(x, 1, models)\n"
+        "    return build().probs, PredictiveDistribution\n"
+    )
+    assert calls_by_function(source, ("PredictiveDistribution",)) == [
+        ("", "PredictiveDistribution", 6),
+        ("_recorded_mean", "PredictiveDistribution", 3),
+        ("eval_predict_probs", "PredictiveDistribution", 8),
     ]
 
 

@@ -16,11 +16,9 @@ def logit_model(logit_rows):
     return nn.MlpModel([layer], dropout_rate=0.0)
 
 
-def dist_for_logits(logit_row, keep=True):
+def dist_for_logits(logit_row):
     model = logit_model(logit_row)
-    return uncertainty.mc_predict(
-        model, np.zeros((1, 1)), n_samples=1, seed=0, keep_grad_records=keep
-    ), model
+    return uncertainty.mc_predict(model, np.zeros((1, 1)), n_samples=1, seed=0), model
 
 
 def zero_batch(labels):
@@ -38,9 +36,7 @@ def entropy_term(batch, dist):
 
 def euat(batch, model, n_samples, seed):
     """``euat_loss`` over the MC prediction of the batch, as training runs it."""
-    dist = uncertainty.mc_predict(
-        model, batch.inputs, n_samples, seed, keep_grad_records=True
-    )
+    dist = uncertainty.mc_predict(model, batch.inputs, n_samples, seed)
     return losses.euat_loss(batch, dist)
 
 
@@ -69,19 +65,22 @@ class TestCeLoss:
         assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_missing_grad_records_rejected(self):
-        dist, _ = dist_for_logits([0.0, 1.0], keep=False)
-        with pytest.raises(ValueError, match="per-sample records"):
-            losses.ce_pe_loss(zero_batch([0]), dist, 0.0)
+        probs = np.array([[0.5, 0.5]])
+        with pytest.raises(TypeError, match="grad_passes"):
+            uncertainty.PredictiveDistribution(probs, 1)
+        for records in (None, []):
+            with pytest.raises(ValueError, match="gradient records"):
+                uncertainty.PredictiveDistribution(probs, 1, records)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradient_matches_finite_differences(self, seed):
         model, x, y, n = rand_setup(seed)
 
         def loss(m):
-            d = uncertainty.mc_predict(m, x, n, seed=9, keep_grad_records=True)
+            d = uncertainty.mc_predict(m, x, n, seed=9)
             return losses.ce_pe_loss(losses.LabeledBatch(x, y), d, 0.0).value
 
-        dist = uncertainty.mc_predict(model, x, n, seed=9, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, n, seed=9)
         grads = losses.ce_pe_loss(losses.LabeledBatch(x, y), dist, 0.0).grads
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
@@ -107,10 +106,10 @@ class TestEntropyTerm:
         model, x, y, n = rand_setup(seed)
 
         def loss(m):
-            d = uncertainty.mc_predict(m, x, n, seed=5, keep_grad_records=True)
+            d = uncertainty.mc_predict(m, x, n, seed=5)
             return entropy_term(losses.LabeledBatch(x, y), d)[0]
 
-        dist = uncertainty.mc_predict(model, x, n, seed=5, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, n, seed=5)
         _, grads = entropy_term(losses.LabeledBatch(x, y), dist)
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
@@ -136,10 +135,10 @@ class TestCePeLoss:
         model, x, y, n = rand_setup(5)
 
         def loss(m):
-            d = uncertainty.mc_predict(m, x, n, seed=8, keep_grad_records=True)
+            d = uncertainty.mc_predict(m, x, n, seed=8)
             return losses.ce_pe_loss(losses.LabeledBatch(x, y), d, lam=0.7).value
 
-        dist = uncertainty.mc_predict(model, x, n, seed=8, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, n, seed=8)
         grads = losses.ce_pe_loss(losses.LabeledBatch(x, y), dist, lam=0.7).grads
         assert max_rel_error(flatten_grads(grads), fd_param_grads(loss, model)) < 1e-4
 
@@ -224,7 +223,7 @@ def test_entropy_ascent_on_wrong_only_batch():
     state = nn.OptimizerState.for_model(model, lr=0.02, momentum=0.0)
     values = []
     for _ in range(15):
-        dist = uncertainty.mc_predict(model, x, 1, seed=0, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, 1, seed=0)
         h, grads = entropy_term(losses.LabeledBatch(x, np.zeros(4, dtype=np.int64)), dist)
         values.append(h)
         ascent = [(-gw, -gb) for gw, gb in grads]

@@ -78,10 +78,10 @@ class TestBitIdentity:
         members = [nn.MlpModel.init(WIDE, 0.2, seed=s) for s in (4, 5, 6)]
         x = np.random.default_rng(7).normal(size=(64, WIDE[0]))
         before = pooled_count()
-        dist = uncertainty.eval_predict(members, x)
+        probs = uncertainty.eval_predict_probs(members, x)
         assert pooled_count() == before + 1
-        assert dist.grad_passes is None
-        assert np.array_equal(dist.probs, serial_mean([(m, None) for m in members], x))
+        assert isinstance(probs, np.ndarray)
+        assert np.array_equal(probs, serial_mean([(m, None) for m in members], x))
 
     def test_small_passes_stay_serial_and_build_no_pool(self, monkeypatch):
         def no_pool():
@@ -179,12 +179,12 @@ class TestFailurePaths:
         other = nn.MlpModel.init([4, 12, 3], 0.5, seed=2)
         bad_mask = nn.sample_mask(other, 1, 1)
         with pytest.raises(nn.EngineError, match="mask layer 0"):
-            uncertainty._mean_of_passes(
+            uncertainty._mean_probs(
                 [(model, nn.sample_mask(model, 0, 1)), (model, bad_mask)], x)
         # an ensemble's members each compute their own first layer in the pool
         narrow = nn.MlpModel.init([5, 16, 3], 0.5, seed=2)
         with pytest.raises(nn.EngineError, match="features"):
-            uncertainty.eval_predict([model, narrow], x)
+            uncertainty.eval_predict_probs([model, narrow], x)
         assert spy.submitted == 0
 
     def test_a_raising_pass_never_hangs_the_pool(self, pool_of, monkeypatch):

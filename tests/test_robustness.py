@@ -142,7 +142,7 @@ class TestFgsm:
         correct = training.predict_labels(model, x) == y
         membership = np.where(correct, losses.CORRECT_SET, losses.WRONG_SET)
         batch = losses.LabeledBatch(x, y, membership.astype(np.int8))
-        dist = uncertainty.eval_predict([model], x, keep_grad_records=True)
+        dist = uncertainty.eval_predict([model], x)
         reference_grad = losses.euat_loss(batch, dist).input_grad
 
         cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")

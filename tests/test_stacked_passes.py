@@ -112,7 +112,7 @@ class TestMcStack:
         gen = np.random.default_rng(n_samples)
         x = gen.random((rows, sizes[0]))
         labels = gen.integers(0, sizes[-1], size=rows)
-        dist = uncertainty.mc_predict(model, x, n_samples, 5, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, n_samples, 5)
         passes = one_pass_stacks([(model, nn.sample_mask(model, 5, n_samples))])
         assert_matches_reference(dist, passes, x, labels, gen)
 
@@ -123,7 +123,7 @@ class TestMcStack:
         model.layers[0].bias[:] = 3.0
         gen = np.random.default_rng(20)
         x = gen.random((37, 3))
-        dist = uncertainty.mc_predict(model, x, 20, 5, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, 20, 5)
         passes = one_pass_stacks([(model, nn.sample_mask(model, 5, 20))])
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=37), gen)
 
@@ -133,7 +133,7 @@ class TestMcStack:
         model = nn.MlpModel.init([5, 3], 0.3, seed=1)
         gen = np.random.default_rng(2)
         x = gen.random((9, 5))
-        dist = uncertainty.mc_predict(model, x, 6, 3, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, 6, 3)
         assert dist.grad_passes[0][0].shape == (6, 9, 3)
         passes = one_pass_stacks([(model, nn.sample_mask(model, 3, 6))])
         assert_matches_reference(dist, passes, x, gen.integers(0, 3, size=9), gen)
@@ -144,7 +144,7 @@ class TestEnsembleRecords:
         members = [nn.MlpModel.init([16, 64, 64, 2], 0.3, seed=s) for s in (1, 2, 3)]
         gen = np.random.default_rng(4)
         x = gen.random((64, 16))
-        dist = uncertainty.eval_predict(members, x, keep_grad_records=True)
+        dist = uncertainty.eval_predict(members, x)
         assert [p.shape for p, _ in dist.grad_passes] == [(1, 64, 2)] * 3
         passes = [(m, nn.MaskStack(None, 1)) for m in members]
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=64), gen)
@@ -153,7 +153,7 @@ class TestEnsembleRecords:
         member = nn.MlpModel.init([2, 8, 2], 0.0, seed=5)
         gen = np.random.default_rng(6)
         x = gen.random((37, 2))
-        dist = uncertainty.eval_predict([member, member], x, keep_grad_records=True)
+        dist = uncertainty.eval_predict([member, member], x)
         assert dist.sample_count == 2
         passes = [(member, nn.MaskStack(None, 1))] * 2
         assert_matches_reference(dist, passes, x, gen.integers(0, 2, size=37), gen)
@@ -179,9 +179,9 @@ class TestOneCallPerRecord:
         forwards = count_calls(monkeypatch, nn, "forward")
         backwards = count_calls(monkeypatch, nn, "backward")
         if members == 1:
-            dist = uncertainty.mc_predict(models[0], x, 6, 8, keep_grad_records=True)
+            dist = uncertainty.mc_predict(models[0], x, 6, 8)
         else:
-            dist = uncertainty.eval_predict(models, x, keep_grad_records=True)
+            dist = uncertainty.eval_predict(models, x)
         dist.backprop_mean_prob_grad(np.ones_like(dist.probs))
         assert len(forwards) == len(backwards) == members
 
@@ -190,7 +190,7 @@ class TestOneCallPerRecord:
         model = nn.MlpModel.init([4, 16, 16, 3], 0.3, seed=9)
         x = np.random.default_rng(10).random((8, 4))
         checks = count_calls(monkeypatch, nn, "_check_mask")
-        uncertainty.mc_predict(model, x, 20, 11, keep_grad_records=True)
+        uncertainty.mc_predict(model, x, 20, 11)
         assert len(checks) == 1
         uncertainty.mc_predict_probs(model, x, 20, 11)
         assert len(checks) == 2

@@ -227,7 +227,7 @@ class TestSelectionScore:
         elif case == "all_wrong":
             labels = (probs.argmax(axis=1) + 1) % 3
         records = metrics.records_from_probs(probs, labels)
-        row = training._report_row(1, 0.25, records, wall_time=0.0)
+        row = training._report_row(1, 0.25, records, wall_time=0.0, ece_bins=15)
         assert training.selection_score(row, metric) == reference_selection_score(
             records, metric
         )

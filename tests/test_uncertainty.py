@@ -53,18 +53,14 @@ class TestMcPredict:
     def test_mean_matches_per_sample_record(self):
         model = model_with(dropout=0.3, seed=4)
         x = np.random.default_rng(4).normal(size=(6, 3))
-        dist = uncertainty.mc_predict(
-            model, x, n_samples=9, seed=7, keep_grad_records=True
-        )
+        dist = uncertainty.mc_predict(model, x, n_samples=9, seed=7)
         per_sample = np.concatenate([p for p, _ in dist.grad_passes])
         assert np.allclose(dist.probs, per_sample.mean(axis=0), atol=1e-12)
 
     def test_single_input_keeps_vector_shape(self):
         # a single input is a one-row batch; a 1-d vector is not a batch
         model = model_with(dropout=0.2, seed=5)
-        dist = uncertainty.mc_predict(
-            model, np.zeros((1, 3)), n_samples=3, seed=8, keep_grad_records=True
-        )
+        dist = uncertainty.mc_predict(model, np.zeros((1, 3)), n_samples=3, seed=8)
         assert dist.probs.shape == (1, 4)
         assert [p.shape for stack, _ in dist.grad_passes for p in stack] == [(1, 4)] * 3
         with pytest.raises(nn.EngineError, match="2-d"):
@@ -136,7 +132,7 @@ class TestSharedInputLayer:
         gen = np.random.default_rng(14)
         x = gen.random(shape)
         ref = reference_passes(model, x, 6, seed=15)
-        dist = uncertainty.mc_predict(model, x, 6, seed=15, keep_grad_records=True)
+        dist = uncertainty.mc_predict(model, x, 6, seed=15)
         mean = reference_mean(ref)
         probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
         assert np.array_equal(probs, mean)
@@ -225,7 +221,7 @@ class TestNormalizedEntropy:
         model = model_with(dropout=0.3, seed=10)
         x = np.random.default_rng(10).normal(size=(50, 3))
         dist = uncertainty.mc_predict(model, x, n_samples=10, seed=11)
-        u = uncertainty.normalized_entropy(dist)
+        u = uncertainty.normalized_entropy(dist.probs)
         assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
 
@@ -233,10 +229,14 @@ def test_jensen_direction_entropy_of_mean():
     # entropy is concave: H(mean) >= mean per-pass entropy
     model = model_with(dropout=0.4, seed=11)
     x = np.random.default_rng(12).normal(size=(30, 3))
-    dist = uncertainty.mc_predict(
-        model, x, n_samples=15, seed=13, keep_grad_records=True
-    )
+    dist = uncertainty.mc_predict(model, x, n_samples=15, seed=13)
     h_mean = uncertainty.entropy(dist.probs)
     per_sample = np.concatenate([p for p, _ in dist.grad_passes])
     mean_h = uncertainty.entropy(per_sample).mean(axis=0)
     assert np.all(h_mean >= mean_h - 1e-12)
+
+
+@pytest.mark.parametrize("predict", ["eval_predict", "eval_predict_probs"])
+def test_evaluation_mode_prediction_needs_a_model(predict):
+    with pytest.raises(ValueError, match="at least one model"):
+        getattr(uncertainty, predict)([], np.zeros((1, 3)))
