@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import rng
 
@@ -85,20 +84,6 @@ def _blob_centers(class_count: int, dim: int = 2) -> np.ndarray:
     centers[:, 0] += BLOB_CENTER_RADIUS * np.cos(angles)
     centers[:, 1] += BLOB_CENTER_RADIUS * np.sin(angles)
     return centers
-
-
-def blob_bayes_error(noise: float) -> float:
-    """Bayes error of the two-class blob geometry at a given noise level."""
-    if noise <= 0:
-        return 0.0
-    return float(ndtr(-BLOB_CENTER_RADIUS / noise))
-
-
-def blob_noise_for_bayes_error(target: float) -> float:
-    """Noise level putting the two-class blob Bayes error at ``target``."""
-    if not 0 < target < 0.5:
-        raise DataError("target Bayes error must be in (0, 0.5)")
-    return float(BLOB_CENTER_RADIUS / -ndtri(target))
 
 
 def _gen_blobs(n, noise, seed, class_count, dim=2):

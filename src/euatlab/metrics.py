@@ -161,17 +161,23 @@ def ece(records: EvalRecords, n_bins: int = 15) -> float:
     edges = np.arange(n_bins + 1) / n_bins
     idx = np.searchsorted(edges, records.confidence, side="left") - 1
     idx = np.clip(idx, 0, n_bins - 1)
-    correct = records.correct.astype(np.float64)
+    counts = np.bincount(idx, minlength=n_bins).tolist()
+    # a bin's hit count is an exact integer, so hits / count is its accuracy
+    hits = np.bincount(idx, weights=records.correct, minlength=n_bins).tolist()
+    # a stable sort keeps each bin's rows in record order, so the sum of a
+    # bin's slice adds the same values in the same order as a mask would;
+    # over the count it is the value ``.mean()`` gives
+    confidence = records.confidence[np.argsort(idx, kind="stable")]
     total = len(records)
     value = 0.0
-    for b in range(n_bins):
-        in_bin = idx == b
-        count = int(np.sum(in_bin))
+    start = 0
+    for count, hit in zip(counts, hits):
         if count == 0:
             continue
-        acc = correct[in_bin].mean()
-        conf = records.confidence[in_bin].mean()
-        value += (count / total) * abs(acc - conf)
+        stop = start + count
+        conf = confidence[start:stop].sum() / count
+        value += (count / total) * abs(hit / count - conf)
+        start = stop
     return float(value)
 
 

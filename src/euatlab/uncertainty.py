@@ -21,13 +21,13 @@ in pass order, so the probabilities are bit-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import nn
 
@@ -276,9 +276,22 @@ def eval_predict_probs(models: list[nn.MlpModel], inputs: np.ndarray) -> np.ndar
 
 
 def entropy(probs: np.ndarray):
-    """Shannon entropy in nats along the last axis, with 0*ln(0) := 0."""
+    """Shannon entropy in nats along the last axis, with 0*ln(0) := 0.
+
+    Each term is ``p * math.log(p)``: ``math.log`` is the C library's
+    ``log``, which ``np.log`` (a SIMD kernel) does not match bit for bit.
+    A term is +0 where ``p`` is 0 of either sign and NaN where ``p`` is
+    negative or NaN, and the terms share the memory layout of ``p``, so
+    the sums equal those of ``-scipy.special.xlogy(p, p)`` bit for bit,
+    signed zeros included.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    h = -xlogy(p, p).sum(axis=-1)
+    terms = np.zeros_like(p)
+    positive = p > 0
+    x = p[positive]
+    terms[positive] = x * np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    terms[~(p >= 0)] = np.nan
+    h = -terms.sum(axis=-1)
     return float(h) if np.ndim(h) == 0 else h
 
 

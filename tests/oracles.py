@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from euatlab.data import BLOB_CENTER_RADIUS
+
 
 def naive_forward(model, batch, mask=None):
     """Loop-based forward pass: explicit matmul, relu, inverted dropout
@@ -132,6 +134,45 @@ def ece_recount(confidences, corrects, n_bins):
         conf = sum(c for c, _ in members) / len(members)
         total += (len(members) / n) * abs(acc - conf)
     return total
+
+
+def naive_ece(records, n_bins):
+    """Calibration error from one boolean mask per bin: the bin index
+    ``metrics.ece`` computes, each bin's rows taken in record order."""
+    edges = np.arange(n_bins + 1) / n_bins
+    idx = np.searchsorted(edges, records.confidence, side="left") - 1
+    idx = np.clip(idx, 0, n_bins - 1)
+    correct = records.correct.astype(np.float64)
+    total = len(records)
+    value = 0.0
+    for b in range(n_bins):
+        in_bin = idx == b
+        count = int(np.sum(in_bin))
+        if count == 0:
+            continue
+        acc = correct[in_bin].mean()
+        conf = records.confidence[in_bin].mean()
+        value += (count / total) * abs(acc - conf)
+    return float(value)
+
+
+def blob_bayes_error(noise):
+    """Bayes error of the two-class blob geometry at a given noise level:
+    the normal tail beyond ``BLOB_CENTER_RADIUS / noise``."""
+    from scipy.special import ndtr
+
+    if noise <= 0:
+        return 0.0
+    return float(ndtr(-BLOB_CENTER_RADIUS / noise))
+
+
+def blob_noise_for_bayes_error(target):
+    """Noise level putting the two-class blob Bayes error at ``target``."""
+    from scipy.special import ndtri
+
+    if not 0 < target < 0.5:
+        raise ValueError("target Bayes error must be in (0, 0.5)")
+    return float(BLOB_CENTER_RADIUS / -ndtri(target))
 
 
 def apportion_largest_remainder(class_sizes, target):

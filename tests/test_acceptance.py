@@ -281,7 +281,7 @@ def attack_probe_config(method, seed):
             "dataset": {
                 "kind": "gaussian_blobs",
                 "n": 600,
-                "noise": data.blob_noise_for_bayes_error(0.15),
+                "noise": presets.GAUSSIAN_TREND_NOISE,
                 "dim": 16,
                 "val_fraction": 0.15,
                 "test_fraction": 0.3,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from euatlab import data, nn, training
+from euatlab import data, nn, presets, training
+from oracles import blob_bayes_error, blob_noise_for_bayes_error
 
 
 class TestGenerators:
@@ -46,25 +47,34 @@ class TestGenerators:
         assert np.array_equal(preds, ds.labels)
 
     def test_blob_noise_bayes_error_round_trip(self):
-        noise = data.blob_noise_for_bayes_error(0.15)
-        assert data.blob_bayes_error(noise) == pytest.approx(0.15, abs=1e-12)
+        noise = blob_noise_for_bayes_error(0.15)
+        assert blob_bayes_error(noise) == pytest.approx(0.15, abs=1e-12)
 
     @pytest.mark.parametrize("noise", [1e-3, 0.01, 0.05, 0.08, 0.1, 0.3, 1.0, 10.0])
     def test_blob_bayes_error_equals_the_scipy_stats_formula(self, noise):
         expected = float(norm.cdf(-data.BLOB_CENTER_RADIUS / noise))
-        assert data.blob_bayes_error(noise) == expected
+        assert blob_bayes_error(noise) == expected
 
     @pytest.mark.parametrize("target", [1e-6, 0.01, 0.05, 0.1, 0.15, 0.25, 0.4, 0.499])
     def test_blob_noise_equals_the_scipy_stats_formula(self, target):
         expected = float(data.BLOB_CENTER_RADIUS / -norm.ppf(target))
-        assert data.blob_noise_for_bayes_error(target) == expected
+        assert blob_noise_for_bayes_error(target) == expected
+
+    def test_gaussian_trend_noise_is_the_15_percent_blob_noise(self):
+        from scipy.special import ndtri
+
+        noise = presets.GAUSSIAN_TREND_NOISE
+        assert noise == float(data.BLOB_CENTER_RADIUS / -ndtri(0.15))
+        assert blob_bayes_error(noise) == pytest.approx(0.15, abs=1e-12)
+        config = presets.gaussian_trend_config()
+        assert config.dataset.noise == noise
 
     def test_overlapping_blobs_nearest_neighbor_error(self):
         # Monte-Carlo check of the overlap level: 1-NN on 10^4 points from
         # the ~15% Bayes-error geometry lands in a [12%, 22%] window
         from scipy.spatial import cKDTree
 
-        noise = data.blob_noise_for_bayes_error(0.15)
+        noise = blob_noise_for_bayes_error(0.15)
         train = data.generate_dataset("gaussian_blobs", 10_000, noise, seed=11)
         test = data.generate_dataset("gaussian_blobs", 10_000, noise, seed=12)
         tree = cKDTree(train.inputs)

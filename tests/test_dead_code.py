@@ -16,10 +16,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "euatlab"
 
 ALLOWED = {
-    "data.blob_bayes_error": (
-        "the reference formula that blob_noise_for_bayes_error inverts and "
-        "that tests compare against"
-    ),
     "presets.gaussian_trend_config": "frozen entry point the benchmark and tests call",
     "presets.binary_flipping_config": "frozen entry point the benchmark and tests call",
 }

@@ -3,10 +3,13 @@
 Package modules import each other at module top only: an import of
 ``euatlab`` (or a relative import) inside a function body hides a
 dependency from the module header and usually papers over an import cycle.
-The syntax rules do not cover lazy third-party imports; one process test
-does, for ``scipy.stats``: a fresh interpreter that imports ``euatlab``,
-builds both presets and trains a small run through ``cli.main`` must not
-load it (uAUC ranks in numpy, the blob helpers use ``scipy.special``).
+No module imports ``scipy``, at module top or inside a function: the
+package runs on numpy and the standard library (entropy logs from
+``math.log``, uAUC ranks in numpy, the Gaussian preset's noise a literal).
+One process test checks what the syntax rule cannot see: a fresh
+interpreter that imports ``euatlab``, builds both presets, trains a small
+run and compares every method through ``cli.main`` loads no ``scipy``
+module at any of those steps.
 
 Only ``nn`` (which defines them) and ``uncertainty`` name ``backward`` and
 ``softmax``: every gradient through the softmax takes the one VJP in
@@ -105,6 +108,42 @@ def test_detector_flags_relative_and_absolute_imports():
     )
     # nested functions are walked by both enclosing defs
     assert sorted(set(call_time_package_imports(source))) == [("f", 3), ("f", 7), ("g", 7)]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of every ``import scipy...`` and ``from scipy... import``, at
+    module top or inside any function or class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named = any(a.name.split(".")[0] == "scipy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named = node.level == 0 and (node.module or "").split(".")[0] == "scipy"
+        else:
+            continue
+        if named:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_import_detector_looks_at_every_depth():
+    source = (
+        "import scipy\n"
+        "import numpy, scipy.special as sp\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy.special import xlogy\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            from scipy import stats\n"
+    )
+    assert scipy_imports(source) == [1, 2, 6, 9]
 
 
 OTHER_MODULES = sorted(
@@ -572,32 +611,43 @@ def test_post_init_detector_flags_isinstance_in_config_classes_only():
     assert post_init_type_checks(source) == [("ModelConfig", 6)]
 
 
-SCIPY_STATS_FREE_RUN = """
+SCIPY_FREE_RUN = """
 import json, sys
 from pathlib import Path
 
-from euatlab import cli, presets
 
+def assert_no_scipy(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert loaded == [], (step, loaded)
+
+
+from euatlab import cli, experiment, presets
+
+assert_no_scipy("import euatlab")
 presets.gaussian_trend_config()
 presets.binary_flipping_config()
+assert_no_scipy("presets")
 out = Path(sys.argv[1])
-code = cli.main(
-    ["train", "--dataset", "gaussian_blobs", "--n", "160", "--noise", "0.08",
-     "--method", "euat", "--hidden", "8", "--pretrain-epochs", "2",
-     "--euat-epochs", "2", "--batch-size", "32", "--mc-samples", "4",
-     "--out", str(out)]
-)
+small = ["--dataset", "gaussian_blobs", "--n", "160", "--noise", "0.08",
+         "--hidden", "8", "--pretrain-epochs", "2", "--euat-epochs", "2",
+         "--batch-size", "32", "--mc-samples", "4"]
+code = cli.main(["train", *small, "--method", "euat", "--out", str(out / "train")])
 assert code == 0, code
-assert "uauc" in json.loads((out / "manifest.json").read_text())["reports"]["clean"]
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
-assert loaded == [], loaded
+assert "uauc" in json.loads((out / "train" / "manifest.json").read_text())["reports"]["clean"]
+assert_no_scipy("train")
+code = cli.main(["compare", *small, "--ensemble-members", "2",
+                 "--protocols", "clean,ood,attack",
+                 "--methods", ",".join(experiment.METHODS), "--out", str(out / "compare")])
+assert code == 0, code
+assert_no_scipy("compare")
 """
 
 
 def test_a_run_never_loads_scipy_stats(tmp_path):
+    # the name predates the wider check: no scipy module loads at all
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_STATS_FREE_RUN, str(tmp_path / "run")],
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path / "run")],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr

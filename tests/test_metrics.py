@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata, wasserstein_distance
 
 from euatlab import metrics
-from oracles import ece_recount, pairwise_auc, transport_w1
+from oracles import ece_recount, naive_ece, pairwise_auc, transport_w1
 
 
 def make_records(correct, uncertainty, confidence=None, residual=None):
@@ -174,6 +174,21 @@ class TestEce:
     def test_empty_bins_contribute_nothing(self):
         r = make_records([True] * 4, [0.0] * 4, confidence=[0.95] * 4)
         assert metrics.ece(r, 15) == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_one_mask_per_bin(self, seed):
+        # sizes up to 600 rows put more than one pairwise-sum block in a bin;
+        # a fifth of the confidences sit at exactly 0, 1 or a bin edge
+        gen = np.random.default_rng(seed)
+        n, n_bins = int(gen.integers(1, 600)), int(gen.integers(1, 30))
+        confidence = gen.uniform(0.1, 1.0, n)
+        pick = gen.random(n)
+        confidence[pick < 0.05] = 0.0
+        confidence[(pick >= 0.05) & (pick < 0.1)] = 1.0
+        edge = (pick >= 0.1) & (pick < 0.2)
+        confidence[edge] = gen.integers(0, n_bins + 1, int(edge.sum())) / n_bins
+        r = make_records(gen.random(n) > 0.3, gen.random(n), confidence=confidence)
+        assert metrics.ece(r, n_bins) == naive_ece(r, n_bins)
 
 
 class TestWasserstein:

@@ -196,6 +196,49 @@ class TestEntropy:
         assert np.all(h <= math.log(5.0) + 1e-12)
 
 
+def xlogy_entropy(p):
+    from scipy.special import xlogy
+
+    p = np.asarray(p, dtype=np.float64)
+    return -xlogy(p, p).sum(axis=-1)
+
+
+def entropy_oracle_cases():
+    """Probability arrays with K of 2, 3 and 10 classes, in 1, 2 and 3
+    dimensions, C-ordered, Fortran-ordered and strided, with the special
+    values 0.0, -0.0, 1.0, 5e-324, NaN, negatives and inf among them."""
+    gen = np.random.default_rng(14)
+    specials = np.array([0.0, -0.0, 1.0, 5e-324, np.nan, -0.25, -5e-324, np.inf])
+    cases = {}
+    for k in (2, 3, 10):
+        logits = gen.normal(scale=8.0, size=(4, 60, k))
+        p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        p[0, :40] = p[0, :40] ** 30  # tails deep into the subnormals
+        flat = p[1].reshape(-1)
+        flat[gen.choice(flat.size, 40, replace=False)] = gen.choice(specials, 40)
+        cases[f"k{k}-1d"] = p[2, 0]
+        cases[f"k{k}-2d"] = p[1]
+        cases[f"k{k}-3d"] = p
+        cases[f"k{k}-fortran"] = np.asfortranarray(p[1])
+        cases[f"k{k}-strided"] = p[:, ::3, ::-1]
+    for value in specials:
+        cases[f"special-{float(value)!r}"] = np.array([[value, 0.5], [0.5, value]])
+    # rows whose entropy is a signed zero
+    cases["one-hot"] = np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(entropy_oracle_cases()))
+def test_entropy_equals_scipy_xlogy_bit_for_bit(case):
+    p = entropy_oracle_cases()[case]
+    got = np.asarray(uncertainty.entropy(p))
+    expected = xlogy_entropy(p)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestNormalizedEntropy:
     def test_uniform_is_one(self):
         for k in (2, 3, 7):
