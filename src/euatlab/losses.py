@@ -14,9 +14,12 @@ correctly predicted rows w = +1 (pushing it down).
 
 Every loss has one contract: ``loss(batch, dist) -> LossResult``, where
 ``dist`` is the MC prediction of ``batch.inputs`` (``ce_pe_loss`` takes
-``lam`` after them, so training binds it with ``functools.partial``).
-``_weighted_ce_entropy`` builds every ``LossResult``; the losses choose the
-weights and check their inputs.
+``lam`` after them, so training binds it with ``functools.partial``). Its
+gradient is the parameter gradient that training steps on; the two-branch
+attack asks ``euat_loss`` for the input gradient instead (``wrt="input"``),
+and only the one asked for is computed. ``_weighted_ce_entropy`` builds
+every ``LossResult``; the losses choose the weights and check their
+inputs.
 """
 
 from __future__ import annotations
@@ -58,12 +61,14 @@ class LabeledBatch:
 @dataclass
 class LossResult:
     """What every loss returns: the batch mean, the per-row CE + w * H it
-    averages, the parameter gradients of the mean and its input gradient."""
+    averages, and the one gradient of the mean its caller asked for: the
+    parameter gradients (``input_grad`` None) or the input gradient
+    (``grads`` None)."""
 
     value: float
     per_row: np.ndarray
-    grads: list[tuple[np.ndarray, np.ndarray]]
-    input_grad: np.ndarray
+    grads: list[tuple[np.ndarray, np.ndarray]] | None
+    input_grad: np.ndarray | None
 
 
 def _ce_rows(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,16 +96,19 @@ def _entropy_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted_ce_entropy(
-    dist: PredictiveDistribution, labels: np.ndarray, w: np.ndarray
+    dist: PredictiveDistribution, labels: np.ndarray, w: np.ndarray, wrt: str
 ) -> LossResult:
     """The one loss core: per-row CE + w * H of the averaged distribution,
-    with the gradients of their batch mean through every retained pass."""
+    with the ``wrt`` gradient of their batch mean through every retained
+    pass (``backprop_mean_prob_grad``'s selector)."""
     ce_vals, ce_grad = _ce_rows(dist.probs, labels)
     h_vals, h_grad = _entropy_rows(dist.probs)
     values = ce_vals + w * h_vals
     d_probs = (ce_grad + w[:, None] * h_grad) / len(values)
-    grads, input_grad = dist.backprop_mean_prob_grad(d_probs)
-    return LossResult(float(values.mean()), values, grads, input_grad)
+    grad = dist.backprop_mean_prob_grad(d_probs, wrt)
+    params = wrt == "params"
+    return LossResult(float(values.mean()), values, grad if params else None,
+                      None if params else grad)
 
 
 def ce_pe_loss(
@@ -110,15 +118,19 @@ def ce_pe_loss(
     MC prediction of ``batch.inputs``; ``lam = 0`` is plain cross-entropy."""
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    return _weighted_ce_entropy(dist, batch.labels, np.full(len(batch), float(lam)))
+    w = np.full(len(batch), float(lam))
+    return _weighted_ce_entropy(dist, batch.labels, w, "params")
 
 
-def euat_loss(batch: LabeledBatch, dist: PredictiveDistribution) -> LossResult:
+def euat_loss(
+    batch: LabeledBatch, dist: PredictiveDistribution, wrt: str = "params"
+) -> LossResult:
     """Error-driven composite over ``dist``, the MC prediction of
     ``batch.inputs``: CE - H on WRONG_SET rows and CE + H on CORRECT_SET
     rows. A branch's sum is ``per_row[batch.membership == CORRECT_SET].sum()``
-    (or ``WRONG_SET``)."""
+    (or ``WRONG_SET``). ``wrt="input"`` returns the input gradient (the
+    two-branch attack's) in place of the parameter gradients."""
     if batch.membership is None:
         raise ValueError("error-driven loss needs per-row membership flags")
     w = np.where(batch.membership == CORRECT_SET, 1.0, -1.0)
-    return _weighted_ce_entropy(dist, batch.labels, w)
+    return _weighted_ce_entropy(dist, batch.labels, w, wrt)

@@ -138,8 +138,10 @@ def sample_mask(model: MlpModel, seed: int, passes: int) -> MaskStack:
 
     Pass ``i`` draws what ``rng.substream(derive_seed(seed, "mc-pass", i),
     "dropout-mask")`` would: one ``random(width)`` per hidden layer in layer
-    order, into row ``i``. Building a Philox costs more than a small net's
-    draws, so one generator is re-keyed per pass to ``rng.philox_state``.
+    order, into row ``i``. ``rng.derive_seeds`` derives the N keys from one
+    hashed prefix, and building a Philox costs more than a small net's
+    draws, so one generator is re-keyed per pass by changing only the key
+    of one ``rng.philox_state``.
     """
     if passes < 1:
         raise ValueError(f"n_samples must be >= 1, got {passes}")
@@ -147,10 +149,12 @@ def sample_mask(model: MlpModel, seed: int, passes: int) -> MaskStack:
     if p == 0.0:
         return MaskStack(None, 1)
     gen = rng.generator(0)
+    state = rng.philox_state(0)
+    keys = rng.derive_seeds(seed, "mc-pass", passes, "dropout-mask")
     draws = [np.empty((passes, 1, width)) for width in model.hidden_widths]
-    for i in range(passes):
-        key = rng.derive_seed(rng.derive_seed(seed, "mc-pass", i), "dropout-mask")
-        gen.bit_generator.state = rng.philox_state(key)
+    for i, key in enumerate(keys):
+        state["state"]["key"] = (key, 0)
+        gen.bit_generator.state = state
         for layer in draws:
             gen.random(out=layer[i, 0])
     return MaskStack([(layer >= p) / (1.0 - p) for layer in draws], passes)
@@ -279,32 +283,63 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         m = np.maximum(m, z[..., j:j + 1])
     e = z - m
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= _class_sum(e)
     return e
 
 
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=-1, keepdims=True)``, bit for bit. numpy adds fewer
+    than 8 entries of a row left to right onto +0, which a loop over the
+    columns does without numpy's cost per row (most of a 2-class softmax);
+    it sums 8 or more pairwise, so those rows keep the reduction."""
+    if z.shape[-1] >= 8:
+        return z.sum(axis=-1, keepdims=True)
+    total = z[..., :1] + 0.0
+    for j in range(1, z.shape[-1]):
+        total += z[..., j:j + 1]
+    return total
+
+
 def _pass_sum(per_pass: np.ndarray) -> np.ndarray:
-    """``per_pass[0] + per_pass[1] + ...``, added in pass order in place in
-    ``per_pass[0]``: the sums that N separate passes' results would give."""
-    total = per_pass[0]
-    for part in per_pass[1:]:
+    """``per_pass[0] + per_pass[1] + ...`` in pass order, the sum that N
+    separate passes' results would give, of a stack every caller allocated
+    afresh (C-contiguous); no input is modified, and one pass is returned
+    as ``per_pass[0]`` itself.
+
+    numpy reduces such a stack over axis 0 slice by slice in index order,
+    and sums pairwise only along the fast axis, which axis 0 is when a pass
+    holds one element: those passes are added in a loop.
+    """
+    if len(per_pass) == 1:
+        return per_pass[0]
+    if per_pass[0].size > 1:
+        return np.add.reduce(per_pass, axis=0)
+    total = per_pass[0] + per_pass[1]
+    for part in per_pass[2:]:
         total += part
     return total
 
 
+_GRADIENTS = ("params", "input")
+
+
 def backward(
-    cache: ForwardCache, upstream_grad: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    cache: ForwardCache, upstream_grad: np.ndarray, wrt: str
+) -> list[tuple[np.ndarray, np.ndarray]] | np.ndarray:
     """Backpropagate an upstream logits gradient through a cached pass.
 
-    Returns per-layer ``(d_weights, d_bias)`` in layer order plus the
-    gradient with respect to the batch input (used by gradient-sign attacks).
-    The layers are read from ``cache.model``: ``sgd_step``, the only writer
-    of layer arrays, bumps the version this checks first.
+    ``wrt`` selects the one gradient computed: ``"params"`` returns
+    per-layer ``(d_weights, d_bias)`` in layer order (training), ``"input"``
+    the gradient with respect to the batch input (gradient-sign attacks),
+    and the delta chain skips every product only the other would use. The
+    layers are read from ``cache.model``: ``sgd_step``, the only writer of
+    layer arrays, bumps the version this checks first.
 
     A masked cache runs the delta chain once over the pass axis, one gemm
-    per pass slice, and sums each gradient over the passes in pass order.
+    per pass slice, and sums the gradient over the passes in pass order.
     """
+    if wrt not in _GRADIENTS:
+        raise EngineError(f"wrt must be one of {_GRADIENTS}, got {wrt!r}")
     if cache.model_version != cache.model.version:
         raise EngineError("stale forward cache: model parameters changed")
     g = np.asarray(upstream_grad, dtype=np.float64)
@@ -313,6 +348,7 @@ def backward(
             f"upstream grad shape {g.shape} != logits shape {cache.logits.shape}"
         )
 
+    params = wrt == "params"
     layers = cache.model.layers
     last = len(layers) - 1
     scales = cache.mask.scales if cache.mask is not None else None
@@ -330,13 +366,16 @@ def backward(
                 delta *= scales[i]
             if gate is not None:
                 delta *= gate
-        grads[i] = (np.matmul(delta.swapaxes(-1, -2), cache.inputs[i]),
-                    delta.sum(axis=-2))
-        delta = delta @ layers[i].weights
-    if cache.mask is not None:
-        grads = [(_pass_sum(gw), _pass_sum(gb)) for gw, gb in grads]
-        delta = _pass_sum(delta)
-    return grads, delta
+        if params:
+            grads[i] = (np.matmul(delta.swapaxes(-1, -2), cache.inputs[i]),
+                        delta.sum(axis=-2))
+        if i > 0 or not params:
+            delta = delta @ layers[i].weights
+    if cache.mask is None:
+        return grads if params else delta
+    if params:
+        return [(_pass_sum(gw), _pass_sum(gb)) for gw, gb in grads]
+    return _pass_sum(delta)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator", "philox_state", "substream"]
+__all__ = ["derive_seed", "derive_seeds", "generator", "philox_state", "substream"]
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -31,6 +31,21 @@ def derive_seed(root_seed: int, *names) -> int:
     path = "/".join(str(n) for n in names)
     digest = hashlib.sha256(f"{int(root_seed) & _SEED_MASK}:{path}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(root_seed: int, name, count: int, leaf) -> list[int]:
+    """``[derive_seed(derive_seed(root_seed, name, i), leaf) for i in
+    range(count)]``, hashing the text ``"{root_seed}:{name}/"`` that the
+    inner paths share once and copying its SHA-256 state for each ``i``."""
+    prefix = hashlib.sha256(f"{int(root_seed) & _SEED_MASK}:{name}/".encode())
+    seeds = []
+    for i in range(count):
+        h = prefix.copy()
+        h.update(str(i).encode())
+        child = int.from_bytes(h.digest()[:8], "big")
+        digest = hashlib.sha256(f"{child}:{leaf}".encode()).digest()
+        seeds.append(int.from_bytes(digest[:8], "big"))
+    return seeds
 
 
 def generator(seed: int) -> np.random.Generator:

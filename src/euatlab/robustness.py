@@ -58,7 +58,7 @@ def ce_input_grad(
     rows = np.arange(len(labels))
     d_mean = np.zeros_like(mean)
     d_mean[rows, labels] = -1.0 / np.clip(mean[rows, labels], 1e-12, 1.0)
-    return dist.backprop_mean_prob_grad(d_mean)[1]
+    return dist.backprop_mean_prob_grad(d_mean, "input")
 
 
 def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
@@ -68,7 +68,7 @@ def _euat_input_grad(model: MlpModel, inputs: np.ndarray, labels: np.ndarray):
     _, cache = dist.grad_passes[0]
     correct = cache.logits[0].argmax(axis=1) == labels
     membership = np.where(correct, CORRECT_SET, WRONG_SET).astype(np.int8)
-    return euat_loss(LabeledBatch(inputs, labels, membership), dist).input_grad
+    return euat_loss(LabeledBatch(inputs, labels, membership), dist, "input").input_grad
 
 
 def fgsm(

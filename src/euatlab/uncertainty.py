@@ -62,30 +62,32 @@ class PredictiveDistribution:
             raise ValueError("a predictive distribution needs its gradient records")
 
     def backprop_mean_prob_grad(
-        self, d_mean_probs: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Push a gradient w.r.t. the averaged probabilities back to the
-        model parameters, summing contributions over all retained passes:
-        one softmax VJP and one ``nn.backward`` per record.
+        self, d_mean_probs: np.ndarray, wrt: str
+    ) -> list[tuple[np.ndarray, np.ndarray]] | np.ndarray:
+        """Push a gradient w.r.t. the averaged probabilities back through all
+        retained passes: one softmax VJP and one ``nn.backward`` per record,
+        their results summed in record order.
 
-        Returns per-layer (d_weights, d_bias) plus the input gradient.
+        ``wrt`` is ``nn.backward``'s selector: ``"params"`` returns per-layer
+        (d_weights, d_bias), ``"input"`` the input gradient, and nothing
+        the other needs is computed or summed.
         """
         gp = d_mean_probs * (1.0 / self.sample_count)
-        total: list[tuple[np.ndarray, np.ndarray]] | None = None
-        input_grad = None
+        total = None
         for pass_probs, cache in self.grad_passes:
             # softmax vector-Jacobian product: dL/dz = p * (g - sum_k g_k p_k)
-            gz = pass_probs * (gp - (gp * pass_probs).sum(axis=-1, keepdims=True))
-            grads, xg = nn.backward(cache, gz)
+            gz = pass_probs * (gp - nn._class_sum(gp * pass_probs))
+            grad = nn.backward(cache, gz, wrt)
             if total is None:
                 # nn.backward allocates fresh arrays: accumulate in place
-                total, input_grad = grads, xg
-            else:
-                for (tw, tb), (gw, gb) in zip(total, grads):
+                total = grad
+            elif wrt == "params":
+                for (tw, tb), (gw, gb) in zip(total, grad):
                     tw += gw
                     tb += gb
-                input_grad += xg
-        return total, input_grad
+            else:
+                total += grad
+        return total
 
 
 _pool: tuple[ThreadPoolExecutor, int] | None = None
@@ -201,11 +203,15 @@ def _pass_logits(runs: list, x: np.ndarray) -> list[np.ndarray]:
     return [done[i % workers][i // workers] for i in range(len(passes))]
 
 
-def _pass_order_mean(runs: list, probs) -> np.ndarray:
-    """The one pass-order sum: the mean of ``probs``, the (rows,
-    class_count) probabilities of every pass of the ``runs`` in pass order."""
+def _pass_order_mean(runs: list, parts) -> np.ndarray:
+    """The one pass-order sum: the mean of the (rows, class_count)
+    probabilities of every pass of the ``runs`` from ``parts``, pass-order
+    sums of consecutive passes added in order. Only the first part sums
+    several passes (an MC call's one stack); every later part is one pass
+    (an ensemble member's, or a record-free pass), so the parts add up in
+    pass order."""
     acc = None
-    for p in probs:
+    for p in parts:
         acc = p if acc is None else acc + p
     return acc / sum(stack.passes for _, stack in runs)
 
@@ -213,14 +219,14 @@ def _pass_order_mean(runs: list, probs) -> np.ndarray:
 def _recorded_mean(runs: list, inputs: np.ndarray) -> PredictiveDistribution:
     """Mean softmax of every pass of the ``(model, MaskStack)`` runs over the
     2-d batch ``inputs``, with the ``(probs, cache)`` record of each run: one
-    stacked ``nn.forward`` and one softmax per run, one for an MC call, one
-    per member of an ensemble."""
+    stacked ``nn.forward``, one softmax and one ``nn._pass_sum`` per run, one
+    for an MC call, one per member of an ensemble."""
     x = np.asarray(inputs, dtype=np.float64)
     records = []
     for m, stack in runs:
         logits, cache = nn.forward(m, x, stack)
         records.append((nn.softmax(logits), cache))
-    probs = _pass_order_mean(runs, (p for stacked, _ in records for p in stacked))
+    probs = _pass_order_mean(runs, (nn._pass_sum(stacked) for stacked, _ in records))
     return PredictiveDistribution(probs, sum(len(p) for p, _ in records), records)
 
 

@@ -239,6 +239,38 @@ def isotonic_apply_rows(mapping, probs):
     return batch[0] if single else batch
 
 
+def in_order_sum(per_pass):
+    """``per_pass[0] + per_pass[1] + ...``, one pass at a time in pass
+    order, into a copy of the first pass."""
+    total = np.array(per_pass[0], dtype=np.float64)
+    for part in per_pass[1:]:
+        total += part
+    return total
+
+
+def full_backward(cache, upstream):
+    """Both gradients of one backward pass through the ``nn.ForwardCache``
+    ``cache``: per-layer ``(d_weights, d_bias)`` and the input gradient,
+    from one delta chain that computes every product, a masked cache's
+    summed over the passes by :func:`in_order_sum`."""
+    layers = cache.model.layers
+    scales = cache.mask.scales if cache.mask is not None else None
+    grads = [None] * len(layers)
+    delta = np.asarray(upstream, dtype=np.float64)
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1 and scales is not None:
+            delta = delta * scales[i]
+        if layers[i].activation == "relu":
+            delta = delta * (cache.acts[i] > 0.0)
+        grads[i] = (np.matmul(delta.swapaxes(-1, -2), cache.inputs[i]),
+                    delta.sum(axis=-2))
+        delta = delta @ layers[i].weights
+    if cache.mask is not None:
+        grads = [(in_order_sum(gw), in_order_sum(gb)) for gw, gb in grads]
+        delta = in_order_sum(delta)
+    return grads, delta
+
+
 def reference_mask(model, seed):
     """Dropout scales from a freshly built Philox generator keyed by
     ``derive_seed(seed, "dropout-mask")``: one ``random(width)`` draw per

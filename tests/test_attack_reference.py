@@ -23,7 +23,7 @@ def reference_ce_input_grad(model, inputs, labels):
     probs = nn.softmax(logits)
     onehot = np.zeros_like(probs)
     onehot[np.arange(len(labels)), labels] = 1.0
-    _, input_grad = nn.backward(cache, probs - onehot)
+    input_grad = nn.backward(cache, probs - onehot, "input")
     return input_grad
 
 
@@ -65,7 +65,7 @@ def reference_input_grad_ce(predictor, inputs, labels):
     for p, cache in per_model:
         gp = d_mean / len(per_model)
         gz = p * (gp - (gp * p).sum(axis=1, keepdims=True))
-        _, xg = nn.backward(cache, gz)
+        xg = nn.backward(cache, gz, "input")
         grad = xg if grad is None else grad + xg
     return grad
 

@@ -132,12 +132,35 @@ class TestSoftmax:
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
+class TestClassSum:
+    """``nn._class_sum`` equals numpy's sum over the last axis bit for bit,
+    signed zeros, infinities and NaN included, on each side of 8 classes."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 5, 7, 8, 10])
+    def test_equals_the_reduction(self, classes):
+        gen = np.random.default_rng(classes)
+        for shape in [(50, classes), (6, 37, classes)]:
+            z = gen.normal(size=shape) * 10.0 ** gen.uniform(-8, 8, size=shape)
+            special = gen.random(shape) < 0.3
+            z[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+            z[0] = -0.0  # an all-negative-zero row sums to +0
+            with np.errstate(invalid="ignore"):
+                want = z.sum(axis=-1, keepdims=True)
+                self.assert_same_bits(nn._class_sum(z), want)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model(seed=6)
         x = np.random.default_rng(1).normal(size=(4, 3))
         _, cache = nn.forward(model, x)
-        grads, xgrad = nn.backward(cache, np.zeros((4, 2)))
+        grads = nn.backward(cache, np.zeros((4, 2)), "params")
+        xgrad = nn.backward(cache, np.zeros((4, 2)), "input")
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
         assert not xgrad.any()
@@ -149,7 +172,7 @@ class TestBackward:
         x = np.random.default_rng(4).normal(size=(5, 3))
         g = np.random.default_rng(5).normal(size=(5, 2))
         _, cache = nn.forward(model, x)
-        grads, _ = nn.backward(cache, g)
+        grads = nn.backward(cache, g, "params")
         assert np.allclose(grads[0][0], g.T @ x, atol=1e-12)
         assert np.allclose(grads[0][1], g.sum(axis=0), atol=1e-12)
 
@@ -165,7 +188,7 @@ class TestBackward:
             return float((logits * w_out).sum())
 
         logits, cache = nn.forward(model, x)
-        analytic, _ = nn.backward(cache, w_out)
+        analytic = nn.backward(cache, w_out, "params")
         numeric = fd_param_grads(loss, model)
         assert max_rel_error(flatten_grads(analytic), numeric) < 1e-4
 
@@ -181,7 +204,7 @@ class TestBackward:
             return float((logits * w_out).sum())
 
         _, cache = nn.forward(model, x, mask)
-        analytic, _ = nn.backward(cache, w_out[np.newaxis])
+        analytic = nn.backward(cache, w_out[np.newaxis], "params")
         numeric = fd_param_grads(loss, model)
         assert max_rel_error(flatten_grads(analytic), numeric) < 1e-4
 
@@ -193,13 +216,20 @@ class TestBackward:
         zero = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
         assert nn.sgd_step(model, zero, state)
         with pytest.raises(nn.EngineError, match="stale"):
-            nn.backward(cache, np.zeros((2, 2)))
+            nn.backward(cache, np.zeros((2, 2)), "params")
 
     def test_mismatched_upstream_rejected(self):
         model = tiny_model(seed=9)
         _, cache = nn.forward(model, np.zeros((2, 3)))
         with pytest.raises(nn.EngineError, match="shape"):
-            nn.backward(cache, np.zeros((2, 5)))
+            nn.backward(cache, np.zeros((2, 5)), "params")
+
+    def test_unknown_selector_rejected(self):
+        model = tiny_model(seed=9)
+        _, cache = nn.forward(model, np.zeros((2, 3)))
+        for wrt in ("both", "weights", None):
+            with pytest.raises(nn.EngineError, match="wrt"):
+                nn.backward(cache, np.zeros((2, 2)), wrt)
 
 
 class TestSgd:
@@ -317,10 +347,19 @@ class TestMaskStream:
 
     @pytest.mark.parametrize("sizes, rate", MODELS)
     def test_matches_fresh_generator(self, sizes, rate):
+        # the hashed key prefix masks a negative or wide seed to 64 bits as
+        # derive_seed does
         model = nn.MlpModel.init(sizes, dropout_rate=rate, seed=1)
-        for passes in (1, 6, 20):
-            for seed in [0, 1, 2**63, 2**64 - 1] + list(range(100, 160)):
+        seeds = [0, 1, 2**63, 2**64 - 1, -1, -2**63, 2**64, 2**70 + 5]
+        for passes in (1, 6, 20, 33):
+            for seed in seeds + list(range(100, 160)):
                 self.assert_reference(model, seed, passes)
+
+    def test_derive_seeds_is_the_nested_derive_seed(self):
+        for seed in (0, 7, -1, -2**63, 2**64 - 1, 2**64, 2**70 + 5):
+            assert rng.derive_seeds(seed, "a", 12, "b") == [
+                rng.derive_seed(rng.derive_seed(seed, "a", i), "b") for i in range(12)]
+        assert rng.derive_seeds(3, "a", 0, "b") == []
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_fewer_than_one_pass_rejected(self, rate):

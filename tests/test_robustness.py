@@ -143,7 +143,7 @@ class TestFgsm:
         membership = np.where(correct, losses.CORRECT_SET, losses.WRONG_SET)
         batch = losses.LabeledBatch(x, y, membership.astype(np.int8))
         dist = uncertainty.eval_predict([model], x)
-        reference_grad = losses.euat_loss(batch, dist).input_grad
+        reference_grad = losses.euat_loss(batch, dist, "input").input_grad
 
         cfg = robustness.AttackConfig(epsilon=0.02, loss="euat")
         expected = np.clip(x + cfg.epsilon * np.sign(reference_grad), 0.0, 1.0)

@@ -13,7 +13,8 @@ these tests.
 import numpy as np
 import pytest
 
-from euatlab import losses, nn, uncertainty
+from euatlab import losses, nn, robustness, training, uncertainty
+from oracles import full_backward, in_order_sum
 
 CASES = [
     # (layer sizes, rows)
@@ -59,7 +60,8 @@ def per_pass_grads(passes, x, d_mean):
     for model, mask in passes:
         logits, cache = nn.forward(model, x, mask)
         p = nn.softmax(logits)
-        grads, xg = nn.backward(cache, p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        grads, xg = nn.backward(cache, gz, "params"), nn.backward(cache, gz, "input")
         if total is None:
             total, input_grad = grads, xg
         else:
@@ -85,7 +87,8 @@ def assert_matches_reference(dist, passes, x, labels, gen):
         assert np.array_equal(p, ref_p[0])
 
     d_mean = gen.normal(size=dist.probs.shape)
-    grads, input_grad = dist.backprop_mean_prob_grad(d_mean)
+    grads = dist.backprop_mean_prob_grad(d_mean, "params")
+    input_grad = dist.backprop_mean_prob_grad(d_mean, "input")
     ref_grads, ref_input_grad = per_pass_grads(passes, x, d_mean)
     assert_grads_equal(grads, ref_grads)
     assert np.array_equal(input_grad, ref_input_grad)
@@ -101,6 +104,8 @@ def assert_matches_reference(dist, passes, x, labels, gen):
     assert got.value == want.value
     assert np.array_equal(got.per_row, want.per_row)
     assert_grads_equal(got.grads, want.grads)
+    got, want = (losses.euat_loss(batch, dist, "input"),
+                 losses.euat_loss(batch, ref, "input"))
     assert np.array_equal(got.input_grad, want.input_grad)
 
 
@@ -182,7 +187,7 @@ class TestOneCallPerRecord:
             dist = uncertainty.mc_predict(models[0], x, 6, 8)
         else:
             dist = uncertainty.eval_predict(models, x)
-        dist.backprop_mean_prob_grad(np.ones_like(dist.probs))
+        dist.backprop_mean_prob_grad(np.ones_like(dist.probs), "params")
         assert len(forwards) == len(backwards) == members
 
     def test_mask_shapes_checked_once_per_call(self, monkeypatch):
@@ -194,6 +199,77 @@ class TestOneCallPerRecord:
         assert len(checks) == 1
         uncertainty.mc_predict_probs(model, x, 20, 11)
         assert len(checks) == 2
+
+
+class TestPassSum:
+    """``nn._pass_sum`` sums a stack in one call where numpy adds it slice by
+    slice in pass order, and in a loop where a pass is one element (numpy
+    then sums pairwise): every sum equals the in-order loop."""
+
+    @pytest.mark.parametrize("passes", [1, 2, 7, 8, 9, 20, 33])
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (3, 1), (2,), (8, 2), (2, 64), (64, 8)])
+    def test_equals_the_in_order_loop(self, passes, shape):
+        gen = np.random.default_rng(passes)
+        for _ in range(20):
+            size = (passes, *shape)
+            stack = gen.normal(size=size) * 10.0 ** gen.uniform(-8, 8, size=size)
+            before = stack.copy()
+            total = nn._pass_sum(stack)
+            assert total.shape == shape
+            assert np.array_equal(total, in_order_sum(stack))
+            assert np.array_equal(stack, before)
+            if passes == 1:
+                assert total.base is stack  # the pass itself, not a copy
+            else:
+                assert not np.shares_memory(total, stack)
+
+
+class TestBackwardSelector:
+    """Training asks ``nn.backward`` for the parameter gradients only and
+    every attack for the input gradient only; each is ``np.array_equal`` to
+    that gradient of the full chain."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = nn.backward
+
+        def checked(cache, upstream, wrt):
+            got = real(cache, upstream, wrt)
+            want_grads, want_input = full_backward(cache, upstream)
+            if wrt == "params":
+                assert_grads_equal(got, want_grads)
+            else:
+                assert isinstance(got, np.ndarray)
+                assert got.shape == want_input.shape and np.array_equal(got, want_input)
+            calls.append(wrt)
+            return got
+
+        monkeypatch.setattr(nn, "backward", checked)
+        return calls
+
+    def test_training_steps_take_parameter_gradients_only(self, monkeypatch):
+        gen = np.random.default_rng(30)
+        x, vx = gen.random((96, 2)), gen.random((40, 2))
+        y, vy = (x.sum(axis=1) > 1.0).astype(int), (vx.sum(axis=1) > 1.0).astype(int)
+        schedule = training.TrainingSchedule(
+            pretrain_lr=0.1, batch_size=32, train_mc_samples=3)
+        calls = self.spy(monkeypatch)
+        model = nn.MlpModel.init([2, 8, 2], 0.3, seed=31)
+        training.ce_family_train(model, x, y, schedule, 2, seed=32, lam=0.5)
+        assert len(calls) == 6
+        outcome = training.euat_train(model, x, y, vx, vy, schedule, 4, seed=33)
+        assert not outcome.diverged and len(calls) > 6
+        assert set(calls) == {"params"}
+
+    @pytest.mark.parametrize("loss, members", [("ce", 1), ("ce", 3), ("euat", 1)])
+    def test_attacks_take_the_input_gradient_only(self, monkeypatch, loss, members):
+        models = [nn.MlpModel.init([4, 16, 16, 3], 0.3, seed=s) for s in range(members)]
+        gen = np.random.default_rng(34)
+        x, y = gen.random((25, 4)), gen.integers(0, 3, size=25)
+        calls = self.spy(monkeypatch)
+        robustness.fgsm(models, x, y, robustness.AttackConfig(epsilon=0.05, loss=loss))
+        assert calls == ["input"] * members
 
 
 class TestStackValidation:
@@ -210,4 +286,4 @@ class TestStackValidation:
         logits, cache = nn.forward(model, np.zeros((2, 3)), stack)
         assert logits.shape == (4, 2, 2)
         with pytest.raises(nn.EngineError, match="shape"):
-            nn.backward(cache, np.zeros((2, 2)))
+            nn.backward(cache, np.zeros((2, 2)), "params")

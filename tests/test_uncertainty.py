@@ -144,8 +144,10 @@ class TestSharedInputLayer:
 
         upstream = gen.normal(size=dist.probs.shape)
         ref_dist = uncertainty.PredictiveDistribution(mean, len(ref), grad_passes=ref)
-        grads, input_grad = dist.backprop_mean_prob_grad(upstream)
-        ref_grads, ref_input_grad = ref_dist.backprop_mean_prob_grad(upstream)
+        grads = dist.backprop_mean_prob_grad(upstream, "params")
+        input_grad = dist.backprop_mean_prob_grad(upstream, "input")
+        ref_grads = ref_dist.backprop_mean_prob_grad(upstream, "params")
+        ref_input_grad = ref_dist.backprop_mean_prob_grad(upstream, "input")
         assert np.array_equal(input_grad, ref_input_grad)
         for (gw, gb), (rw, rb) in zip(grads, ref_grads, strict=True):
             assert np.array_equal(gw, rw)
