@@ -376,10 +376,15 @@ def protocol_eval(
     elif name == "attack":
         clean = inputs
         inputs = predictor.attacked(clean, labels, config.attack)
+        # one buffer for the distance, and the clean rows go before the
+        # attacked ones are scored
+        dist = np.subtract(inputs, clean)
+        del clean
         extra = {
             "epsilon": config.attack.epsilon,
-            "linf": float(np.max(np.abs(inputs - clean))),
+            "linf": float(np.max(np.abs(dist, out=dist))),
         }
+        del dist
     tag = "test-eval" if name == "clean" else f"{name}-eval"
     probs = predictor.probs(inputs, rng.derive_seed(config.seed, tag))
     if name == "flip" and probs.shape[1] != 2:

@@ -410,7 +410,15 @@ def sgd_step(
     """One momentum-SGD update: v <- mu*v + g + wd*theta; theta <- theta - lr*v.
 
     Returns False (refusing the step, model and state untouched) if any
-    gradient entry is non-finite.
+    gradient entry is non-finite. The caller's gradients are never written.
+
+    With ``weight_decay == 0`` the ``wd*theta`` term is skipped, not added
+    as zeros. That can change only the sign of a zero velocity entry (a
+    -0.0 gradient plus +0.0 is +0.0), and ``theta - lr*v`` with ``v = ±0.0``
+    gives the same ``theta`` unless ``theta`` is -0.0. Training never makes
+    a -0.0 parameter: ``x - y`` is -0.0 only when ``x`` already is, weights
+    start from He draws and biases at +0.0. So finite parameters stay bit
+    for bit those of the full update.
     """
     if len(grads) != len(model.layers):
         raise EngineError(
@@ -425,15 +433,23 @@ def sgd_step(
     if not all(np.isfinite(gw).all() and np.isfinite(gb).all() for gw, gb in grads):
         return False
 
+    decay = state.weight_decay
     for (gw, gb), (vw, vb), layer in zip(grads, state.velocities, model.layers):
         vw *= state.momentum
-        vw += gw + state.weight_decay * layer.weights
         vb *= state.momentum
-        vb += gb + state.weight_decay * layer.bias
+        if decay:
+            vw += gw + decay * layer.weights
+            vb += gb + decay * layer.bias
+        else:
+            vw += gw
+            vb += gb
         # fresh arrays keep previously issued forward caches internally
-        # consistent; the version bump below invalidates them anyway
-        layer.weights = layer.weights - state.lr * vw
-        layer.bias = layer.bias - state.lr * vb
+        # consistent; the version bump below invalidates them anyway. The
+        # step lr*v is the fresh array the difference is written into
+        step = np.multiply(vw, state.lr)
+        layer.weights = np.subtract(layer.weights, step, out=step)
+        step = np.multiply(vb, state.lr)
+        layer.bias = np.subtract(layer.bias, step, out=step)
     model.version += 1
     return True
 

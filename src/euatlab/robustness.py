@@ -87,18 +87,28 @@ def fgsm(
     if cfg.epsilon == 0.0:
         return x.copy()
     if cfg.loss == "ce":
-        grad = ce_input_grad(models, x, labels)
+        adv = ce_input_grad(models, x, labels)
     else:
         (model,) = models  # the two-branch loss is defined for one model
-        grad = _euat_input_grad(model, x, labels)
-    adv = np.clip(x + cfg.epsilon * np.sign(grad), cfg.clip_min, cfg.clip_max)
+        adv = _euat_input_grad(model, x, labels)
+    # the step is built inside the fresh gradient array, the same ufuncs on
+    # the same operands as clip(x + eps * sign(grad)): a product and a sum
+    # are the same bits in either operand order
+    np.sign(adv, out=adv)
+    adv *= cfg.epsilon
+    adv += x
+    np.clip(adv, cfg.clip_min, cfg.clip_max, out=adv)
     # project away half-ulp overshoot so the measured distance never
-    # exceeds epsilon
+    # exceeds epsilon; one distance buffer and one mask serve every round
+    dist = np.empty_like(adv)
+    over = np.empty(adv.shape, dtype=bool)
     for _ in range(3):
-        over = np.abs(adv - x) > cfg.epsilon
+        np.subtract(adv, x, out=dist)
+        np.abs(dist, out=dist)
+        np.greater(dist, cfg.epsilon, out=over)
         if not over.any():
             break
-        adv[over] = np.nextafter(adv[over], x[over])
+        np.nextafter(adv, x, out=adv, where=over)
     return adv
 
 
@@ -107,6 +117,10 @@ def gaussian_corrupt(inputs: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if sigma == 0.0:
         return x.copy()
+    # the noise array becomes the result: the same products, sums and clip
+    # as clip(x + sigma * z) with no temporary of the input's size
     z = rng.substream(seed, "gaussian-corrupt").standard_normal(x.shape)
-    return np.clip(x + sigma * z, 0.0, 1.0)
+    z *= sigma
+    z += x
+    return np.clip(z, 0.0, 1.0, out=z)
 

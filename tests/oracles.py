@@ -287,6 +287,20 @@ def reference_mask(model, seed):
     ]
 
 
+def reference_gaussian_corrupt(inputs, sigma, seed):
+    """``clip(x + sigma * z, 0, 1)`` as one expression, with ``z`` drawn
+    from a freshly built Philox generator keyed by
+    ``derive_seed(seed, "gaussian-corrupt")``."""
+    from euatlab import rng
+
+    x = np.asarray(inputs, dtype=np.float64)
+    gen = np.random.Generator(
+        np.random.Philox(key=rng.derive_seed(seed, "gaussian-corrupt"))
+    )
+    z = gen.standard_normal(x.shape)
+    return np.clip(x + sigma * z, 0.0, 1.0)
+
+
 def checkpoint_reference(predictor):
     """The bytes ``checkpoint.json`` had when it was written by parsing each
     model's ``checkpoint_json`` text back into a dict, wrapping it for

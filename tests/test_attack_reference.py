@@ -184,3 +184,63 @@ class TestAttackMatchesReference:
         for predictor in (Predictor(model=model), calibrated(sizes, 6), ensemble(sizes, 3, 6)):
             with pytest.raises(ValueError):
                 predictor.attacked(x, y, CFG)
+
+
+def image_rows(rows, seed):
+    """784-wide rows in [0, 1]: the first row sits on clip_min, the second
+    on clip_max, and a few entries of every other row on either bound."""
+    gen = np.random.default_rng(seed)
+    x = gen.random((rows, 784))
+    x[0], x[1] = 0.0, 1.0
+    x[gen.random(x.shape) < 0.05] = 0.0
+    x[gen.random(x.shape) < 0.05] = 1.0
+    return x, gen.integers(0, 10, size=rows)
+
+
+def blind_model(seed, zero_columns):
+    """A 784-256-256-10 net whose first layer ignores ``zero_columns``, so
+    the input gradient is exactly zero there."""
+    model = nn.MlpModel.init([784, 256, 256, 10], 0.3, seed=seed)
+    model.layers[0].weights[:, zero_columns] = 0.0
+    return model
+
+
+class TestInPlaceStep:
+    """``fgsm`` builds its step inside the gradient array and projects with
+    one distance buffer; every byte equals the reference's step, and the
+    caller's inputs are never written."""
+
+    EPS = robustness.AttackConfig(epsilon=0.03)
+    ZERO_COLUMNS = np.arange(0, 784, 7)
+
+    def check(self, attack, reference, x, y):
+        before = x.tobytes()
+        adv = attack(x, y)
+        assert adv.tobytes() == reference(x, y).tobytes()
+        assert x.tobytes() == before
+        # the projection ran: most entries overshoot after the clip
+        step = np.clip(x + 0.03 * np.sign(adv - x), 0.0, 1.0)
+        assert np.mean(np.abs(step - x) > 0.03) > 0.5
+        assert np.all(adv[:, self.ZERO_COLUMNS] == x[:, self.ZERO_COLUMNS])
+        assert np.max(np.abs(adv - x)) <= 0.03
+
+    @pytest.mark.parametrize("loss", ["ce", "euat"])
+    def test_single_model(self, loss):
+        model = blind_model(21, self.ZERO_COLUMNS)
+        cfg = robustness.AttackConfig(epsilon=0.03, loss=loss)
+        x, y = image_rows(64, 22)
+        self.check(
+            lambda x, y: robustness.fgsm([model], x, y, cfg),
+            lambda x, y: reference_fgsm(model, x, y, cfg),
+            x, y,
+        )
+
+    def test_three_member_ensemble(self):
+        members = [blind_model(30 + i, self.ZERO_COLUMNS) for i in range(3)]
+        predictor = Predictor(ensemble=baselines.Ensemble(members, [0, 1, 2]))
+        x, y = image_rows(64, 33)
+        self.check(
+            lambda x, y: robustness.fgsm(members, x, y, self.EPS),
+            lambda x, y: reference_attacked(predictor, x, y, self.EPS),
+            x, y,
+        )

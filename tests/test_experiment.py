@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -222,9 +223,18 @@ class TestJsonArtifacts:
             return trained[-1]
 
         monkeypatch.setattr(experiment, "train_method", keep)
-        experiment.run_experiment(smoke_config(method, ensemble_members=3), tmp_path)
+        manifest = experiment.run_experiment(
+            smoke_config(method, ensemble_members=3), tmp_path
+        )
         written = (tmp_path / "checkpoint.json").read_bytes()
         assert written == checkpoint_reference(trained[0].predictor)
+        # the file's bytes are the indented encoding of the checkpoint
+        # document, and the manifest's digests are the files' own
+        doc = json.loads(experiment.predictor_checkpoint(trained[0].predictor))
+        assert written == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        assert manifest["digests"]["checkpoint"] == hashlib.sha256(written).hexdigest()
+        metrics_bytes = (tmp_path / "metrics.json").read_bytes()
+        assert manifest["digests"]["metrics"] == hashlib.sha256(metrics_bytes).hexdigest()
 
     def test_persist_formats_each_model_once(self, tmp_path, monkeypatch):
         calls = {"checkpoint_json": 0, "loads": 0}
@@ -394,3 +404,18 @@ class TestOodAndAttack:
             adv = trained.predictor.attacked(x_test, y_test, config.attack)
             assert np.max(np.abs(adv - x_test)) <= config.attack.epsilon
             assert adv.min() >= 0.0 and adv.max() <= 1.0
+
+    @pytest.mark.parametrize("method", ["ce", "ensemble", "calibrated_ce"])
+    def test_attack_report_linf_is_the_max_distance(self, method):
+        config = smoke_config(method, attack={"epsilon": 0.05})
+        dataset = experiment.build_dataset(config)
+        trained = experiment.train_method(config, dataset)
+        before = dataset.inputs.tobytes()
+        _, _, report = experiment.protocol_eval(
+            "attack", trained.predictor, dataset, 0.5, config
+        )
+        clean, labels = dataset.split("test")
+        adv = trained.predictor.attacked(clean, labels, config.attack)
+        assert report["linf"] == float(np.max(np.abs(adv - clean)))
+        assert report["linf"] <= config.attack.epsilon
+        assert dataset.inputs.tobytes() == before

@@ -277,6 +277,38 @@ class TestSgd:
         for old, new in zip(before.layers, model.layers):
             assert np.allclose(new.weights, old.weights * (1 - 0.1 * 0.01), atol=1e-15)
 
+    def test_zero_decay_matches_the_full_update_bit_for_bit(self):
+        # with weight_decay == 0 the decay term is skipped; the parameters
+        # must still equal v <- m*v + (g + 0*theta); theta <- theta - lr*v,
+        # also when gradients hold +0.0 and -0.0 entries
+        for seed in range(200):
+            gen = np.random.default_rng(seed)
+            sizes = [int(w) for w in gen.integers(1, 6, size=gen.integers(2, 5))]
+            model = nn.MlpModel.init(sizes, dropout_rate=0.0, seed=seed)
+            lr, momentum = float(gen.uniform(0.0, 0.5)), float(gen.uniform(0.0, 0.99))
+            state = nn.OptimizerState.for_model(model, lr=lr, momentum=momentum)
+            params = [[l.weights.copy(), l.bias.copy()] for l in model.layers]
+            velocities = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+            for _ in range(30):
+                grads = []
+                for w, b in params:
+                    pair = []
+                    for shape in (w.shape, b.shape):
+                        g = gen.normal(size=shape)
+                        g[gen.random(shape) < 0.3] = 0.0
+                        g[gen.random(shape) < 0.3] = -0.0
+                        pair.append(g)
+                    grads.append(tuple(pair))
+                before = [(gw.tobytes(), gb.tobytes()) for gw, gb in grads]
+                assert nn.sgd_step(model, grads, state)
+                assert [(gw.tobytes(), gb.tobytes()) for gw, gb in grads] == before
+                for p, v, g, layer in zip(params, velocities, grads, model.layers):
+                    for k in range(2):
+                        v[k] = momentum * v[k] + (g[k] + 0.0 * p[k])
+                        p[k] = p[k] - lr * v[k]
+                    assert layer.weights.tobytes() == p[0].tobytes()
+                    assert layer.bias.tobytes() == p[1].tobytes()
+
     def test_non_finite_gradient_refused(self):
         model = tiny_model(seed=14)
         before = model.copy()

@@ -1,10 +1,11 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from euatlab import data, experiment, losses, nn, robustness, training, uncertainty
-from oracles import parameters_equal
+from oracles import parameters_equal, reference_gaussian_corrupt
 
 
 def linear_model(k=3, d=4, seed=0):
@@ -269,6 +270,48 @@ class TestGaussianCorruption:
         x = np.random.default_rng(23).random((50, 4))
         out = robustness.gaussian_corrupt(x, 0.5, seed=24)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 3.0])
+    def test_matches_reference_bit_for_bit(self, sigma):
+        # rows on both bounds and noise large enough to clip on both sides
+        x = np.random.default_rng(25).random((40, 784))
+        x[0], x[1] = 0.0, 1.0
+        before = x.tobytes()
+        out = robustness.gaussian_corrupt(x, sigma, seed=26)
+        assert out.tobytes() == reference_gaussian_corrupt(x, sigma, 26).tobytes()
+        assert x.tobytes() == before
+        assert out is not x
+
+
+def traced_peak(fn):
+    """Bytes the call ``fn()`` allocates at its peak above its start, as
+    ``tracemalloc`` sees them (numpy reports its array data to it)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestImageScaleMemory:
+    """The attack and the OOD shift hold at most one input-sized array
+    beyond the one they return, on a 2,000-row batch of 784-wide rows."""
+
+    def test_fgsm_peak(self):
+        gen = np.random.default_rng(40)
+        x, y = gen.random((2000, 784)), gen.integers(0, 10, size=2000)
+        model = nn.MlpModel.init([784, 256, 256, 10], 0.2, seed=41)
+        cfg = robustness.AttackConfig(epsilon=0.03)
+        peak = traced_peak(lambda: robustness.fgsm([model], x, y, cfg))
+        assert peak <= 2.5 * x.nbytes
+
+    def test_gaussian_corrupt_peak(self):
+        x = np.random.default_rng(42).random((2000, 784))
+        peak = traced_peak(lambda: robustness.gaussian_corrupt(x, 0.1, seed=43))
+        assert peak <= 1.5 * x.nbytes
 
 
 class TestAdversarialDataset:
