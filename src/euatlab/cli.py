@@ -7,11 +7,12 @@ the resolved config is written verbatim into the run manifest.
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned
 threshold in [0, 1], or a run directory that lacks an original
-``replay`` compares or whose ``per_epoch.csv`` has no ``wall_time``
-header; a config or config section that is not a JSON object, an
+``replay`` compares, cannot read it, or whose ``per_epoch.csv`` has no
+``wall_time`` header; a ``--config`` file that is not JSON or not UTF-8;
+a config or config section that is not a JSON object, an
 unknown field, or a value of another JSON type than its field declares:
-``true`` is not a number, ``300.0`` is not an integer, and ``null`` fits
-only a field declared optional; an
+``true`` is not a number, ``300.0`` is not an integer, ``10**400`` is no
+float64, and ``null`` fits only a field declared optional; an
 ``--out`` that cannot be created as a directory; ``replay`` into the
 original run's directory; an out-of-range setting: ``mc_samples``,
 ``ensemble_members``, ``ece_bins``, ``histogram_bins`` or
@@ -24,8 +25,9 @@ task; ``calibrated_ce`` on fewer than 2 validation rows; an attack clip
 range that excludes a row it attacks: of the test split for the
 ``attack`` protocol, of the train split for ``adversarial_training``; an
 empty or repeated ``compare --methods`` list), 3 data error
-(also a loaded dataset with fewer than two classes, an IDX image file
-whose header declares 0 rows or 0 columns per image, a NaN or
+(also a loaded dataset with fewer than two classes, an IDX file that
+cannot be opened, an IDX image file whose header declares 0 rows or 0
+columns per image, a NaN or
 out-of-range split fraction, a non-finite noise level), 4 engine error
 (an ``nn.EngineError``: a training failure such as a non-finite forward
 pass, or a bad checkpoint, also one of another kind than the run's method
@@ -138,7 +140,8 @@ def _resolve_config(args) -> ExperimentConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # also a file that is not UTF-8 or an integer of over 4,300 digits
+        except ValueError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("a config must be a JSON object")

@@ -189,6 +189,13 @@ def _read_body(fh, header_size, count, path):
     return _read_exact(fh, count, path)
 
 
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}", code="unreadable") from exc
+
+
 def load_idx(
     images_path,
     labels_path,
@@ -201,9 +208,10 @@ def load_idx(
     Pixels are scaled to [0, 1] and flattened row-major to one feature
     vector per image. A file shorter or longer than its header declares
     raises ``DataError`` code ``truncated`` or ``trailing_bytes``; a header
-    that declares 0 rows or 0 columns per image, code ``empty_image``.
+    that declares 0 rows or 0 columns per image, code ``empty_image``; a
+    path that cannot be opened (missing, a directory), code ``unreadable``.
     """
-    with open(images_path, "rb") as fh:
+    with _open(images_path) as fh:
         magic, n_images, n_rows, n_cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, images_path)
         )
@@ -220,7 +228,7 @@ def load_idx(
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     inputs = pixels.reshape(n_images, n_rows * n_cols)
 
-    with open(labels_path, "rb") as fh:
+    with _open(labels_path) as fh:
         magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path))
         if magic != IDX_LABEL_MAGIC:
             raise DataError(
@@ -241,12 +249,14 @@ def load_idx(
 
 
 def make_binary_task(dataset: Dataset, positive_class: int) -> Dataset:
-    """One-vs-rest label reduction; the positive class becomes label 1."""
+    """One-vs-rest label reduction; the positive class becomes label 1. The
+    inputs and split indices are the source's own arrays, not copies:
+    nothing writes to them."""
     if positive_class not in dataset.labels:
         raise DataError(f"positive class {positive_class} absent from labels")
     return Dataset(
-        inputs=dataset.inputs.copy(),
+        inputs=dataset.inputs,
         labels=(dataset.labels == positive_class).astype(np.int64),
-        splits={k: v.copy() for k, v in dataset.splits.items()},
+        splits=dict(dataset.splits),
     )
 

@@ -40,6 +40,15 @@ CHECKPOINT_KINDS = {"ensemble": "ensemble", "calibrated_ce": "calibrated"}
 
 PROTOCOLS = ("clean", "flip", "ood", "attack")
 
+# the files of a run directory, keyed as in the manifest's "files" map,
+# which lists the artifacts: every file but the manifest itself
+RUN_FILES = {
+    "manifest": "manifest.json", "metrics": "metrics.json", "per_epoch": "per_epoch.csv",
+    "histogram": "histogram.csv", "predictions": "predictions.csv",
+    "checkpoint": "checkpoint.json",
+}
+_ARTIFACTS = {key: name for key, name in RUN_FILES.items() if key != "manifest"}
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -72,6 +81,12 @@ def _check_json_type(name: str, kind, value):
     if not fits:
         null = " or null" if optional else ""
         raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+    if kind is float:
+        try:  # 10**400 compares below inf, so it would pass every range check
+            float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{name} must be a number, got an integer beyond float64 range") from None
 
 
 def _build_config(cls, doc: dict):
@@ -146,7 +161,6 @@ class ExperimentConfig:
     attack: AttackConfig = field(default_factory=AttackConfig)
     corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
     protocols: list[str] = field(default_factory=lambda: ["clean"])
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -175,11 +189,15 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its ``to_dict`` form; every invalid or
         unknown field or section raises ``ConfigError``. Legacy manifests: a
-        ``corruption.seed`` (never read) and ``ensemble_full_budget: false``
-        (the only value any run used) are dropped; ``true`` is rejected."""
+        ``corruption.seed`` (never read), an ``output_dir`` string or null
+        (the run directory is ``run_experiment``'s argument) and
+        ``ensemble_full_budget: false`` (the only value any run used) are
+        dropped; ``true`` is rejected."""
         if not isinstance(doc, dict):
             raise ConfigError("a config must be a JSON object")
         doc = dict(doc)
+        if isinstance(doc.get("output_dir"), (str, type(None))):
+            doc.pop("output_dir", None)
         if doc.pop("ensemble_full_budget", False):
             raise ConfigError("ensemble_full_budget is no longer supported")
         if isinstance(doc.get("corruption"), dict):
@@ -556,15 +574,16 @@ def _make_dir(path) -> Path:
     return path
 
 
-def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
+def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     """Dataset -> training -> threshold tuning -> protocols -> artifacts.
 
-    Returns the manifest; writes everything under ``output_dir`` (falls
-    back to ``config.output_dir``); a directory that cannot be created
-    raises ``ConfigError`` before any stage runs. Stage failures are
-    recorded in the manifest before the exception propagates.
+    Returns the manifest; writes the ``RUN_FILES`` under ``output_dir``; a
+    directory that cannot be created raises ``ConfigError`` before any
+    stage runs. Stage failures are recorded in the manifest before the
+    exception propagates.
     """
-    out_dir = _make_dir(output_dir or config.output_dir or ".")
+    out_dir = _make_dir(output_dir)
+    path = {key: out_dir / name for key, name in RUN_FILES.items()}
     manifest = {
         "code_version": __version__,
         "config": config.to_dict(),
@@ -582,7 +601,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
             manifest["stages"].append(
                 {"stage": name, "status": "failed", "error": str(exc)}
             )
-            (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+            path["manifest"].write_bytes(_json_bytes(manifest))
             raise
         manifest["stages"].append(
             {"stage": name, "status": "ok",
@@ -610,21 +629,13 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
 
     def persist():
         metrics_bytes = _json_bytes(reports)
-        (out_dir / "metrics.json").write_bytes(metrics_bytes)
-        write_epoch_csv(
-            out_dir / "per_epoch.csv", {i: o.report for i, o in enumerate(outcomes)}
-        )
-        write_histogram_csv(out_dir / "histogram.csv", records, config.histogram_bins)
-        write_predictions_csv(out_dir / "predictions.csv", records, probs)
+        path["metrics"].write_bytes(metrics_bytes)
+        write_epoch_csv(path["per_epoch"], {i: o.report for i, o in enumerate(outcomes)})
+        write_histogram_csv(path["histogram"], records, config.histogram_bins)
+        write_predictions_csv(path["predictions"], records, probs)
         checkpoint_bytes = _indented(predictor_checkpoint(trained.predictor))
-        (out_dir / "checkpoint.json").write_bytes(checkpoint_bytes)
-        manifest["files"] = {
-            "metrics": "metrics.json",
-            "per_epoch": "per_epoch.csv",
-            "histogram": "histogram.csv",
-            "predictions": "predictions.csv",
-            "checkpoint": "checkpoint.json",
-        }
+        path["checkpoint"].write_bytes(checkpoint_bytes)
+        manifest["files"] = dict(_ARTIFACTS)
         manifest["digests"] = {
             "metrics": hashlib.sha256(metrics_bytes).hexdigest(),
             "checkpoint": hashlib.sha256(checkpoint_bytes).hexdigest(),
@@ -637,7 +648,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     pooled, workers = pool_use()
     manifest["mc_pass_workers"] = workers if pooled > pooled_before else 1
     manifest["wall_time"] = time.perf_counter() - started
-    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+    path["manifest"].write_bytes(_json_bytes(manifest))
     return manifest
 
 
@@ -656,17 +667,17 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     """Reload the config, trained predictor, and manifest of a finished run;
     a bad manifest (also one without a numeric ``tuned_threshold`` in
     [0, 1]) raises ``ConfigError``, a bad checkpoint ``EngineError``."""
-    run_dir = Path(run_dir)
-    manifest, config = _load_manifest(run_dir / "manifest.json")
+    manifest_path = Path(run_dir) / RUN_FILES["manifest"]
+    manifest, config = _load_manifest(manifest_path)
     threshold = manifest.get("tuned_threshold")
     # every comparison with NaN is False, so a NaN threshold fails too
     if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
             or not 0 <= threshold <= 1):
         raise ConfigError(
-            f"manifest {run_dir / 'manifest.json'} has no numeric tuned_threshold"
+            f"manifest {manifest_path} has no numeric tuned_threshold"
             f" in [0, 1], got {threshold!r}"
         )
-    path = run_dir / "checkpoint.json"
+    path = Path(run_dir) / RUN_FILES["checkpoint"]
     try:
         checkpoint = json.loads(path.read_text())
         predictor = predictor_from_checkpoint(checkpoint, config)
@@ -676,13 +687,17 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
     return config, predictor, manifest
 
 
-def _rows_sans_wall_time(path) -> list[list[str]]:
-    """The rows of a per-epoch CSV without its ``wall_time`` column; a file
-    whose header lacks that column (also an empty one) is a ``ConfigError``."""
+def _replayed(path: Path):
+    """What ``replay`` compares of a run file: its bytes, or for
+    ``per_epoch.csv`` its rows without the ``wall_time`` column. A missing
+    or unreadable file, or a per-epoch header without that column (also an
+    empty file), is a ``ConfigError``."""
     try:
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        content = path.read_bytes()
+        if path.name != RUN_FILES["per_epoch"]:
+            return content
+        rows = list(csv.reader(content.decode().splitlines()))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows or "wall_time" not in rows[0]:
         raise ConfigError(f"{path} has no header with a wall_time column")
@@ -691,37 +706,22 @@ def _rows_sans_wall_time(path) -> list[list[str]]:
 
 
 def replay(manifest_path, output_dir) -> dict:
-    """Re-execute a manifest's config and byte-compare the metric artifacts.
+    """Re-execute a manifest's config and compare every artifact of the run.
 
     Wall-time columns are excluded from the per-epoch comparison; every
-    other reported number must match exactly. An ``output_dir`` that is the
-    original run's directory (which would compare each file with itself), a
-    missing original, or an original ``per_epoch.csv`` without a
-    ``wall_time`` header raises ``ConfigError`` before anything is re-run.
+    other file must match byte for byte. An ``output_dir`` that is the
+    original run's directory (which would compare each file with itself),
+    or an original that ``_replayed`` cannot read, raises ``ConfigError``
+    before anything is re-run.
     """
     original_dir = Path(manifest_path).parent
     _, config = _load_manifest(manifest_path)
     if Path(output_dir).resolve() == original_dir.resolve():
         raise ConfigError(f"cannot replay into the original run directory {output_dir}")
-    byte_compared = (
-        "metrics.json", "histogram.csv", "predictions.csv", "checkpoint.json"
-    )
-    for name in byte_compared + ("per_epoch.csv",):
-        if not (original_dir / name).is_file():
-            raise ConfigError(
-                f"cannot replay {manifest_path}: original {name} is missing"
-            )
-    original_epochs = _rows_sans_wall_time(original_dir / "per_epoch.csv")
+    originals = {name: _replayed(original_dir / name) for name in _ARTIFACTS.values()}
     run_experiment(config, output_dir)
-
-    identical = {}
-    for name in byte_compared:
-        identical[name] = (
-            (original_dir / name).read_bytes() == (Path(output_dir) / name).read_bytes()
-        )
-    identical["per_epoch.csv"] = original_epochs == _rows_sans_wall_time(
-        Path(output_dir) / "per_epoch.csv"
-    )
+    identical = {name: _replayed(Path(output_dir) / name) == original
+                 for name, original in originals.items()}
     return {"identical": all(identical.values()), "files": identical}
 
 

@@ -222,11 +222,20 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
-def test_config_file_error_exit_code(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'{"seed": "\xff"}', b'{"seed": ' + b"1" * 4301 + b"}"],
+    ids=["malformed", "not-utf8", "int-over-4300-digits"],
+)
+def test_config_file_error_exit_code(tmp_path, capsys, content):
+    # the last two raise a ValueError that is no JSONDecodeError (once exit 1)
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
+    bad.write_bytes(content)
+    out = tmp_path / "x"
+    code = cli.main(["train", "--config", str(bad), "--out", str(out)])
     assert code == 2
+    assert "malformed config file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_error_exit_code(tmp_path):
@@ -376,6 +385,21 @@ OUT_OF_RANGE = {
     "protocols-string": ([], {"protocols": "clean"}, "protocols"),
     "hidden-int": ([], {"model": {"hidden": 8}}, "hidden"),
     "output_dir-int": ([], {"output_dir": 5}, "output_dir"),
+    # an integer no float64 holds compares below inf, so it passes every
+    # range check; each of these once crashed (exit 1)
+    "pretrain_lr-huge-int": ([], {"schedule": {"pretrain_lr": 10**400}}, "pretrain_lr"),
+    "weight_decay-huge-int": ([], {"schedule": {"weight_decay": 10**400}}, "weight_decay"),
+    "val_fraction-huge-int": ([], {"dataset": {"val_fraction": 10**400}}, "val_fraction"),
+    "noise-huge-int": ([], {"dataset": {"noise": 10**400}}, "noise"),
+    "ce_pe_lambda-huge-int": (
+        [], {"method": "ce_pe", "ce_pe_lambda": 10**400}, "ce_pe_lambda"
+    ),
+    "epsilon-huge-int": (
+        [], {"attack": {"epsilon": 10**400}, "protocols": ["clean", "attack"]}, "epsilon"
+    ),
+    "sigma-huge-int": (
+        [], {"corruption": {"sigma": 10**400}, "protocols": ["clean", "ood"]}, "sigma"
+    ),
 }
 
 
@@ -755,21 +779,41 @@ def test_bad_checkpoint_is_reported_as_an_engine_error(run_dir, capsys):
     assert "training failure" not in err
 
 
-def write_legacy_config(run_dir, full_budget):
-    """Put the two settings earlier versions wrote into a run's manifest."""
+def write_legacy_config(run_dir, full_budget, output_dir=None):
+    """Put the three settings earlier versions wrote into a run's manifest."""
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["config"]["corruption"] = {"sigma": 0.1, "seed": 5}
     manifest["config"]["ensemble_full_budget"] = full_budget
+    manifest["config"]["output_dir"] = output_dir
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def test_legacy_manifest_loads_and_replays(run_dir, tmp_path):
-    write_legacy_config(run_dir, full_budget=False)
-    config, _, _ = experiment.load_run(run_dir)
-    assert config.corruption.sigma == 0.1
-    result = experiment.replay(run_dir / "manifest.json", tmp_path / "re")
-    assert result["identical"], result["files"]
+    compared = sorted(name for key, name in experiment.RUN_FILES.items()
+                      if key != "manifest")
+    for output_dir in (None, "runs/elsewhere"):
+        write_legacy_config(run_dir, full_budget=False, output_dir=output_dir)
+        config, _, _ = experiment.load_run(run_dir)
+        assert config.corruption.sigma == 0.1
+        result = experiment.replay(run_dir / "manifest.json", tmp_path / str(output_dir))
+        assert result["identical"], result["files"]
+        assert sorted(result["files"]) == compared
+
+
+def test_config_file_output_dir_is_dropped(tmp_path):
+    # the run directory is --out alone; a config file's output_dir was once
+    # ignored but recorded in the manifest
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "elsewhere")}))
+    out = tmp_path / "run"
+    assert cli.main(
+        ["train", "--config", str(path), "--n", "160", "--hidden", "8",
+         "--pretrain-epochs", "1", "--euat-epochs", "1", "--mc-samples", "2",
+         "--out", str(out)]
+    ) == 0
+    assert "output_dir" not in json.loads((out / "manifest.json").read_text())["config"]
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_legacy_full_budget_manifest_is_a_config_error(run_dir, tmp_path):

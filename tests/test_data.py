@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ class TestIdxLoader:
             data.load_idx(ipath, lpath)
         assert exc.value.code == "empty_image"
 
+    @pytest.mark.parametrize("missing", ["images", "labels", "directory"])
+    def test_unopenable_file_is_a_data_error(self, tmp_path, missing):
+        # each once raised the OSError (exit 1 from the command line)
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        if missing == "images":
+            ipath = tmp_path / "absent.idx"
+        elif missing == "labels":
+            lpath = tmp_path / "absent.idx"
+        else:
+            ipath = tmp_path
+        with pytest.raises(data.DataError) as exc:
+            data.load_idx(ipath, lpath)
+        assert exc.value.code == "unreadable"
+        assert str(ipath if missing != "labels" else lpath) in str(exc.value)
+
 
 class TestBinaryTask:
     def balanced_ten_class(self):
@@ -214,6 +230,23 @@ class TestBinaryTask:
     def test_absent_class_rejected(self):
         with pytest.raises(data.DataError):
             data.make_binary_task(self.balanced_ten_class(), positive_class=77)
+
+    def test_shares_the_source_arrays(self):
+        # an image-scale task (2,000 x 784 here) must not be held twice
+        n = 2000
+        ds = data.Dataset(np.random.default_rng(1).random((n, 784)), np.arange(n) % 10,
+                          data.split_indices(n, 0))
+        tracemalloc.start()
+        try:
+            binary = data.make_binary_task(ds, positive_class=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * ds.inputs.nbytes
+        assert binary.inputs is ds.inputs
+        for name, ids in ds.splits.items():
+            assert binary.splits[name] is ids
+        assert np.array_equal(binary.labels, (ds.labels == 3).astype(np.int64))
 
 
 class TestDiskFormat:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -88,6 +89,10 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    def test_the_run_directory_has_no_default(self):
+        signature = inspect.signature(experiment.run_experiment)
+        assert signature.parameters["output_dir"].default is inspect.Parameter.empty
+
     def test_smoke_run_completes_quickly_with_valid_manifest(self, tmp_path):
         start = time.perf_counter()
         manifest = experiment.run_experiment(smoke_config(), tmp_path)

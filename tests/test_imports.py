@@ -55,6 +55,11 @@ No ``json.dump``/``json.dumps`` call passes ``indent=``: that argument runs
 the pure-Python encoder, while ``experiment._indented`` re-indents the
 C encoder's compact text into the same bytes.
 
+Each file name of a run directory (``manifest.json``, ``metrics.json``,
+``per_epoch.csv``, ``histogram.csv``, ``predictions.csv``,
+``checkpoint.json``) is a string constant exactly once in the package:
+``experiment.RUN_FILES`` names them for every writer and reader.
+
 No config class checks a JSON type in its ``__post_init__`` (no
 ``isinstance`` call there): ``ExperimentConfig.from_dict`` checks every
 field against its declared type, and ``__post_init__`` keeps the range
@@ -519,6 +524,21 @@ def test_indent_detector_flags_json_dump_and_dumps():
         "    return 'json.dumps(doc, indent=2)'\n"
     )
     assert indented_json_dumps(source) == [5, 6, 7]
+
+
+RUN_FILE_NAMES = (
+    "manifest.json", "metrics.json", "per_epoch.csv",
+    "histogram.csv", "predictions.csv", "checkpoint.json",
+)
+
+
+def test_each_run_file_name_is_one_constant():
+    # a docstring that mentions a name is a longer constant and does not match
+    found = sorted(
+        value for path in sorted(PACKAGE.glob("*.py"))
+        for value, _ in string_literals(path.read_text(), RUN_FILE_NAMES)
+    )
+    assert found == sorted(RUN_FILE_NAMES)
 
 
 def pool_references(source: str) -> list[int]:

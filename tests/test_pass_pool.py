@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from euatlab import cli, experiment, nn, uncertainty
+from test_uncertainty import SHARED_LAYER_CASES, reference_mean, reference_passes
 
 
 @pytest.fixture()
@@ -82,6 +83,24 @@ class TestBitIdentity:
         assert pooled_count() == before + 1
         assert isinstance(probs, np.ndarray)
         assert np.array_equal(probs, serial_mean([(m, None) for m in members], x))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sizes,dropout,shape", SHARED_LAYER_CASES)
+    def test_shared_input_layer_cases_at_any_pool_width(
+        self, pool_of, monkeypatch, sizes, dropout, shape, workers
+    ):
+        # the smallest nets too: [5, 3], whose shared first layer is the
+        # output layer, and [3, 1, 2], with a one-unit hidden layer
+        pool_of(workers)
+        monkeypatch.setattr(uncertainty, "POOL_MIN_WORK", 0)
+        model = nn.MlpModel.init(list(sizes), dropout, seed=12)
+        x = np.random.default_rng(14).random(shape)
+        before = pooled_count()
+        probs = uncertainty.mc_predict_probs(model, x, 6, seed=15)
+        assert pooled_count() == before + (workers > 1 and dropout > 0)
+        expected = reference_mean(reference_passes(model, x, 6, seed=15))
+        assert np.array_equal(probs, expected)
+        assert np.array_equal(probs, uncertainty.mc_predict(model, x, 6, seed=15).probs)
 
     def test_small_passes_stay_serial_and_build_no_pool(self, monkeypatch):
         def no_pool():
@@ -298,7 +317,7 @@ def test_run_artifacts_are_byte_identical_at_any_pool_width(
         assert manifests[workers]["mc_pass_workers"] == workers
     for name in ("metrics.json", "checkpoint.json", "predictions.csv", "histogram.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-    epoch_rows = experiment._rows_sans_wall_time
+    epoch_rows = experiment._replayed
     assert epoch_rows(tmp_path / "1" / "per_epoch.csv") == epoch_rows(
         tmp_path / "2" / "per_epoch.csv")
 

@@ -118,7 +118,8 @@ SHARED_LAYER_CASES = [
     ((2, 8, 2), 0.3, (20, 2)),
     ((2, 8, 2), 0.3, (1, 2)),
     ((3, 8, 4), 0.0, (5, 3)),
-    ((5, 3), 0.3, (4, 5)),
+    ((5, 3), 0.3, (4, 5)),  # no hidden layer: the shared layer is the output
+    ((3, 1, 2), 0.3, (6, 3)),  # a one-unit hidden layer
 ]
 
 
