@@ -7,8 +7,9 @@ the resolved config is written verbatim into the run manifest.
 Exit codes: 0 success, 1 ``replay`` mismatch, 2 config error (also a
 missing or unreadable run manifest, one without a numeric tuned
 threshold in [0, 1], or a run directory that lacks an original
-``replay`` compares, cannot read it, or whose ``per_epoch.csv`` has no
-``wall_time`` header; a ``--config`` file that is not JSON or not UTF-8;
+``replay`` compares, cannot read it, whose ``checkpoint.json`` does not
+decode, or whose ``per_epoch.csv`` has no ``wall_time`` header; a
+``--config`` file that is not JSON or not UTF-8;
 a config or config section that is not a JSON object, an
 unknown field, or a value of another JSON type than its field declares:
 ``true`` is not a number, ``300.0`` is not an integer, ``10**400`` is no
@@ -31,7 +32,9 @@ columns per image, a NaN or
 out-of-range split fraction, a non-finite noise level), 4 engine error
 (an ``nn.EngineError``: a training failure such as a non-finite forward
 pass, or a bad checkpoint, also one of another kind than the run's method
-writes or with a non-finite calibration breakpoint or level).
+writes, with a non-finite calibration breakpoint or level, or with a
+non-finite weight or bias or a parameter array whose length does not
+match its layer's shape).
 Every report comes from ``experiment``: ``evaluate`` and the protocol
 subcommands print what ``train`` stores for the same config.
 A run whose training diverged keeps its selected model, exits 0 and

@@ -28,7 +28,8 @@ from . import __version__, metrics, rng
 from .baselines import Ensemble, IsotonicMap, isotonic_apply, isotonic_fit
 from .data import DataError, Dataset, generate_dataset, load_idx, make_binary_task
 from .metrics import EvalRecords, records_from_probs
-from .nn import EngineError, MlpModel, checkpoint_json, model_from_checkpoint_dict
+from .nn import EngineError, MlpModel, checkpoint_json, decode_floats, encode_floats
+from .nn import model_from_checkpoint_dict
 from .robustness import AttackConfig, CorruptionConfig, fgsm, gaussian_corrupt
 from .training import REPORT_COLUMNS, TrainingSchedule, TrainOutcome
 from .training import ce_family_train, euat_train
@@ -533,8 +534,8 @@ def predictor_checkpoint(predictor: Predictor) -> str:
     if predictor.calibration is None:
         return text
     calibration = json.dumps({
-        "breakpoints": predictor.calibration.breakpoints.tolist(),
-        "levels": predictor.calibration.levels.tolist(),
+        "breakpoints": encode_floats(predictor.calibration.breakpoints),
+        "levels": encode_floats(predictor.calibration.levels),
     }, sort_keys=True)
     return (
         f'{{"base": {text}, "calibration": {calibration}, "kind": "calibrated"}}'
@@ -554,13 +555,32 @@ def predictor_from_checkpoint(doc: dict, config: ExperimentConfig) -> Predictor:
     if kind == "calibrated":
         return Predictor(
             model=model_from_checkpoint_dict(doc["base"]),
-            calibration=IsotonicMap(
-                np.array(doc["calibration"]["breakpoints"]),
-                np.array(doc["calibration"]["levels"]),
-            ),
+            calibration=IsotonicMap(*_calibration_arrays(doc["calibration"])),
             n_mc=n_mc,
         )
     return Predictor(model=model_from_checkpoint_dict(doc), n_mc=n_mc)
+
+
+def _calibration_arrays(doc: dict) -> list[np.ndarray]:
+    return [decode_floats(doc[key], f"calibration {key}") for key in ("breakpoints", "levels")]
+
+
+def _checkpoint_content(doc: dict):
+    """What ``replay`` compares of a checkpoint document, in either format:
+    the kind, each model's dropout rate and layers (activation, shape, raw
+    weight and bias bytes), the calibration map's raw bytes and the
+    ensemble seeds."""
+    kind = doc["kind"]
+    if kind == "ensemble":
+        return kind, [_checkpoint_content(m) for m in doc["members"]], doc["seeds"]
+    if kind == "calibrated":
+        calibration = [a.tobytes() for a in _calibration_arrays(doc["calibration"])]
+        return kind, _checkpoint_content(doc["base"]), calibration
+    model = model_from_checkpoint_dict(doc)
+    return kind, model.dropout_rate, [
+        (l.activation, l.weights.shape, l.weights.tobytes(), l.bias.tobytes())
+        for l in model.layers
+    ]
 
 
 def _make_dir(path) -> Path:
@@ -688,16 +708,23 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Predictor, dict]:
 
 
 def _replayed(path: Path):
-    """What ``replay`` compares of a run file: its bytes, or for
-    ``per_epoch.csv`` its rows without the ``wall_time`` column. A missing
-    or unreadable file, or a per-epoch header without that column (also an
+    """What ``replay`` compares of a run file: for ``checkpoint.json`` its
+    ``_checkpoint_content``, so a format-1 original compares equal to its
+    format-2 replay exactly when every parameter is bit-equal; for
+    ``per_epoch.csv`` its rows without the ``wall_time`` column; for every
+    other file its bytes. A missing or unreadable file, a checkpoint that
+    does not decode, or a per-epoch header without that column (also an
     empty file), is a ``ConfigError``."""
     try:
         content = path.read_bytes()
+        if path.name == RUN_FILES["checkpoint"]:
+            return _checkpoint_content(json.loads(content))
         if path.name != RUN_FILES["per_epoch"]:
             return content
         rows = list(csv.reader(content.decode().splitlines()))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    # ValueError includes json.JSONDecodeError, EngineError and
+    # UnicodeDecodeError; a non-object fails a lookup
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows or "wall_time" not in rows[0]:
         raise ConfigError(f"{path} has no header with a wall_time column")
@@ -708,8 +735,9 @@ def _replayed(path: Path):
 def replay(manifest_path, output_dir) -> dict:
     """Re-execute a manifest's config and compare every artifact of the run.
 
-    Wall-time columns are excluded from the per-epoch comparison; every
-    other file must match byte for byte. An ``output_dir`` that is the
+    Wall-time columns are excluded from the per-epoch comparison, and the
+    checkpoint's decoded parameters are compared bit for bit; every other
+    file must match byte for byte. An ``output_dir`` that is the
     original run's directory (which would compare each file with itself),
     or an original that ``_replayed`` cannot read, raises ``ConfigError``
     before anything is re-run.

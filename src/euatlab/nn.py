@@ -11,6 +11,7 @@ draws those of an MC call, and a stack runs its passes as one ``forward``.
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass, field
 
@@ -20,7 +21,9 @@ from . import rng
 
 ACTIVATIONS = ("relu", "identity")
 
-CHECKPOINT_VERSION = 1
+# 2: each float array is base64 text (``encode_floats``); 1: JSON number
+# lists, still read
+CHECKPOINT_VERSION = 2
 
 
 class EngineError(ValueError):
@@ -454,19 +457,55 @@ def sgd_step(
     return True
 
 
+def encode_floats(array: np.ndarray) -> str:
+    """Base64 text of ``array``'s C-order, little-endian float64 bytes."""
+    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def decode_floats(value, what: str, count: int | None = None) -> np.ndarray:
+    """The float64 vector a checkpoint stores for ``what``: ``encode_floats``
+    text (format 2) or a JSON number list (format 1).
+
+    Raises ``EngineError`` if the text is not the canonical base64 of whole
+    float64 values, if ``count`` is given and the vector has another
+    length, or if a value is not finite.
+    """
+    if isinstance(value, str):
+        try:
+            data = binascii.a2b_base64(value)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise EngineError(f"{what} is not base64: {exc}") from exc
+        # the decoder skips stray characters; re-encoding must give the text
+        if binascii.b2a_base64(data, newline=False) != value.encode() or len(data) % 8:
+            raise EngineError(f"{what} is not the base64 of float64 values")
+        array = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    elif isinstance(value, list):
+        array = np.array(value, dtype=np.float64)
+        if array.ndim != 1:
+            raise EngineError(f"{what} is not a flat number list")
+    else:
+        raise EngineError(f"{what} is neither base64 text nor a number list")
+    if count is not None and array.size != count:
+        raise EngineError(f"{what} holds {array.size} values, its shape needs {count}")
+    if not np.isfinite(array).all():
+        raise EngineError(f"{what} holds a value that is not finite")
+    return array
+
+
 def checkpoint_json(model: MlpModel) -> str:
-    """Versioned JSON checkpoint; floats round-trip bit-exactly."""
+    """Versioned JSON checkpoint; each float array is ``encode_floats``
+    text, so it round-trips bit for bit and no float is printed."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "mlp",
         "dropout_rate": model.dropout_rate,
-        "seed": None,  # kept so existing checkpoint bytes stay identical
         "layers": [
             {
                 "activation": l.activation,
                 "shape": list(l.weights.shape),
-                "weights": l.weights.ravel().tolist(),
-                "bias": l.bias.tolist(),
+                "weights": encode_floats(l.weights),
+                "bias": encode_floats(l.bias),
             }
             for l in model.layers
         ],
@@ -475,12 +514,20 @@ def checkpoint_json(model: MlpModel) -> str:
 
 
 def model_from_checkpoint_dict(doc: dict) -> MlpModel:
-    if doc.get("format_version") != CHECKPOINT_VERSION:
+    """The model of a ``checkpoint_json`` document of format 1 or 2. An
+    unknown version, a shape that is not two non-negative integers, or an
+    array whose length does not match it or that holds a non-finite value
+    raises ``EngineError`` naming the layer."""
+    if doc.get("format_version") not in (1, CHECKPOINT_VERSION):
         raise EngineError(f"unsupported checkpoint version {doc.get('format_version')}")
     layers = []
-    for spec in doc["layers"]:
-        out_w, in_w = spec["shape"]
-        w = np.array(spec["weights"], dtype=np.float64).reshape(out_w, in_w)
-        layers.append(DenseLayer(w, np.array(spec["bias"]), spec["activation"]))
+    for i, spec in enumerate(doc["layers"]):
+        shape = spec["shape"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise EngineError(f"layer {i} shape {shape!r} is not two non-negative integers")
+        out_w, in_w = shape
+        w = decode_floats(spec["weights"], f"layer {i} weights", out_w * in_w)
+        b = decode_floats(spec["bias"], f"layer {i} bias", out_w)
+        layers.append(DenseLayer(w.reshape(out_w, in_w), b, spec["activation"]))
     return MlpModel(layers, doc["dropout_rate"])
-

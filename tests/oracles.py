@@ -7,6 +7,7 @@ under test.
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -301,28 +302,55 @@ def reference_gaussian_corrupt(inputs, sigma, seed):
     return np.clip(x + sigma * z, 0.0, 1.0)
 
 
-def checkpoint_reference(predictor):
+def checkpoint_v1_json(model) -> str:
+    """``checkpoint_json`` as format 1 wrote it: every weight and bias a
+    JSON number in shortest round-trip form."""
+    doc = {
+        "format_version": 1,
+        "kind": "mlp",
+        "dropout_rate": model.dropout_rate,
+        "seed": None,  # kept so existing checkpoint bytes stay identical
+        "layers": [
+            {
+                "activation": l.activation,
+                "shape": list(l.weights.shape),
+                "weights": l.weights.ravel().tolist(),
+                "bias": l.bias.tolist(),
+            }
+            for l in model.layers
+        ],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def checkpoint_reference(predictor, version=2):
     """The bytes ``checkpoint.json`` had when it was written by parsing each
-    model's ``checkpoint_json`` text back into a dict, wrapping it for
-    calibrated and ensemble predictors, and re-encoding the whole document
-    with ``indent=2``."""
+    model's checkpoint text back into a dict, wrapping it for calibrated and
+    ensemble predictors, and re-encoding the whole document with
+    ``indent=2``. Format 2 stores each float array as the ``base64`` text of
+    its little-endian float64 bytes, format 1 as a JSON number list."""
     from euatlab.nn import checkpoint_json
 
+    if version == 1:
+        model_json, floats = checkpoint_v1_json, lambda a: a.tolist()
+    else:
+        model_json = checkpoint_json
+        floats = lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode()
     if predictor.ensemble is not None:
         doc = {
             "kind": "ensemble",
-            "members": [json.loads(checkpoint_json(m)) for m in predictor.ensemble.members],
+            "members": [json.loads(model_json(m)) for m in predictor.ensemble.members],
             "seeds": predictor.ensemble.seeds,
         }
     else:
-        doc = json.loads(checkpoint_json(predictor.model))
+        doc = json.loads(model_json(predictor.model))
         if predictor.calibration is not None:
             doc = {
                 "kind": "calibrated",
                 "base": doc,
                 "calibration": {
-                    "breakpoints": predictor.calibration.breakpoints.tolist(),
-                    "levels": predictor.calibration.levels.tolist(),
+                    "breakpoints": floats(predictor.calibration.breakpoints),
+                    "levels": floats(predictor.calibration.levels),
                 },
             }
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()

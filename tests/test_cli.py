@@ -1,9 +1,12 @@
+import base64
 import dataclasses
 import json
 import math
 import struct
 
+import numpy as np
 import pytest
+from oracles import checkpoint_reference
 
 from euatlab import cli, experiment
 from euatlab.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
@@ -111,6 +114,26 @@ def test_replay_checks_the_original_epoch_header_before_re_running(
 
     monkeypatch.setattr(experiment, "run_experiment", no_rerun)
     (run_dir / "per_epoch.csv").write_bytes(content)
+    assert cli.main(
+        ["replay", "--manifest", str(run_dir / "manifest.json"),
+         "--out", str(tmp_path / "re")]
+    ) == 2
+
+
+@pytest.mark.parametrize("content", ["{not json", "[]", '{"kind": "mlp"}', "nan-weight"])
+def test_replay_checks_the_original_checkpoint_before_re_running(
+    run_dir, tmp_path, monkeypatch, content
+):
+    # replay compares the checkpoint's decoded parameters, so an original
+    # that does not decode cannot be compared
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("replay re-ran the experiment")
+
+    monkeypatch.setattr(experiment, "run_experiment", no_rerun)
+    if content == "nan-weight":
+        rewrite_layer_array(run_dir, 2, 0, "weights", EDITS["nan"])
+    else:
+        (run_dir / "checkpoint.json").write_text(content)
     assert cli.main(
         ["replay", "--manifest", str(run_dir / "manifest.json"),
          "--out", str(tmp_path / "re")]
@@ -757,6 +780,77 @@ def test_non_finite_calibration_map_is_a_bad_checkpoint(run_dir, capsys, field, 
     assert err.startswith("engine error: bad checkpoint") and "finite" in err
 
 
+def floats_of(value):
+    """A checkpoint array as a list: base64 float64 text or a number list."""
+    if isinstance(value, list):
+        return list(value)
+    return np.frombuffer(base64.b64decode(value), dtype="<f8").tolist()
+
+
+def rewrite_layer_array(run_dir, version, layer, array, edit):
+    """Rewrite the run's ``mlp`` checkpoint in format ``version`` with
+    ``edit`` applied to the value list of one layer's ``array``."""
+    path = run_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    for i, spec in enumerate(doc["layers"]):
+        for name in ("weights", "bias"):
+            values = floats_of(spec[name])
+            if (i, name) == (layer, array):
+                values = edit(values)
+            spec[name] = values if version == 1 else base64.b64encode(
+                np.array(values, dtype="<f8").tobytes()).decode()
+    path.write_text(json.dumps(doc))
+
+
+EDITS = {
+    "nan": lambda v: [math.nan, *v[1:]],
+    "inf": lambda v: [*v[:-1], -math.inf],
+    "short": lambda v: v[:-1],
+    "long": lambda v: [*v, 0.5],
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("array", ["weights", "bias"])
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_bad_parameter_array_is_a_bad_checkpoint(run_dir, capsys, version, array, edit):
+    # a NaN weight once loaded and failed only in a forward pass, as
+    # "engine error: non-finite logits"
+    rewrite_layer_array(run_dir, version, 1, array, EDITS[edit])
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: bad checkpoint") and f"layer 1 {array}" in err
+    assert ("finite" in err) == (edit in ("nan", "inf"))
+
+
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# edits of a canonical base64 text that keep its float count
+NOT_FLOAT64_BASE64 = {
+    "stray-character": lambda t: t[:4] + "!" + t[4:],
+    "space": lambda t: t[:4] + " " + t[4:],
+    "non-ascii": lambda t: t[:4] + "\u00e9" + t[4:],
+    "padding-bits": lambda t: t[:-3] + B64[B64.index(t[-3]) ^ 1] + t[-2:],
+    "partial-value": lambda t: base64.b64encode(base64.b64decode(t) + b"\0" * 4).decode(),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NOT_FLOAT64_BASE64))
+def test_weights_that_are_not_float64_base64_are_a_bad_checkpoint(run_dir, capsys, edit):
+    path = run_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    bias = doc["layers"][1]["bias"]
+    assert bias.endswith("==")  # two float64 values leave 4 padding bits
+    doc["layers"][1]["bias"] = NOT_FLOAT64_BASE64[edit](bias)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--run-dir", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: bad checkpoint") and "layer 1 bias" in err
+    assert "values, its shape needs" not in err
+
+
 # a number outside [0, 1], NaN included, is no threshold either
 @pytest.mark.parametrize("threshold", [None, "0.5", [0.5], True, 2.0, math.nan, -0.5])
 def test_manifest_without_numeric_threshold_is_a_config_error(run_dir, threshold):
@@ -799,6 +893,49 @@ def test_legacy_manifest_loads_and_replays(run_dir, tmp_path):
         result = experiment.replay(run_dir / "manifest.json", tmp_path / str(output_dir))
         assert result["identical"], result["files"]
         assert sorted(result["files"]) == compared
+
+
+def flip_first_weight_bit(doc):
+    """Flip the lowest bit of the first weight of a format-1 checkpoint."""
+    model = doc["base"] if doc["kind"] == "calibrated" else doc["members"][0]
+    (bits,) = struct.unpack("<q", struct.pack("<d", model["layers"][0]["weights"][0]))
+    (model["layers"][0]["weights"][0],) = struct.unpack("<d", struct.pack("<q", bits ^ 1))
+
+
+@pytest.mark.parametrize("method", ["calibrated_ce", "ensemble"])
+def test_format_1_run_directory_loads_and_replays(tmp_path, capsys, method):
+    # run directories written before base64 arrays hold every float as a
+    # JSON number; they load, and replay compares their parameters bit for bit
+    run = tmp_path / "run"
+    assert cli.main(
+        ["train", "--method", method, "--n", "160", "--noise", "0.08", "--seed", "4",
+         "--hidden", "8", "--pretrain-epochs", "2", "--batch-size", "32",
+         "--mc-samples", "4", "--ensemble-members", "2",
+         "--protocols", "clean,attack", "--out", str(run)]
+    ) == 0
+    path = run / "checkpoint.json"
+    legacy = checkpoint_reference(experiment.load_run(run)[1], version=1)
+    assert json.loads(legacy)["kind"] == json.loads(path.read_text())["kind"]
+    path.write_bytes(legacy)
+    stored = json.loads((run / "metrics.json").read_text())
+    capsys.readouterr()
+    for command, protocol in (("evaluate", "clean"), ("attack-eval", "attack")):
+        assert cli.main([command, "--run-dir", str(run)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(printed) == sorted(
+            f"  {key}: {value}" for key, value in stored[protocol].items()
+            if not isinstance(value, dict)
+        ), command
+    result = experiment.replay(run / "manifest.json", tmp_path / "re")
+    assert result["identical"], result["files"]
+    assert b'"format_version": 2' in (tmp_path / "re" / "checkpoint.json").read_bytes()
+
+    doc = json.loads(legacy)
+    flip_first_weight_bit(doc)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    result = experiment.replay(run / "manifest.json", tmp_path / "re-flipped")
+    assert not result["files"]["checkpoint.json"]
+    assert all(same for name, same in result["files"].items() if name != "checkpoint.json")
 
 
 def test_config_file_output_dir_is_dropped(tmp_path):

@@ -17,7 +17,7 @@ from euatlab.experiment import (
     run_experiment,
     train_method,
 )
-from euatlab.nn import checkpoint_json
+from oracles import checkpoint_v1_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("EUATLAB_REGEN_GOLDEN") == "1"
@@ -68,10 +68,11 @@ def test_euat_run_reproduces_per_epoch_table(tmp_path):
 
 
 def test_ensemble_member_checksums():
+    # hashes the format-1 text, whose decimals pin every weight bit for bit
     config = small_config("ensemble")
     ens = train_method(config, build_dataset(config)).predictor.ensemble
     checksums = [
-        hashlib.sha256(checkpoint_json(m).encode()).hexdigest() for m in ens.members
+        hashlib.sha256(checkpoint_v1_json(m).encode()).hexdigest() for m in ens.members
     ]
     check_golden("ensemble_checksums", {"sha256": checksums})
 

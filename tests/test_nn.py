@@ -7,8 +7,8 @@ import pytest
 
 from euatlab import nn, rng
 from oracles import (
-    fd_param_grads, flatten_grads, max_rel_error, naive_forward, parameters_equal,
-    reference_mask,
+    checkpoint_v1_json, fd_param_grads, flatten_grads, max_rel_error, naive_forward,
+    parameters_equal, reference_mask,
 )
 
 
@@ -482,6 +482,37 @@ class TestCheckpoint:
         assert [l.activation for l in loaded.layers] == [
             l.activation for l in model.layers
         ]
+
+    def test_round_trip_keeps_every_bit_pattern(self):
+        # signed zero, subnormals, extremes and 1 + ulp survive as bytes
+        special = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   1.0000000000000002, -1 / 3]
+        model = nn.MlpModel([nn.DenseLayer(np.reshape(special, (3, 2)), special[:3])], 0.0)
+        loaded = nn.model_from_checkpoint_dict(json.loads(nn.checkpoint_json(model)))
+        assert loaded.layers[0].weights.tobytes() == model.layers[0].weights.tobytes()
+        assert loaded.layers[0].bias.tobytes() == model.layers[0].bias.tobytes()
+        assert loaded.layers[0].weights.flags.writeable
+
+    def test_reads_format_1(self):
+        model = tiny_model(seed=22, dropout=0.2)
+        loaded = nn.model_from_checkpoint_dict(json.loads(checkpoint_v1_json(model)))
+        assert parameters_equal(loaded, model)
+        assert loaded.dropout_rate == model.dropout_rate
+
+    def test_no_float_is_printed(self):
+        # base64 float64 is about 10.7 bytes a parameter; a shortest-repr
+        # decimal list (format 1) is about 22
+        model = nn.MlpModel.init([784, 256, 256, 10], dropout_rate=0.2, seed=0)
+        count = sum(l.weights.size + l.bias.size for l in model.layers)
+        assert len(nn.checkpoint_json(model)) < 12 * count
+        assert len(checkpoint_v1_json(model)) > 12 * count
+
+    @pytest.mark.parametrize("shape", [[5], [5, 3, 1], [5.0, 3], [-5, -3], "5x3", [5, True]])
+    def test_rejects_a_shape_of_other_than_two_sizes(self, shape):
+        doc = json.loads(nn.checkpoint_json(tiny_model(seed=23)))
+        doc["layers"][0]["shape"] = shape
+        with pytest.raises(nn.EngineError, match="layer 0 shape"):
+            nn.model_from_checkpoint_dict(doc)
 
     def test_rejects_unknown_version(self):
         doc = json.loads(nn.checkpoint_json(tiny_model(seed=21)))
