@@ -107,11 +107,13 @@ def isotonic_apply(mapping: IsotonicMap, probs: np.ndarray) -> np.ndarray:
     total = batch.sum(axis=1)
     off = np.abs(total - 1.0) > 1e-12  # leave float dust alone
     batch[off] /= total[off, None]
-    # knife-edge ties from the floor
-    for i in np.flatnonzero(np.argmax(batch, axis=1) != top):
-        row = batch[i]
-        row[top[i]] = np.nextafter(row.max(), np.inf)
-        row /= row.sum()
+    # knife-edge ties from the floor: lift the top class one ulp above the
+    # row's maximum and renormalise those rows
+    edge = np.flatnonzero(np.argmax(batch, axis=1) != top)
+    rows = batch[edge]
+    rows[np.arange(len(edge)), top[edge]] = np.nextafter(rows.max(axis=1), np.inf)
+    rows /= rows.sum(axis=1)[:, None]
+    batch[edge] = rows
     return batch
 
 

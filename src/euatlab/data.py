@@ -2,7 +2,9 @@
 one-vs-rest reduction.
 
 Inputs are always float64 matrices scaled to [0, 1]; splits are disjoint
-index arrays tagged train / validation / test. The synthetic generators
+index arrays tagged train / validation / test, and a dataset stores its
+rows split by split, so each split is one contiguous block of rows that
+``Dataset.split`` returns as read-only views. The synthetic generators
 are deterministic given their seed and expose a noise knob that controls
 class overlap (for Gaussian blobs the Bayes error floor).
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,28 +36,63 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
+    """Rows, labels and their splits, stored split by split.
+
+    The rows of each split form one contiguous block of ``inputs``: the
+    blocks follow the order of ``splits`` and keep the order of each
+    split's ids, and rows in no split come last. Arrays given in any other
+    order are regrouped once on construction, and ``splits`` then holds the
+    new ids (``np.arange`` ranges). ``split`` returns read-only views.
+    """
+
     inputs: np.ndarray  # (n, d) in [0, 1]
     labels: np.ndarray  # (n,) integer class ids
     splits: dict[str, np.ndarray]
+    _rows: dict[str, slice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or len(self.inputs) != len(self.labels):
+        n = len(self.labels)
+        if self.inputs.ndim != 2 or len(self.inputs) != n:
             raise DataError("inputs must be (n, d) with one label per row")
-        seen = np.concatenate([np.asarray(v) for v in self.splits.values()])
-        if len(np.unique(seen)) != len(seen):
-            raise DataError("splits must be disjoint")
-        if len(seen) and (seen.min() < 0 or seen.max() >= len(self.labels)):
-            raise DataError("split index out of range")
+        order, grouped = _grouped(self.splits)
+        if not np.array_equal(order, np.arange(len(order))):
+            if len(np.unique(order)) != len(order):
+                raise DataError("splits must be disjoint")
+            if len(order) and (order.min() < 0 or order.max() >= n):
+                raise DataError("split index out of range")
+            rest = np.setdiff1d(np.arange(n), order, assume_unique=True)
+            order = np.concatenate([order, rest])
+            self.inputs, self.labels = self.inputs[order], self.labels[order]
+            self.splits = grouped
+        self._rows = _blocks(self.splits)
 
     @property
     def class_count(self) -> int:
         return int(self.labels.max()) + 1
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.splits[name]
-        return self.inputs[ids], self.labels[ids]
+        """Read-only views of the split's rows and labels."""
+        rows = self._rows[name]
+        inputs, labels = self.inputs[rows], self.labels[rows]
+        inputs.flags.writeable = labels.flags.writeable = False
+        return inputs, labels
+
+
+def _blocks(splits: dict[str, np.ndarray]) -> dict[str, slice]:
+    """The block of rows each split holds when the rows are stored split by
+    split in the order of ``splits``."""
+    stops = np.cumsum([len(ids) for ids in splits.values()], dtype=np.int64).tolist()
+    return {name: slice(stop - len(ids), stop)
+            for (name, ids), stop in zip(splits.items(), stops)}
+
+
+def _grouped(splits: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The split ids concatenated in split order, and each split's ids once
+    the rows are stored in that order."""
+    ids = np.concatenate([np.empty(0, np.int64), *map(np.asarray, splits.values())])
+    return ids, {name: np.arange(b.start, b.stop) for name, b in _blocks(splits).items()}
 
 
 def split_indices(
@@ -87,11 +124,18 @@ def _blob_centers(class_count: int, dim: int = 2) -> np.ndarray:
 
 
 def _gen_blobs(n, noise, seed, class_count, dim=2):
+    # built in the normal draw itself: the same products and sums as
+    # centers[labels] + noise * z, with no temporary of the output's size
     centers = _blob_centers(class_count, dim)
-    labels = np.arange(n) % class_count
-    gen = rng.substream(seed, "blobs")
-    points = centers[labels] + noise * gen.standard_normal((n, dim))
-    return points, labels
+    points = rng.substream(seed, "blobs").standard_normal((n, dim))
+    points *= noise
+    # row i is labelled i % class_count: each whole block of class_count
+    # rows takes every center at once, and the last rows the first centers
+    whole = n - n % class_count
+    blocks = points[:whole].reshape(-1, class_count, dim)
+    blocks += centers
+    points[whole:] += centers[: n - whole]
+    return points, np.arange(n) % class_count
 
 
 def _gen_two_moons(n, noise, seed, class_count, dim=2):
@@ -146,7 +190,9 @@ def generate_dataset(
     """Deterministic synthetic dataset with shuffled rows and splits.
 
     ``dim`` (blobs only) appends uninformative noise coordinates beyond the
-    first two; the Bayes error of the two-class geometry is unchanged.
+    first two; the Bayes error of the two-class geometry is unchanged. The
+    rows are stored split by split (validation, test, train, each in
+    ascending id order), so ``split`` returns read-only views.
     """
     if kind not in _GENERATORS:
         raise DataError(f"unknown dataset kind {kind!r}")
@@ -157,13 +203,15 @@ def generate_dataset(
     if not np.isfinite(noise):
         raise DataError(f"noise must be finite, got {noise}")
     points, labels = _GENERATORS[kind](n, noise, seed, class_count, dim)
-    points = np.clip(points, 0.0, 1.0)
-    order = rng.substream(seed, "row-shuffle").permutation(n)
-    points, labels = points[order], labels[order]
+    ids, splits = _grouped(split_indices(n, seed, val_fraction, test_fraction))
+    # the rows are shuffled, then stored split by split: dataset row i is
+    # shuffled row ids[i], so one gather does both
+    order = rng.substream(seed, "row-shuffle").permutation(n)[ids]
+    inputs = points[order]
     return Dataset(
-        inputs=points,
-        labels=labels,
-        splits=split_indices(n, seed, val_fraction, test_fraction),
+        inputs=np.clip(inputs, 0.0, 1.0, out=inputs),
+        labels=labels[order],
+        splits=splits,
     )
 
 
@@ -225,8 +273,6 @@ def load_idx(
                 code="empty_image",
             )
         raw = _read_body(fh, 16, n_images * n_rows * n_cols, images_path)
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    inputs = pixels.reshape(n_images, n_rows * n_cols)
 
     with _open(labels_path) as fh:
         magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path))
@@ -241,10 +287,17 @@ def load_idx(
             f"count mismatch: {n_images} images vs {n_labels} labels",
             code="count_mismatch",
         )
+    ids, splits = _grouped(split_indices(n_images, seed, val_fraction, test_fraction))
+    # the rows are grouped while they are bytes, the file's bytes go before
+    # the one float64 copy is made, and that copy is scaled in place
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, n_rows * n_cols)[ids]
+    del raw
+    inputs = pixels.astype(np.float64)
+    inputs /= 255.0
     return Dataset(
         inputs=inputs,
-        labels=labels.astype(np.int64),
-        splits=split_indices(n_images, seed, val_fraction, test_fraction),
+        labels=labels[ids].astype(np.int64),
+        splits=splits,
     )
 
 

@@ -241,8 +241,8 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
     lo, hi = config.attack.clip_min, config.attack.clip_max
     attacked = {"test": "attack" in config.protocols, "train": config.adversarial_training}
     for name in [name for name, on in attacked.items() if on]:
-        ids = ds.splits[name]
-        low, high = ds.inputs.min(axis=1)[ids].min(), ds.inputs.max(axis=1)[ids].max()
+        x, _ = ds.split(name)
+        low, high = x.min(), x.max()
         if low < lo or high > hi:
             raise ConfigError(f"the attack clips to [clip_min, clip_max] = [{lo}, {hi}], "
                               f"but the {name} split spans [{low}, {high}]")
@@ -393,12 +393,9 @@ def protocol_eval(
         )
         extra = {"sigma": sigma}
     elif name == "attack":
-        clean = inputs
-        inputs = predictor.attacked(clean, labels, config.attack)
-        # one buffer for the distance, and the clean rows go before the
-        # attacked ones are scored
-        dist = np.subtract(inputs, clean)
-        del clean
+        attacked = predictor.attacked(inputs, labels, config.attack)
+        dist = np.subtract(attacked, inputs)  # one buffer for the distance
+        inputs = attacked
         extra = {
             "epsilon": config.attack.epsilon,
             "linf": float(np.max(np.abs(dist, out=dist))),
@@ -437,11 +434,24 @@ def protocol_eval(
     }
 
 
-# a run of plain text (numbers, literals, ", " and ": "), then one string,
-# empty container or bracket; the last match ends the text with no token
-_JSON_TOKENS = re.compile(
-    r'([^"\[\]{}]*)("[^"\\]*(?:\\.[^"\\]*)*"|\[\]|\{\}|[\[\]{}]?)'
-)
+# the next string, bracket or brace of compact JSON text
+_JSON_MARK = re.compile(r'["\[\]{}]')
+
+
+def _string_end(text: str, start: int) -> int:
+    """The index just past the JSON string that opens at ``start``; its body
+    is skipped with ``str.find``, a quote after an odd run of backslashes
+    being escaped."""
+    end = start
+    while True:
+        end = text.find('"', end + 1)
+        if end < 0:
+            raise ValueError("unterminated JSON string")
+        back = end - 1
+        while text[back] == "\\":
+            back -= 1
+        if (end - back) % 2:
+            return end + 1
 
 
 def _indented(text: str) -> bytes:
@@ -449,20 +459,31 @@ def _indented(text: str) -> bytes:
     from the compact ``json.dumps(doc, sort_keys=True)`` text of ``doc``.
 
     The C encoder formats every number once; ``indent=`` would run the
-    pure-Python encoder. Outside strings, ", " only separates items.
+    pure-Python encoder. Outside strings, ", " only separates items;
+    strings and empty containers are copied as they are.
     """
     out = []
     newline = "\n"  # plus the indent of the current depth
-    for run, token in _JSON_TOKENS.findall(text):
-        out.append(run.replace(", ", "," + newline))
-        if token in ("[", "{"):
+    pos = 0
+    while (mark := _JSON_MARK.search(text, pos)) is not None:
+        start = mark.start()
+        out.append(text[pos:start].replace(", ", "," + newline))
+        token = text[start]
+        if token == '"':
+            pos = _string_end(text, start)
+            out.append(text[start:pos])
+            continue
+        pos = start + 1
+        if text[start : pos + 1] in ("[]", "{}"):
+            out.append(text[start : pos + 1])
+            pos += 1
+        elif token in "[{":
             newline += "  "
             out.append(token + newline)
-        elif token in ("]", "}"):
+        else:
             newline = newline[:-2]
             out.append(newline + token)
-        else:
-            out.append(token)
+    out.append(text[pos:].replace(", ", "," + newline))
     out.append("\n")
     return "".join(out).encode()
 

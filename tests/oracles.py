@@ -354,3 +354,66 @@ def checkpoint_reference(predictor, version=2):
                 },
             }
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def isotonic_apply_knife_edge_loop(mapping, probs):
+    """The former ``baselines.isotonic_apply``, whose knife-edge ties were
+    lifted one row at a time in a Python loop."""
+    batch = np.array(probs, dtype=np.float64)
+    rows = np.arange(len(batch))
+    top = np.argmax(batch, axis=1)
+    p_top = batch[rows, top]
+    rest = 1.0 - p_top
+    others = batch.copy()
+    others[rows, top] = -np.inf
+    p_second = others.max(axis=1)  # -inf for one class: no tie point
+    q = mapping(p_top)
+    denom = rest + p_second
+    positive = denom > 0
+    tie = np.zeros(len(batch))
+    tie[positive] = p_second[positive] / denom[positive]
+    q = np.where(tie > q, tie, q)  # max(q, tie), keeping q on equality
+    rescaled = rest > 0
+    batch[rescaled] *= ((1.0 - q[rescaled]) / rest[rescaled])[:, None]
+    batch[~rescaled] = ((1.0 - q[~rescaled]) / max(batch.shape[1] - 1, 1))[:, None]
+    batch[rows, top] = q
+    total = batch.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-12  # leave float dust alone
+    batch[off] /= total[off, None]
+    # knife-edge ties from the floor
+    for i in np.flatnonzero(np.argmax(batch, axis=1) != top):
+        row = batch[i]
+        row[top[i]] = np.nextafter(row.max(), np.inf)
+        row /= row.sum()
+    return batch
+
+
+def reference_blobs(n, noise, seed, class_count, dim=2):
+    """The former ``data._gen_blobs``: centres gathered per row plus the
+    scaled normal draw, as one expression."""
+    from euatlab import data, rng
+
+    centers = data._blob_centers(class_count, dim)
+    labels = np.arange(n) % class_count
+    gen = rng.substream(seed, "blobs")
+    points = centers[labels] + noise * gen.standard_normal((n, dim))
+    return points, labels
+
+
+def reference_dataset(kind, n, noise, seed, class_count=2, val_fraction=0.1,
+                      test_fraction=0.2, dim=2):
+    """The former ``data.generate_dataset``: ``(inputs, labels, splits)``
+    with the rows in shuffled order, not grouped by split, so split
+    ``name``'s rows are ``inputs[splits[name]]``."""
+    from euatlab import data, rng
+
+    generators = {
+        "gaussian_blobs": reference_blobs,
+        "two_moons": data._gen_two_moons,
+        "rings": data._gen_rings,
+    }
+    points, labels = generators[kind](n, noise, seed, class_count, dim)
+    points = np.clip(points, 0.0, 1.0)
+    order = rng.substream(seed, "row-shuffle").permutation(n)
+    points, labels = points[order], labels[order]
+    return points, labels, data.split_indices(n, seed, val_fraction, test_fraction)

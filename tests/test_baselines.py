@@ -5,7 +5,12 @@ import pytest
 
 from euatlab import baselines, data, nn, rng, training, uncertainty
 from euatlab.experiment import ExperimentConfig, Predictor, build_dataset, train_method
-from oracles import isotonic_apply_rows, isotonic_nnls, parameters_equal
+from oracles import (
+    isotonic_apply_knife_edge_loop,
+    isotonic_apply_rows,
+    isotonic_nnls,
+    parameters_equal,
+)
 
 
 class TestIsotonicFit:
@@ -127,6 +132,29 @@ class TestIsotonicApply:
             out = baselines.isotonic_apply(mapping, probs)
             assert np.array_equal(out, isotonic_apply_rows(mapping, probs))
             assert np.array_equal(np.argmax(out, axis=1), np.argmax(probs, axis=1))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10, 17])
+    def test_knife_edge_rows_match_the_loop(self, k):
+        # tie-heavy rows: near-equal top classes under flat and deflating
+        # maps, so the floor at the tie point leaves a knife-edge tie in
+        # 95-205 of the 400 rows of every call
+        gen = np.random.default_rng(70 + k)
+        probs = gen.dirichlet(np.full(k, 0.3), size=400)
+        probs[:100] = gen.dirichlet(np.full(k, 50.0), size=100)  # near-uniform
+        pairs = probs[100:200]
+        pairs[:, 1] = pairs[:, 0]  # exact ties between two classes
+        pairs /= pairs.sum(axis=1, keepdims=True)
+        maps = [
+            baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 0.0])),
+            baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 0.3])),
+            baselines.IsotonicMap(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 0.4])),
+        ]
+        for _ in range(5):
+            xs = np.sort(gen.uniform(0.0, 1.0, size=gen.integers(2, 8)))
+            maps.append(baselines.IsotonicMap(xs, np.sort(gen.uniform(0.0, 0.3, len(xs)))))
+        for mapping in maps:
+            out = baselines.isotonic_apply(mapping, probs)
+            assert np.array_equal(out, isotonic_apply_knife_edge_loop(mapping, probs))
 
     def test_single_row_matches_per_row_oracle(self):
         mapping = baselines.IsotonicMap(np.array([0.0, 1.0]), np.array([0.1, 0.4]))

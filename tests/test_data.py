@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from euatlab import data, nn, presets, training
-from oracles import blob_bayes_error, blob_noise_for_bayes_error
+from oracles import blob_bayes_error, blob_noise_for_bayes_error, reference_dataset
 
 
 class TestGenerators:
@@ -257,3 +257,112 @@ class TestDiskFormat:
                 np.zeros(4, dtype=int),
                 {"train": np.array([0, 1]), "test": np.array([1, 2])},
             )
+
+
+def assert_read_only_views(ds):
+    for name in ds.splits:
+        x, y = ds.split(name)
+        assert np.shares_memory(x, ds.inputs) and np.shares_memory(y, ds.labels)
+        assert not x.flags.writeable and not y.flags.writeable
+        if len(y):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = 1
+
+
+class TestSplitViews:
+    @pytest.mark.parametrize("kind, dim, class_count", [
+        ("gaussian_blobs", 2, 2), ("gaussian_blobs", 5, 3), ("gaussian_blobs", 37, 10),
+        ("two_moons", 2, 2), ("rings", 2, 2), ("rings", 2, 4),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_split_rows_equal_the_former_generator(self, kind, dim, class_count, seed):
+        noise = 0.3 if kind == "gaussian_blobs" else 0.05  # blobs reach the clip
+        ds = data.generate_dataset(kind, 301, noise, seed, class_count, 0.15, 0.25, dim)
+        inputs, labels, splits = reference_dataset(
+            kind, 301, noise, seed, class_count, 0.15, 0.25, dim
+        )
+        assert list(ds.splits) == ["validation", "test", "train"]
+        start = 0
+        for name, ids in splits.items():
+            x, y = ds.split(name)
+            assert np.array_equal(x, inputs[ids]) and np.array_equal(y, labels[ids])
+            assert np.array_equal(ds.splits[name], np.arange(start, start + len(ids)))
+            start += len(ids)
+        assert_read_only_views(ds)
+
+    def test_idx_splits_equal_the_scaled_pixels(self, tmp_path):
+        gen = np.random.default_rng(5)
+        images = gen.integers(0, 256, size=(40, 3, 4), dtype=np.uint8)
+        labels = gen.integers(0, 10, size=40)
+        ds = data.load_idx(*write_idx_pair(tmp_path, images, labels), seed=9)
+        pixels = images.reshape(40, -1).astype(np.float64) / 255.0
+        for name, ids in data.split_indices(40, 9).items():
+            x, y = ds.split(name)
+            assert np.array_equal(x, pixels[ids]) and np.array_equal(y, labels[ids])
+        assert_read_only_views(ds)
+
+    def test_idx_loading_keeps_one_float_copy(self, tmp_path):
+        n = 3000
+        images = np.random.default_rng(6).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, images, np.arange(n) % 10)
+        tracemalloc.start()
+        try:
+            ds = data.load_idx(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.inputs.nbytes
+
+    def test_binary_task_views_its_source(self):
+        ds = data.generate_dataset("gaussian_blobs", 200, 0.1, seed=4, class_count=4)
+        binary = data.make_binary_task(ds, positive_class=2)
+        for name in ds.splits:
+            assert np.shares_memory(binary.split(name)[0], ds.inputs)
+        assert_read_only_views(binary)
+
+    def test_hand_built_dataset_is_grouped_once(self):
+        gen = np.random.default_rng(8)
+        inputs, labels = gen.random((12, 3)), gen.integers(0, 3, size=12)
+        # unsorted ids, splits out of order, and rows 4 and 9 in no split
+        splits = {"train": np.array([7, 0, 11, 2]), "test": np.array([10, 3]),
+                  "validation": np.array([5, 8, 1, 6])}
+        ds = data.Dataset(inputs, labels, splits)
+        assert {k: v.tolist() for k, v in ds.splits.items()} == {
+            "train": [0, 1, 2, 3], "test": [4, 5], "validation": [6, 7, 8, 9]}
+        for name, ids in splits.items():
+            x, y = ds.split(name)
+            assert np.array_equal(x, inputs[ids]) and np.array_equal(y, labels[ids])
+        assert np.array_equal(ds.inputs[10:], inputs[[4, 9]])
+        assert np.array_equal(ds.labels[10:], labels[[4, 9]])
+        assert_read_only_views(ds)
+        # the caller's arrays are left as they were
+        assert inputs.flags.writeable and np.array_equal(inputs[0], ds.split("train")[0][1])
+
+    def test_grouped_dataset_keeps_its_arrays(self):
+        ds = data.generate_dataset("rings", 100, 0.05, seed=1)
+        again = data.Dataset(ds.inputs, ds.labels, ds.splits)
+        assert again.inputs is ds.inputs and again.labels is ds.labels
+        assert all(again.splits[k] is v for k, v in ds.splits.items())
+
+    def test_split_allocates_no_rows(self):
+        ds = data.generate_dataset("gaussian_blobs", 2000, 0.1, seed=0, dim=64)
+        tracemalloc.start()
+        try:
+            x, y = ds.split("train")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert x.shape == (1400, 64) and len(y) == 1400
+
+    def test_blobs_are_built_in_their_normal_draw(self):
+        tracemalloc.start()
+        try:
+            points, _ = data._gen_blobs(4000, 0.01, 3, 10, 784)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (4000, 784)
+        assert peak < 1.1 * points.nbytes

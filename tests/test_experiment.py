@@ -215,6 +215,8 @@ class TestJsonArtifacts:
     @example({"a": [], "b": {}, "c": [[], {}, [[]]]})
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 2**70, True, None])
     @example({'", "': '": "', "[": "]", "{": "}", "\\": '\\"'})
+    # a multi-megabyte string whose quotes and backslashes are all escaped
+    @example({"big": 'x\\"y\\\\[, ]' * 400_000 + '\\', "next": ["\\", {"": '"'}]})
     def test_json_bytes_equal_the_indented_encoder(self, doc):
         expected = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
         assert experiment._json_bytes(doc) == expected
